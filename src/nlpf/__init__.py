@@ -8,12 +8,13 @@ active-set method.  Sub-modules:
     kernel        radial kernels and their closed-form constants
     grid          uniform grids, node classification, lumped quadrature
     nonlocal_ops  convolution stencil, discrete operator, flux closure
-    physics       coupling, projection, per-step objective
+    physics       coupling, per-step objective
     pdas          active-set solvers for the complementarity systems
-    stepper       IMEX time loop and diagnostics
+    stepper       per-variant phase steps, IMEX time loop and diagnostics
     metrics       interface widths and field distances
     config        run-configuration files
     repro         reference-experiment drivers
+    verify        brute-force oracles and desk-scale self-checks
     cli           command-line entry points
 
 Submodules are imported lazily; ``import nlpf`` stays lightweight.

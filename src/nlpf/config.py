@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .kernel import KernelSpec
 from .pdas import PdasConfig
@@ -67,7 +67,6 @@ class RunConfig:
     init: InitSpec = field(default_factory=InitSpec)
     output_dir: str | None = None
     formats: tuple = ("csv",)
-    record_energy: bool | None = None
     label: str = "run"
 
     @property
@@ -77,6 +76,15 @@ class RunConfig:
     @property
     def is_obstacle(self) -> bool:
         return self.variant != "local_regular"
+
+    @property
+    def records_energy(self) -> bool:
+        """Per-step objective and projection diagnostics: implicit nonlocal CH only.
+
+        Only there is the phase update the exact minimizer of the recorded
+        objective, so descent to round-off is a meaningful check.
+        """
+        return self.variant == "nonlocal_CH" and self.pdas.convolution_mode == "implicit"
 
     def kernel_spec(self) -> KernelSpec | None:
         if not self.is_nonlocal:
@@ -230,13 +238,13 @@ def parse_config_text(text: str, label: str = "run") -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad [time] snapshots list: {raw!r}") from exc
 
+    # has_option is False for a missing section, so the defaults apply
     pdas = PdasConfig(
-        c_penalty=_get(cp, "solver", "pdas_c", default=1.0) if cp.has_section("solver") else 1.0,
-        max_iters=int(_get(cp, "solver", "pdas_max_iters", default=50)) if cp.has_section("solver") else 50,
-        lin_tol=_get(cp, "solver", "lin_tol", default=1e-12) if cp.has_section("solver") else 1e-12,
-        convolution_mode=_get(cp, "solver", "convolution_mode", cast=str, default="explicit")
-        if cp.has_section("solver")
-        else "explicit",
+        c_penalty=_get(cp, "solver", "pdas_c", default=1.0),
+        max_iters=int(_get(cp, "solver", "pdas_max_iters", default=50)),
+        lin_tol=_get(cp, "solver", "lin_tol", default=1e-12),
+        convolution_mode=_get(cp, "solver", "convolution_mode", cast=str,
+                              default="explicit"),
     )
 
     init = _parse_init(cp) if cp.has_section("init") else InitSpec()
@@ -340,7 +348,3 @@ def config_as_dict(cfg: RunConfig) -> dict:
         "output": {"directory": cfg.output_dir, "formats": list(cfg.formats)},
     }
 
-
-def with_override(cfg: RunConfig, **changes) -> RunConfig:
-    """Functional update helper used by the reproduction presets."""
-    return replace(cfg, **changes).validate()

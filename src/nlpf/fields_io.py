@@ -131,51 +131,34 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
         "snapshot_levels": [int(k) for k in result.snapshot_levels],
     }
 
-    def _mx(key):
-        arr = d.get(key)
-        if arr is None:
-            return None
-        arr = arr[np.isfinite(arr)] if arr.dtype.kind == "f" else arr
-        return float(np.max(arr)) if len(arr) else None
-
-    bound_min = d["bound_min"][np.isfinite(d["bound_min"])]
-    bound_violation = None
-    if len(bound_min):
-        bound_violation = float(
-            max(
-                np.maximum(-bound_min, 0.0).max(),
-                np.maximum(d["bound_max"][np.isfinite(d["bound_max"])] - 1.0, 0.0).max(),
-            )
-        )
-    energies = d["energy_J_new"] - d["energy_J_prev"]
-    energies = energies[np.isfinite(energies)]
-    descent_violation = float(energies.max()) if len(energies) else None
-
+    # Only the diagnostics this variant records are summarized; np.max keeps
+    # NaN, so a non-finite value fails its invariant instead of dropping it.
+    obstacle = cfg.is_obstacle
+    energy = cfg.records_energy
+    bound_excess = np.maximum(np.maximum(-d["bound_min"], d["bound_max"] - 1.0), 0.0)
     summary = {
-        "pdas_iters_max": int(d["pdas_iters"].max()) if len(d["pdas_iters"]) else 0,
+        "pdas_iters_max": int(d["pdas_iters"].max()),
         "pdas_iters_total": int(d["pdas_iters"].sum()),
         "non_converged_steps": result.non_converged_steps,
-        "comp_residual_max": _mx("comp_residual"),
-        "bound_violation_max": bound_violation,
-        "enthalpy_drift_max": _mx("enthalpy_drift"),
+        "comp_residual_max": float(np.max(d["comp_residual"])) if obstacle else None,
+        "bound_violation_max": float(np.max(bound_excess)) if obstacle else None,
+        "enthalpy_drift_max": float(np.max(d["enthalpy_drift"])),
         "enthalpy_scale": d.get("enthalpy_scale"),
-        "energy_descent_violation_max": descent_violation,
-        "proj_residual_max": _mx("proj_residual"),
+        "energy_descent_violation_max": (
+            float(np.max(d["energy_J_new"] - d["energy_J_prev"])) if energy else None),
+        "proj_residual_max": float(np.max(d["proj_residual"])) if energy else None,
         "runtime_seconds": result.runtime_seconds,
     }
     report["diagnostics_summary"] = summary
 
     scale = d.get("enthalpy_scale") or 1.0
     inv = {}
-    if bound_violation is not None:
-        inv["bounds"] = bool(bound_violation <= 1e-12)
-    if summary["comp_residual_max"] is not None:
+    if obstacle:
+        inv["bounds"] = bool(summary["bound_violation_max"] <= 1e-12)
         inv["complementarity"] = bool(summary["comp_residual_max"] <= 1e-10)
-    if summary["enthalpy_drift_max"] is not None:
-        inv["enthalpy"] = bool(summary["enthalpy_drift_max"] <= 1e-10 * scale)
-    if descent_violation is not None and cfg is not None and cfg.pdas.convolution_mode == "implicit":
-        inv["energy_descent"] = bool(descent_violation <= 1e-12)
-    if summary["proj_residual_max"] is not None:
+    inv["enthalpy"] = bool(summary["enthalpy_drift_max"] <= 1e-10 * scale)
+    if energy:
+        inv["energy_descent"] = bool(summary["energy_descent_violation_max"] <= 1e-12)
         inv["projection_consistency"] = bool(summary["proj_residual_max"] <= 1e-8)
     inv["pdas_converged"] = not result.non_converged_steps
     report["invariants"] = inv

@@ -22,19 +22,19 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Grid", "StiffnessMatrix", "build_grid", "assemble_stiffness",
-           "cached_stiffness", "lumped_inner"]
+__all__ = ["Grid", "build_grid", "assemble_stiffness"]
 
 #: Refuse to allocate grids above this node count (guards against typos in h).
 MAX_NODES = 20_000_000
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform grid over the extended domain with node classification.
 
     h is the (snapped) mesh size, n_cells the cell count per axis of the unit
-    domain, layer the interaction-layer width in nodes per side.
+    domain, layer the interaction-layer width in nodes per side.  Frozen:
+    operators built on a grid belong to the caller, not to the grid.
     """
 
     dim: int
@@ -89,10 +89,6 @@ class Grid:
         X, Y = np.meshgrid(ax, ax, indexing="xy")
         return np.column_stack([X.ravel(), Y.ravel()])
 
-    def interior_field_as_grid(self, values: np.ndarray) -> np.ndarray:
-        """Reshape an interior-length vector to its tensor layout."""
-        return np.asarray(values).reshape(self.interior_shape)
-
 
 def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
     """Build the uniform grid; h is snapped to an exact divisor of 1.
@@ -145,10 +141,6 @@ def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
     )
 
 
-#: Alias kept for API clarity: stiffness matrices are plain CSR matrices.
-StiffnessMatrix = sp.csr_matrix
-
-
 def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
     """P1 Neumann stiffness on n nodes: (1/h) tridiag(-1, 2, -1), boundary rows (1/h)[1, -1]."""
     main = np.full(n, 2.0)
@@ -173,36 +165,3 @@ def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     w[-1] *= 0.5
     M1 = sp.diags_array(w).tocsr()
     return (sp.kron(M1, K1) + sp.kron(K1, M1)).tocsr()
-
-
-def cached_stiffness(grid: Grid) -> sp.csr_matrix:
-    """assemble_stiffness memoized on the grid (assembly is pure)."""
-    K = grid.__dict__.get("_stiffness_cache")
-    if K is None:
-        K = assemble_stiffness(grid)
-        grid.__dict__["_stiffness_cache"] = K
-    return K
-
-
-def lumped_inner(grid: Grid, a: np.ndarray, b: np.ndarray, region: str = "interior") -> float:
-    """Mass-lumped inner product of two full-length nodal fields over a region.
-
-    region is "interior", "exterior" or "union"; the weights are the grid's
-    trapezoidal masses restricted to that node set.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (grid.n_nodes,) or b.shape != (grid.n_nodes,):
-        raise ValueError(
-            f"fields must be defined on all {grid.n_nodes} nodes, "
-            f"got shapes {a.shape} and {b.shape}"
-        )
-    if region == "interior":
-        ids = grid.interior_ids
-    elif region == "exterior":
-        ids = grid.exterior_ids
-    elif region == "union":
-        return float(np.dot(grid.lumped_mass * a, b))
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    return float(np.dot(grid.lumped_mass[ids] * a[ids], b[ids]))

@@ -54,15 +54,11 @@ class KernelSpec:
     epsilon : interface-scaling coefficient (> 0)
     delta   : interaction radius (> 0)
     dim     : spatial dimension, 1 or 2
-    family  : kernel family tag; only "polynomial" is implemented, the tag
-              exists so other integrable families can be added later without
-              touching consumers
     """
 
     epsilon: float
     delta: float
     dim: int
-    family: str = "polynomial"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -71,8 +67,6 @@ class KernelSpec:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.family != "polynomial":
-            raise ValueError(f"unknown kernel family {self.family!r}")
 
     @property
     def scaling(self) -> float:

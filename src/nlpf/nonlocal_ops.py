@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .grid import Grid
 from .kernel import KernelSpec, kernel_eval
@@ -37,15 +36,12 @@ __all__ = [
     "build_stencil",
     "convolve",
     "apply_Bh",
-    "exterior_flux_solve",
+    "conv_rows",
+    "exterior_closure",
 ]
 
 #: Hard cap on nnz when materializing convolution rows as a sparse matrix.
 _MAX_SPARSE_NNZ = 60_000_000
-
-#: Jacobi sweep budget for the implicit exterior closure before falling back
-#: to a direct sparse solve.
-_JACOBI_MAX_SWEEPS = 400
 
 
 @dataclass(eq=False)
@@ -55,7 +51,9 @@ class ConvolutionStencil:
     footprint     : gamma values times h^dim on the (2R+1)^dim offset box
     offsets       : (m, dim) integer offsets with nonzero weight
     weights       : (m,) weights matching ``offsets``
-    c_gamma_h     : per-node in-domain weight sum (flux-consistent closure)
+    c_gamma_h     : per-node in-domain weight sum (flux-consistent closure);
+                    at least gamma(0) m_j > 0 on every node, since each node
+                    sees itself
     c_gamma_h_interior : the shared interior value (full-stencil sum)
     """
 
@@ -67,11 +65,6 @@ class ConvolutionStencil:
     c_gamma_h: np.ndarray = field(repr=False)
     c_gamma_h_interior: float = 0.0
     _mass_ratio: np.ndarray = field(default=None, repr=False)
-    _rows_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def radius_nodes(self) -> int:
-        return (self.footprint.shape[0] - 1) // 2
 
 
 def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
@@ -147,11 +140,6 @@ def conv_rows(stencil: ConvolutionStencil, rows: np.ndarray) -> sp.csr_matrix:
     nnz guard keeps production-size explicit runs off this path.
     """
     grid = stencil.grid
-    key = ("rows", rows.tobytes())
-    cached = stencil._rows_cache.get(key)
-    if cached is not None:
-        return cached
-
     nnz_bound = len(rows) * len(stencil.weights)
     if nnz_bound > _MAX_SPARSE_NNZ:
         raise MemoryError(
@@ -179,59 +167,18 @@ def conv_rows(stencil: ConvolutionStencil, rows: np.ndarray) -> sp.csr_matrix:
             row_list.append(rows[ok])
             col_list.append(cols)
             dat_list.append(w * stencil._mass_ratio[cols])
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(dat_list), (np.concatenate(row_list), np.concatenate(col_list))),
         shape=(grid.n_nodes, grid.n_nodes),
     ).tocsr()
-    stencil._rows_cache[key] = mat
-    return mat
 
 
-def exterior_flux_solve(
-    stencil: ConvolutionStencil, u: np.ndarray, mode: str = "explicit"
-) -> np.ndarray:
-    """Values on the exterior layer closing the zero nonlocal-flux condition.
+def exterior_closure(stencil: ConvolutionStencil, conv: np.ndarray) -> np.ndarray:
+    """Exterior-layer values closing the zero nonlocal-flux condition.
 
-    explicit: one evaluation against the supplied (previous-level) field,
-              u_j = (gamma (*) u)_j / c_gamma_h_j on exterior nodes.
-    implicit: solves c_gamma_h_j u_j - (gamma (*) u)_j = 0 on the exterior
-              with the interior values of ``u`` held fixed, by Jacobi sweeps
-              (the system is diagonally dominant) with a direct sparse solve
-              as fallback.  Residual is driven below 1e-12 * scale.
-
-    Returns the exterior node values in ``grid.exterior_ids`` order.
+    ``conv`` is gamma (*) u on all nodes, already computed by the caller;
+    returns u_j = conv_j / c_gamma_h_j on the exterior nodes, in
+    ``grid.exterior_ids`` order.
     """
-    grid = stencil.grid
-    ext = grid.exterior_ids
-    if ext.size == 0:
-        return np.empty(0)
-    c_ext = stencil.c_gamma_h[ext]
-    if np.any(c_ext <= 0.0):
-        raise ValueError(
-            "c_gamma_h vanishes on some exterior node: layer extends beyond "
-            "kernel reach (configuration bug)"
-        )
-    u = np.asarray(u, dtype=float)
-    if mode == "explicit":
-        return convolve(stencil, u)[ext] / c_ext
-    if mode != "implicit":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    work = u.copy()
-    scale = max(1.0, float(np.abs(u[grid.interior_ids]).max(initial=0.0)))
-    # residual driven well below the 1e-12 value tolerance; the direct
-    # fallback below covers slowly-contracting (wide-layer) cases exactly
-    tol = 1e-15 * scale * float(c_ext.max())
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        conv = convolve(stencil, work)
-        resid = np.abs(c_ext * work[ext] - conv[ext]).max()
-        work[ext] = conv[ext] / c_ext
-        if resid <= tol:
-            return work[ext]
-    # Direct fallback: solve the exterior block exactly.
-    W = conv_rows(stencil, ext)
-    W_ee = W[ext][:, ext]
-    W_ei = W[ext][:, grid.interior_ids]
-    S = sp.diags_array(c_ext).tocsr() - W_ee
-    rhs = W_ei @ u[grid.interior_ids]
-    return spsolve(S.tocsc(), rhs)
+    ext = stencil.grid.exterior_ids
+    return conv[ext] / stencil.c_gamma_h[ext]

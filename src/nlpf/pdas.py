@@ -15,13 +15,16 @@ a few cells per step.
 Solvers:
   * pdas_step_CH             coupled (u, w) step, beta > 0, explicit or
                              implicit convolution
-  * pdas_step_AC_nonlocal    beta = 0 nonlocal step (diagonal rows); exists
-                             to cross-check the direct projection fast path
   * pdas_step_local_obstacle backward-Euler local obstacle step (beta >= 0)
 
 The explicit-convolution CH step reduces to one SPD solve per sweep in the
 chemical potential w: on the inactive set u = (w + q)/xi is eliminated
 nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).
+
+The solvers assemble nothing that is fixed over a run: the stiffness K, the
+w-equation matrix ``w_matrix`` and, for implicit convolution, the
+convolution rows are passed in by the caller (the time loop builds them once
+per run).
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, factorized, spsolve
 
-from .grid import Grid, cached_stiffness
-from .nonlocal_ops import ConvolutionStencil, conv_rows, convolve
+from .grid import Grid
+from .nonlocal_ops import ConvolutionStencil, convolve, exterior_closure
 from .physics import ModelParams
 
 __all__ = [
@@ -41,10 +44,10 @@ __all__ = [
     "PdasConfig",
     "PdasResult",
     "pdas_step_CH",
-    "pdas_step_AC_nonlocal",
     "pdas_step_local_obstacle",
     "verify_complementarity",
     "sets_from_bounds",
+    "w_matrix",
 ]
 
 #: Problem size below which inner solves go straight to a direct factorization.
@@ -82,10 +85,6 @@ class ActiveSets:
 
     upper: np.ndarray
     lower: np.ndarray
-
-    @property
-    def inactive(self) -> np.ndarray:
-        return ~(self.upper | self.lower)
 
     def same_as(self, other: "ActiveSets") -> bool:
         return bool(
@@ -147,16 +146,10 @@ def _pdas_iterate(solve_for_sets, init_sets: ActiveSets, c: float, max_iters: in
     return u_I, lam, extra, sets, iters_used, False
 
 
-def _phase_matrix(grid: Grid, beta: float, tau: float) -> sp.csr_matrix:
-    """tau * (M + beta K) on interior nodes, cached per grid."""
-    cache = grid.__dict__.setdefault("_phase_matrix_cache", {})
-    key = (beta, tau)
-    A = cache.get(key)
-    if A is None:
-        M = sp.diags_array(grid.mass_interior).tocsr()
-        A = (tau * (M + beta * cached_stiffness(grid))).tocsr()
-        cache[key] = A
-    return A
+def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:
+    """tau * (M + beta K) on interior nodes: the w-equation matrix."""
+    M = sp.diags_array(grid.mass_interior).tocsr()
+    return (tau * (M + beta * K)).tocsr()
 
 
 def _spd_solve(A: sp.csr_matrix, b: np.ndarray, x0, lin_tol: float) -> np.ndarray:
@@ -174,7 +167,8 @@ def _spd_solve(A: sp.csr_matrix, b: np.ndarray, x0, lin_tol: float) -> np.ndarra
 def _check_feasible(u_interior: np.ndarray, slack: float = 1e-9) -> None:
     lo = float(u_interior.min(initial=0.0))
     hi = float(u_interior.max(initial=1.0))
-    if lo < -slack or hi > 1.0 + slack:
+    # written so that NaN (every comparison false) fails as well
+    if not (lo >= -slack and hi <= 1.0 + slack):
         raise ValueError(
             f"previous phase field infeasible: range [{lo}, {hi}] outside [0, 1]"
         )
@@ -188,6 +182,8 @@ def pdas_step_CH(
     u_prev: np.ndarray,
     m_prev: np.ndarray,
     config: PdasConfig,
+    A_w: sp.csr_matrix,
+    W: sp.csr_matrix | None = None,
     init_sets: ActiveSets | None = None,
     w0: np.ndarray | None = None,
 ) -> PdasResult:
@@ -202,7 +198,8 @@ def pdas_step_CH(
     become diagonal in u) or at the current level (implicit mode, one sparse
     solve of the full (u_int, u_ext, w) system per sweep).  The exterior
     layer is closed by the zero-flux condition, explicitly or as part of the
-    coupled solve respectively.
+    coupled solve respectively.  ``A_w`` is ``w_matrix(grid, K, beta, tau)``;
+    implicit mode also needs ``W = conv_rows(stencil, all nodes)``.
     """
     if params.beta <= 0:
         raise ValueError("pdas_step_CH requires beta > 0")
@@ -224,17 +221,18 @@ def pdas_step_CH(
         init_sets = sets_from_bounds(u_prev_I)
     c_eff = config.c_penalty * (mu / tau + stencil.c_gamma_h_interior + 1.0)
 
+    ext = grid.exterior_ids
     if config.convolution_mode == "explicit":
         conv_prev = convolve(stencil, u_prev)
         q = conv_prev[ids] + c_F * m_prev - 0.5 * c_F
-        A0 = _phase_matrix(grid, params.beta, tau)
+        u_E = exterior_closure(stencil, conv_prev)
         w_start = w0 if w0 is not None else np.zeros(grid.n_interior)
         warm = {"w": np.asarray(w_start, dtype=float)}
 
         def solve_for_sets(upper, lower):
             inactive = ~(upper | lower)
             ubar = upper.astype(float)
-            A = A0 + sp.diags_array(np.where(inactive, mu * mI / xi_vec, 0.0))
+            A = A_w + sp.diags_array(np.where(inactive, mu * mI / xi_vec, 0.0))
             rhs = mu * mI * (
                 u_prev_I - np.where(inactive, q / xi_vec, ubar)
             )
@@ -242,124 +240,57 @@ def pdas_step_CH(
             warm["w"] = w
             u_I = np.where(inactive, (w + q) / xi_vec, ubar)
             lam = np.where(inactive, 0.0, w + q - xi_vec * u_I)
-            return u_I, lam, w
+            return u_I, lam, (w, u_E)
+    else:
+        # Implicit convolution: one sparse solve of the full coupled system
+        # per sweep.  Unknown ordering [u_int, u_ext, w].
+        n_i, n_e = grid.n_interior, ext.size
+        W_II = W[ids][:, ids]
+        W_IE = W[ids][:, ext]
+        W_EI = W[ext][:, ids]
+        M_I = sp.diags_array(mI).tocsr()
+        S_E = sp.diags_array(stencil.c_gamma_h[ext]).tocsr() - W[ext][:, ext]
+        rhs_R2_inactive = c_F * m_prev - 0.5 * c_F
+        I_i = sp.eye_array(n_i, format="csr")
+        Z_ie = sp.csr_matrix((n_i, n_e))
+        Z_ee = sp.csr_matrix((n_e, n_i))
 
-        u_I, lam, w, sets, iters, ok = _pdas_iterate(
-            solve_for_sets, init_sets, c_eff, config.max_iters
-        )
-        u_full = np.empty(grid.n_nodes)
-        u_full[ids] = u_I
-        u_full[grid.exterior_ids] = conv_prev[grid.exterior_ids] / np.maximum(
-            stencil.c_gamma_h[grid.exterior_ids], 1e-300
-        )
-        return PdasResult(u_full, w, lam, sets, iters, ok)
+        def solve_for_sets(upper, lower):
+            inactive = ~(upper | lower)
+            ubar = upper.astype(float)
+            # Phase rows: identity on active nodes, operator rows elsewhere.
+            D_in = sp.diags_array(inactive.astype(float)).tocsr()
+            D_act = sp.diags_array((~inactive).astype(float)).tocsr()
+            R2_uI = D_in @ (sp.diags_array(xi_vec).tocsr() - W_II) + D_act
+            R2_uE = D_in @ (-W_IE)
+            R2_w = D_in @ (-I_i)
+            rhs2 = np.where(inactive, rhs_R2_inactive, ubar)
+            A = sp.bmat(
+                [
+                    [mu * M_I, Z_ie, A_w],
+                    [R2_uI, R2_uE, R2_w],
+                    [-W_EI, S_E, Z_ee],
+                ],
+                format="csc",
+            )
+            rhs = np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)])
+            x = spsolve(A, rhs)
+            u_I = x[:n_i]
+            u_E = x[n_i : n_i + n_e]
+            w = x[n_i + n_e :]
+            conv_I = W_II @ u_I + W_IE @ u_E
+            lam = np.where(
+                inactive, 0.0, w + conv_I + c_F * m_prev - 0.5 * c_F - xi_vec * u_I
+            )
+            return u_I, lam, (w, u_E)
 
-    # Implicit convolution: one sparse solve of the full coupled system per
-    # sweep.  Unknown ordering [u_int, u_ext, w].
-    ext = grid.exterior_ids
-    n_i, n_e = grid.n_interior, ext.size
-    Wm = conv_rows(stencil, np.arange(grid.n_nodes))
-    W_II = Wm[ids][:, ids]
-    W_IE = Wm[ids][:, ext]
-    W_EI = Wm[ext][:, ids]
-    W_EE = Wm[ext][:, ext]
-    A_w = _phase_matrix(grid, params.beta, tau)
-    M_I = sp.diags_array(mI).tocsr()
-    S_E = sp.diags_array(stencil.c_gamma_h[ext]).tocsr() - W_EE
-    rhs_R2_inactive = c_F * m_prev - 0.5 * c_F
-    I_i = sp.eye_array(n_i, format="csr")
-    Z_ie = sp.csr_matrix((n_i, n_e))
-    Z_ee = sp.csr_matrix((n_e, n_i))
-
-    def solve_for_sets(upper, lower):
-        inactive = ~(upper | lower)
-        ubar = upper.astype(float)
-        # Phase rows: identity on active nodes, operator rows elsewhere.
-        D_in = sp.diags_array(inactive.astype(float)).tocsr()
-        D_act = sp.diags_array((~inactive).astype(float)).tocsr()
-        R2_uI = D_in @ (sp.diags_array(xi_vec).tocsr() - W_II) + D_act
-        R2_uE = D_in @ (-W_IE)
-        R2_w = D_in @ (-I_i)
-        rhs2 = np.where(inactive, rhs_R2_inactive, ubar)
-        A = sp.bmat(
-            [
-                [mu * M_I, Z_ie, A_w],
-                [R2_uI, R2_uE, R2_w],
-                [-W_EI, S_E, Z_ee],
-            ],
-            format="csc",
-        )
-        rhs = np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)])
-        x = spsolve(A, rhs)
-        u_I = x[:n_i]
-        u_E = x[n_i : n_i + n_e]
-        w = x[n_i + n_e :]
-        conv_I = W_II @ u_I + W_IE @ u_E
-        lam = np.where(
-            inactive, 0.0, w + conv_I + c_F * m_prev - 0.5 * c_F - xi_vec * u_I
-        )
-        return u_I, lam, (w, u_E)
-
-    u_I, lam, extra, sets, iters, ok = _pdas_iterate(
+    u_I, lam, (w, u_E), sets, iters, ok = _pdas_iterate(
         solve_for_sets, init_sets, c_eff, config.max_iters
     )
-    w, u_E = extra
     u_full = np.empty(grid.n_nodes)
     u_full[ids] = u_I
     u_full[ext] = u_E
     return PdasResult(u_full, w, lam, sets, iters, ok)
-
-
-def pdas_step_AC_nonlocal(
-    grid: Grid,
-    stencil: ConvolutionStencil,
-    params: ModelParams,
-    tau: float,
-    u_prev: np.ndarray,
-    m_prev: np.ndarray,
-    config: PdasConfig,
-    init_sets: ActiveSets | None = None,
-) -> PdasResult:
-    """beta = 0 nonlocal step via the active-set loop (explicit convolution).
-
-    The rows are diagonal in u, so this is equivalent to the direct
-    projection evaluation; it exists as an independently-iterated route for
-    the fast-path equivalence checks.
-    """
-    if params.beta != 0:
-        raise ValueError("pdas_step_AC_nonlocal requires beta = 0")
-    ids = grid.interior_ids
-    c_F = params.c_F
-    r = params.mu / tau
-    xi_vec = stencil.c_gamma_h[ids] - c_F
-    denom = r + xi_vec
-    if np.any(denom <= 0.0):
-        raise ValueError("mu/tau + c_gamma_h - c_F must be > 0 at every node")
-    u_prev = np.asarray(u_prev, dtype=float)
-    u_prev_I = u_prev[ids]
-    _check_feasible(u_prev_I)
-    conv_prev = convolve(stencil, u_prev)
-    g = r * u_prev_I + conv_prev[ids] + c_F * np.asarray(m_prev) - 0.5 * c_F
-    if init_sets is None:
-        init_sets = sets_from_bounds(u_prev_I)
-    c_eff = config.c_penalty * (float(denom.max()) + 1.0)
-
-    def solve_for_sets(upper, lower):
-        inactive = ~(upper | lower)
-        ubar = upper.astype(float)
-        u_I = np.where(inactive, g / denom, ubar)
-        lam = np.where(inactive, 0.0, g - denom * u_I)
-        return u_I, lam, None
-
-    u_I, lam, _, sets, iters, ok = _pdas_iterate(
-        solve_for_sets, init_sets, c_eff, config.max_iters
-    )
-    u_full = np.empty(grid.n_nodes)
-    u_full[ids] = u_I
-    u_full[grid.exterior_ids] = conv_prev[grid.exterior_ids] / np.maximum(
-        stencil.c_gamma_h[grid.exterior_ids], 1e-300
-    )
-    return PdasResult(u_full, None, lam, sets, iters, ok)
 
 
 def pdas_step_local_obstacle(
@@ -370,6 +301,8 @@ def pdas_step_local_obstacle(
     u_prev: np.ndarray,
     m_prev: np.ndarray,
     config: PdasConfig,
+    K: sp.csr_matrix,
+    A_w: sp.csr_matrix | None = None,
     init_sets: ActiveSets | None = None,
 ) -> PdasResult:
     """Backward-Euler local obstacle step: mu du/dt with eps^2 K stiffness.
@@ -378,7 +311,8 @@ def pdas_step_local_obstacle(
     reduced SPD solve on the inactive set with the fixed matrix
     (mu/tau - c_F) M + eps^2 K (mu/tau > c_F is required for definiteness).
     For beta > 0 the same (M + beta K) w-equation as in the nonlocal step is
-    kept and the coupled (u, w) system is solved sparsely.
+    kept and the coupled (u, w) system is solved sparsely; it needs
+    ``A_w = w_matrix(grid, K, beta, tau)``.
     """
     if grid.layer != 0:
         raise ValueError("local steps expect a grid without interaction layer")
@@ -392,7 +326,6 @@ def pdas_step_local_obstacle(
     _check_feasible(u_prev_I)
     if init_sets is None:
         init_sets = sets_from_bounds(u_prev_I)
-    K = cached_stiffness(grid)
     c_eff = config.c_penalty * (
         r + c_F + eps_interface**2 * float((K.diagonal() / mI).max()) + 1.0
     )
@@ -418,39 +351,24 @@ def pdas_step_local_obstacle(
                 u_I[idx] = _solve_reduced(A, idx, rhs, config.lin_tol)
             lam = np.where(inactive, 0.0, (b - A @ u_I) / mI)
             return u_I, lam, None
+    else:
+        # beta > 0: coupled (u, w) system, unknowns [u, w].
+        n_i = grid.n_interior
+        M_I = sp.diags_array(mI).tocsr()
+        L_u = (eps_interface**2 * K - c_F * M_I).tocsr()
+        rhs2_inactive = mI * (c_F * m_prev - 0.5 * c_F)
 
-        u_I, lam, _, sets, iters, ok = _pdas_iterate(
-            solve_for_sets, init_sets, c_eff, config.max_iters
-        )
-        return PdasResult(u_I, None, lam, sets, iters, ok)
-
-    # beta > 0: coupled (u, w) system, unknowns [u, w].
-    n_i = grid.n_interior
-    M_I = sp.diags_array(mI).tocsr()
-    A_w = _phase_matrix(grid, params.beta, tau)
-    L_u = (eps_interface**2 * K - c_F * M_I).tocsr()
-    I_i = sp.eye_array(n_i, format="csr")
-    rhs2_inactive = mI * (c_F * m_prev - 0.5 * c_F)
-
-    def solve_for_sets(upper, lower):
-        inactive = ~(upper | lower)
-        ubar = upper.astype(float)
-        D_in = sp.diags_array(inactive.astype(float)).tocsr()
-        D_act = sp.diags_array((~inactive).astype(float)).tocsr()
-        R2_u = D_in @ L_u + D_act
-        R2_w = D_in @ (-M_I)
-        rhs2 = np.where(inactive, rhs2_inactive, ubar)
-        A = sp.bmat([[params.mu * M_I, A_w], [R2_u, R2_w]], format="csc")
-        rhs = np.concatenate([params.mu * mI * u_prev_I, rhs2])
-        x = spsolve(A, rhs)
-        u_I = x[:n_i]
-        w = x[n_i:]
-        lam = np.where(
-            inactive,
-            0.0,
-            w - (L_u @ u_I) / mI - 0.5 * c_F + c_F * m_prev,
-        )
-        return u_I, lam, w
+        def solve_for_sets(upper, lower):
+            inactive = ~(upper | lower)
+            D_in = sp.diags_array(inactive.astype(float)).tocsr()
+            D_act = sp.diags_array((~inactive).astype(float)).tocsr()
+            rhs2 = np.where(inactive, rhs2_inactive, upper.astype(float))
+            A = sp.bmat([[params.mu * M_I, A_w], [D_in @ L_u + D_act, D_in @ (-M_I)]],
+                        format="csc")
+            x = spsolve(A, np.concatenate([params.mu * mI * u_prev_I, rhs2]))
+            u_I, w = x[:n_i], x[n_i:]
+            lam = np.where(inactive, 0.0, w - (L_u @ u_I) / mI - 0.5 * c_F + c_F * m_prev)
+            return u_I, lam, w
 
     u_I, lam, w, sets, iters, ok = _pdas_iterate(
         solve_for_sets, init_sets, c_eff, config.max_iters

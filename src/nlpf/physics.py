@@ -1,4 +1,4 @@
-"""Model parameters, temperature coupling, projection and energy diagnostics."""
+"""Model parameters, temperature coupling and energy diagnostics."""
 
 from __future__ import annotations
 
@@ -8,14 +8,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import factorized
 
-from .grid import Grid, cached_stiffness
+from .grid import Grid
 from .nonlocal_ops import ConvolutionStencil, apply_Bh
 
 __all__ = [
     "ModelParams",
     "coupling_m",
-    "project_unit",
     "regular_potential_dF",
+    "green_solver",
     "greens_dual_norm",
     "objective_Jk",
 ]
@@ -66,13 +66,6 @@ def coupling_m(params: ModelParams, theta):
     return float(out) if out.ndim == 0 else out
 
 
-def project_unit(g: np.ndarray, scale: float) -> np.ndarray:
-    """Elementwise clamp of g/scale onto [0, 1]."""
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    return np.clip(np.asarray(g, dtype=float) / scale, 0.0, 1.0)
-
-
 def regular_potential_dF(u, m_val):
     """Derivative of the smooth double well 0.25 u^2 (1-u)^2 + m (u^3/3 - u^2/2).
 
@@ -83,34 +76,28 @@ def regular_potential_dF(u, m_val):
     return float(out) if out.ndim == 0 else out
 
 
-def _green_solver(grid: Grid, beta: float):
-    """Cached factorization of (M + beta K) on interior nodes."""
-    cache = grid.__dict__.setdefault("_green_cache", {})
-    solver = cache.get(beta)
-    if solver is None:
-        M = sp.diags_array(grid.mass_interior).tocsr()
-        A = (M + beta * cached_stiffness(grid)).tocsc()
-        solver = factorized(A)
-        cache[beta] = solver
-    return solver
+def green_solver(grid: Grid, K: sp.csr_matrix, beta: float):
+    """Factorized (M + beta K) on interior nodes; None for beta = 0 (identity map)."""
+    if beta == 0.0:
+        return None
+    M = sp.diags_array(grid.mass_interior).tocsr()
+    return factorized((M + beta * K).tocsc())
 
 
-def greens_dual_norm(grid: Grid, beta: float, v: np.ndarray) -> float:
+def greens_dual_norm(grid: Grid, v: np.ndarray, green_solve) -> float:
     """Squared dual norm of an interior field under the (I - beta Lap) Green map.
 
-    beta = 0: plain lumped L2 norm squared.  beta > 0: solve
-    (M + beta K) z = M v and return the lumped inner product of v and z.
+    ``green_solve`` comes from ``green_solver``.  beta = 0 (None): plain
+    lumped L2 norm squared.  beta > 0: solve (M + beta K) z = M v and return
+    the lumped inner product of v and z.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n_interior,):
         raise ValueError(f"expected interior field of length {grid.n_interior}")
     mv = grid.mass_interior * v
-    if beta == 0.0:
+    if green_solve is None:
         return float(np.dot(mv, v))
-    z = _green_solver(grid, beta)(mv)
-    return float(np.dot(mv, z))
+    return float(np.dot(mv, green_solve(mv)))
 
 
 def objective_Jk(
@@ -121,6 +108,7 @@ def objective_Jk(
     u: np.ndarray,
     u_prev: np.ndarray,
     m_prev: np.ndarray,
+    green_solve,
 ) -> float:
     """Per-step objective whose constrained minimizer is the phase update.
 
@@ -130,9 +118,10 @@ def objective_Jk(
         + (c_F/2 - c_F m_prev, u)
 
     where the first term runs over the extended domain (it vanishes on the
-    exterior for flux-closed fields) and the rest over the interior.  The
-    solver's converged iterate never increases this value relative to the
-    previous level; the time loop records that as a descent diagnostic.
+    exterior for flux-closed fields) and the rest over the interior; the
+    dual norm uses ``green_solver(grid, K, params.beta)``.  The solver's
+    converged iterate never increases this value relative to the previous
+    level; the time loop records that as a descent diagnostic.
     """
     u = np.asarray(u, dtype=float)
     u_prev = np.asarray(u_prev, dtype=float)
@@ -147,6 +136,6 @@ def objective_Jk(
     e_time = (
         params.mu
         / (2.0 * tau)
-        * greens_dual_norm(grid, params.beta, uI - u_prev[ids])
+        * greens_dual_norm(grid, uI - u_prev[ids], green_solve)
     )
     return e_nonlocal + e_pot + e_time

@@ -1,4 +1,4 @@
-"""IMEX time loop: phase update, then implicit temperature solve.
+"""IMEX time loop: one phase step, then one backward-Euler temperature solve.
 
 Per step k the phase field is advanced first using the previous temperature
 through the explicitly-lagged coupling m(theta^{k-1}) (the system is
@@ -9,15 +9,22 @@ temperature solves
 
 which conserves the discrete enthalpy sum m_j (theta_j - L u_j) exactly.
 
-Variant dispatch:
-  nonlocal_CH    active-set solve of the coupled (u, w) system (beta > 0)
-  nonlocal_AC    direct nodal projection, no linear or nonlinear solve
-  local_obstacle active-set solve with eps^2 K stiffness
-  local_regular  semi-implicit solve, nonlinearity explicit, no constraints
+Each variant's phase update is a step object with one interface,
+``step(u, theta) -> StepOut``.  ``run`` builds it once per run, together with
+the operators, factorizations and active-set warm start it owns; the time
+loop does not branch on the variant.
+
+  NonlocalCHStep     nonlocal_CH: active-set solve of the coupled (u, w)
+                     system (beta > 0)
+  NonlocalACStep     nonlocal_AC: direct nodal projection, no solve
+  LocalObstacleStep  local_obstacle: active-set solve with eps^2 K stiffness
+  LocalRegularStep   local_regular: one prefactorized semi-implicit solve,
+                     nonlinearity explicit, no constraints
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 
@@ -26,33 +33,21 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import factorized
 
 from .config import RunConfig
-from .grid import Grid, build_grid, cached_stiffness
+from .fields_io import read_field
+from .grid import Grid, assemble_stiffness, build_grid
 from .kernel import c_gamma_closed_form
-from .nonlocal_ops import (
-    ConvolutionStencil,
-    build_stencil,
-    convolve,
-    exterior_flux_solve,
-)
-from .pdas import (
-    PdasConfig,
-    PdasResult,
-    pdas_step_CH,
-    pdas_step_local_obstacle,
-    verify_complementarity,
-)
-from .physics import ModelParams, coupling_m, objective_Jk, regular_potential_dF
+from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
+                           exterior_closure)
+from .pdas import (PdasConfig, pdas_step_CH, pdas_step_local_obstacle,
+                   verify_complementarity, w_matrix)
+from .physics import (ModelParams, coupling_m, green_solver, objective_Jk,
+                      regular_potential_dF)
 
 __all__ = [
-    "State",
-    "RunResult",
-    "AdmissibilityReport",
-    "step_temperature",
-    "step_phase_AC",
-    "step_phase_CH",
-    "step_phase_local_regular",
-    "run",
-    "timestep_admissibility",
+    "State", "RunResult", "StepOut", "NonlocalCHStep", "NonlocalACStep",
+    "LocalObstacleStep", "LocalRegularStep", "phase_step", "heat_solver",
+    "step_temperature", "step_phase_local_regular", "initial_state", "run",
+    "AdmissibilityReport", "timestep_admissibility",
 ]
 
 
@@ -84,151 +79,168 @@ class RunResult:
     t_mismatch: float
     snapshot_levels: list
     runtime_seconds: float = 0.0
-    stencil: ConvolutionStencil | None = None
 
     @property
     def non_converged_steps(self) -> list:
-        conv = self.diagnostics.get("pdas_converged")
-        if conv is None:
-            return []
-        return [int(k) + 1 for k in np.flatnonzero(~conv)]
+        return [int(k) + 1 for k in np.flatnonzero(~self.diagnostics["pdas_converged"])]
 
 
-def _heat_solver(grid: Grid, D: float, tau: float):
-    cache = grid.__dict__.setdefault("_heat_cache", {})
-    key = (D, tau)
-    solver = cache.get(key)
-    if solver is None:
-        M = sp.diags_array(grid.mass_interior).tocsr()
-        A = (M + tau * D * cached_stiffness(grid)).tocsc()
-        solver = factorized(A)
-        cache[key] = solver
-    return solver
+@dataclass
+class StepOut:
+    """One phase update.
+
+    u is the full-domain field (exterior layer closed on nonlocal grids);
+    w and lam live on interior nodes and are None where the variant has no
+    chemical potential or multiplier.  iters/converged are the active-set
+    sweep count and convergence (0 and True for the solve-free variants).
+    """
+
+    u: np.ndarray
+    w: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    iters: int = 0
+    converged: bool = True
 
 
-def step_temperature(
-    grid: Grid,
-    params: ModelParams,
-    tau: float,
-    theta_prev: np.ndarray,
-    u_new: np.ndarray,
-    u_prev: np.ndarray,
-) -> np.ndarray:
+def heat_solver(grid: Grid, K: sp.csr_matrix, D: float, tau: float):
+    """Factorized backward-Euler heat matrix M + tau D K."""
+    M = sp.diags_array(grid.mass_interior).tocsr()
+    return factorized((M + tau * D * K).tocsc())
+
+
+def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np.ndarray,
+                     u_new: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
     """Backward-Euler heat step with the latent-heat source L (u^k - u^{k-1}).
 
-    u_new/u_prev may be full-domain or interior fields; only interior values
-    enter.  Direct sparse factorization, reused across steps.
+    ``heat_solve`` is ``heat_solver(grid, K, params.D, tau)``; u_new/u_prev
+    are full-domain fields, of which only interior values enter.
     """
     ids = grid.interior_ids
-    u_new_I = np.asarray(u_new, dtype=float)
-    u_prev_I = np.asarray(u_prev, dtype=float)
-    if u_new_I.shape == (grid.n_nodes,):
-        u_new_I = u_new_I[ids]
-    if u_prev_I.shape == (grid.n_nodes,):
-        u_prev_I = u_prev_I[ids]
-    mI = grid.mass_interior
-    rhs = mI * (np.asarray(theta_prev, dtype=float) + params.L * (u_new_I - u_prev_I))
-    return _heat_solver(grid, params.D, tau)(rhs)
+    du = np.asarray(u_new, dtype=float)[ids] - np.asarray(u_prev, dtype=float)[ids]
+    rhs = grid.mass_interior * (np.asarray(theta_prev, dtype=float) + params.L * du)
+    return heat_solve(rhs)
 
 
-def _ac_update(
-    grid: Grid,
-    stencil: ConvolutionStencil,
-    params: ModelParams,
-    tau: float,
-    u_prev: np.ndarray,
-    m_prev: np.ndarray,
-):
-    """Projection update for beta = 0; returns (u_full, lam)."""
-    ids = grid.interior_ids
-    c_F = params.c_F
-    r = params.mu / tau
-    denom = r + stencil.c_gamma_h[ids] - c_F
-    if np.any(denom <= 0.0):
-        raise ValueError(
-            "mu/tau + c_gamma_h - c_F must be > 0 at every node; "
-            "tau is too large relative to mu/(c_F - c_gamma_h)"
+def step_phase_local_regular(solve, grid: Grid, params: ModelParams, tau: float,
+                             u_prev: np.ndarray, theta_prev: np.ndarray) -> np.ndarray:
+    """Semi-implicit local step with the smooth double well (unconstrained).
+
+    Stiffness implicit, potential derivative explicit:
+    (mu/tau M + eps^2 K) u = mu/tau M u_prev - M dF(u_prev, m(theta_prev)),
+    with ``solve`` the factorized left-hand side (see LocalRegularStep).
+    Local grid: every node is interior.
+    """
+    u_prev = np.asarray(u_prev, dtype=float)
+    m_prev = coupling_m(params, theta_prev)
+    rhs = grid.mass_interior * (
+        (params.mu / tau) * u_prev - regular_potential_dF(u_prev, m_prev)
+    )
+    return solve(rhs)
+
+
+class NonlocalCHStep:
+    """Constrained Cahn-Hilliard step (beta > 0), warm-started between steps.
+
+    Owns tau (M + beta K) and, for implicit convolution, the convolution
+    rows; carries the previous step's active sets and w into the next solve.
+    """
+
+    def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
+                 tau: float, config: PdasConfig, K: sp.csr_matrix):
+        self.grid, self.stencil, self.params, self.tau = grid, stencil, params, tau
+        self.config = config
+        self.A_w = w_matrix(grid, K, params.beta, tau)
+        self.W = (conv_rows(stencil, np.arange(grid.n_nodes))
+                  if config.convolution_mode == "implicit" else None)
+        self.sets = self.w = None
+
+    def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
+        res = pdas_step_CH(
+            self.grid, self.stencil, self.params, self.tau, u,
+            coupling_m(self.params, theta), self.config, self.A_w, self.W,
+            init_sets=self.sets, w0=self.w,
         )
-    conv_prev = convolve(stencil, u_prev)
-    g = r * u_prev[ids] + conv_prev[ids] + c_F * m_prev - 0.5 * c_F
-    u_I = np.clip(g / denom, 0.0, 1.0)
-    lam = g - denom * u_I
-    u_full = np.empty(grid.n_nodes)
-    u_full[ids] = u_I
-    ext = grid.exterior_ids
-    u_full[ext] = conv_prev[ext] / stencil.c_gamma_h[ext]
-    return u_full, lam
+        self.sets, self.w = res.sets, res.w
+        return StepOut(res.u, res.w, res.lam, res.iters, res.converged)
 
 
-def step_phase_AC(
-    grid: Grid,
-    stencil: ConvolutionStencil,
-    params: ModelParams,
-    tau: float,
-    u_prev: np.ndarray,
-    theta_prev: np.ndarray,
-) -> np.ndarray:
+class NonlocalACStep:
     """Direct nodal projection step for the beta = 0 nonlocal model.
 
     No linear or nonlinear solve: u at each interior node is the clamp of
     g / (mu/tau + c_gamma_h - c_F) with g built from the previous level;
     the exterior layer is closed explicitly.
     """
-    m_prev = coupling_m(params, theta_prev)
-    u_full, _ = _ac_update(grid, stencil, params, tau, u_prev, m_prev)
-    return u_full
+
+    def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
+                 tau: float):
+        self.grid, self.stencil, self.params = grid, stencil, params
+        self.r = params.mu / tau
+        self.denom = self.r + stencil.c_gamma_h[grid.interior_ids] - params.c_F
+        if np.any(self.denom <= 0.0):
+            raise ValueError(
+                "mu/tau + c_gamma_h - c_F must be > 0 at every node; "
+                "tau is too large relative to mu/(c_F - c_gamma_h)"
+            )
+
+    def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
+        ids = self.grid.interior_ids
+        c_F = self.params.c_F
+        conv = convolve(self.stencil, u)
+        g = (self.r * u[ids] + conv[ids] + c_F * coupling_m(self.params, theta)
+             - 0.5 * c_F)
+        u_I = np.clip(g / self.denom, 0.0, 1.0)
+        u_new = np.empty(self.grid.n_nodes)
+        u_new[ids] = u_I
+        u_new[self.grid.exterior_ids] = exterior_closure(self.stencil, conv)
+        return StepOut(u_new, lam=g - self.denom * u_I)
 
 
-def step_phase_CH(
-    grid: Grid,
-    stencil: ConvolutionStencil,
-    params: ModelParams,
-    tau: float,
-    u_prev: np.ndarray,
-    theta_prev: np.ndarray,
-    config: PdasConfig,
-    init_sets=None,
-    w0=None,
-) -> PdasResult:
-    """Constrained Cahn-Hilliard phase step; delegates to the active-set solver."""
-    m_prev = coupling_m(params, theta_prev)
-    return pdas_step_CH(
-        grid, stencil, params, tau, u_prev, m_prev, config, init_sets=init_sets, w0=w0
-    )
+class LocalObstacleStep:
+    """Backward-Euler local obstacle step, active sets warm-started."""
+
+    def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
+                 config: PdasConfig, K: sp.csr_matrix):
+        self.grid, self.params, self.tau, self.eps = grid, params, tau, eps
+        self.config, self.K = config, K
+        self.A_w = w_matrix(grid, K, params.beta, tau) if params.beta > 0 else None
+        self.sets = None
+
+    def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
+        res = pdas_step_local_obstacle(
+            self.grid, self.params, self.tau, self.eps, u,
+            coupling_m(self.params, theta), self.config, self.K, self.A_w,
+            init_sets=self.sets,
+        )
+        self.sets = res.sets
+        return StepOut(res.u, res.w, res.lam, res.iters, res.converged)
 
 
-def _local_regular_solver(grid: Grid, params: ModelParams, tau: float, eps: float):
-    cache = grid.__dict__.setdefault("_locreg_cache", {})
-    key = (params.mu, tau, eps)
-    solver = cache.get(key)
-    if solver is None:
+class LocalRegularStep:
+    """Semi-implicit smooth-well step with (mu/tau M + eps^2 K) factorized once."""
+
+    def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
+                 K: sp.csr_matrix):
+        self.grid, self.params, self.tau = grid, params, tau
         M = sp.diags_array(grid.mass_interior).tocsr()
-        A = ((params.mu / tau) * M + eps**2 * cached_stiffness(grid)).tocsc()
-        solver = factorized(A)
-        cache[key] = solver
-    return solver
+        self.solve = factorized(((params.mu / tau) * M + eps**2 * K).tocsc())
+
+    def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
+        return StepOut(step_phase_local_regular(
+            self.solve, self.grid, self.params, self.tau, u, theta))
 
 
-def step_phase_local_regular(
-    grid: Grid,
-    params: ModelParams,
-    tau: float,
-    eps_interface: float,
-    u_prev: np.ndarray,
-    theta_prev: np.ndarray,
-) -> np.ndarray:
-    """Semi-implicit local step with the smooth double well (unconstrained).
-
-    Stiffness implicit, potential derivative explicit:
-    (mu/tau M + eps^2 K) u = mu/tau M u_prev - M dF(u_prev, m(theta_prev)).
-    """
-    ids = grid.interior_ids
-    u_prev = np.asarray(u_prev, dtype=float)
-    u_prev_I = u_prev[ids] if u_prev.shape == (grid.n_nodes,) else u_prev
-    m_prev = coupling_m(params, theta_prev)
-    mI = grid.mass_interior
-    rhs = mI * ((params.mu / tau) * u_prev_I - regular_potential_dF(u_prev_I, m_prev))
-    return _local_regular_solver(grid, params, tau, eps_interface)(rhs)
+def phase_step(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None,
+               K: sp.csr_matrix):
+    """The phase step of ``config.variant``; K is the grid's stiffness."""
+    p, tau, eps = config.model, config.tau, config.epsilon
+    if config.variant == "nonlocal_CH":
+        return NonlocalCHStep(grid, stencil, p, tau, config.pdas, K)
+    if config.variant == "nonlocal_AC":
+        return NonlocalACStep(grid, stencil, p, tau)
+    if config.variant == "local_obstacle":
+        return LocalObstacleStep(grid, p, tau, eps, config.pdas, K)
+    return LocalRegularStep(grid, p, tau, eps, K)
 
 
 @dataclass
@@ -302,13 +314,14 @@ def timestep_admissibility(
 
 
 def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None) -> State:
-    """Build (theta^0, u^0); nonlocal u^0 is extended by the explicit flux closure."""
+    """Build (theta^0, u^0); nonlocal u^0 is extended by the explicit flux closure.
+
+    A ``file`` field must be finite and, for an obstacle variant, in [0, 1].
+    """
     ids = grid.interior_ids
     coords = grid.coords()
     init = config.init
     if init.kind == "file":
-        from .fields_io import read_field
-
         _, vals = read_field(init.path)
         if vals.size == grid.n_interior:
             u_I = vals
@@ -318,6 +331,13 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
             raise ValueError(
                 f"initial field has {vals.size} values; expected "
                 f"{grid.n_interior} (interior) or {grid.n_nodes} (all nodes)"
+            )
+        lo, hi = float(u_I.min()), float(u_I.max())  # NaN propagates into both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"initial field {init.path} has non-finite values")
+        if config.is_obstacle and not (lo >= 0.0 and hi <= 1.0):
+            raise ValueError(
+                f"initial field {init.path} has range [{lo}, {hi}] outside [0, 1]"
             )
     elif init.kind == "step":
         x0 = init.params[0]
@@ -336,15 +356,15 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
 
     u_full = np.zeros(grid.n_nodes)
     u_full[ids] = u_I
-    if stencil is not None and grid.exterior_ids.size:
-        u_full[grid.exterior_ids] = exterior_flux_solve(stencil, u_full, mode="explicit")
+    if stencil is not None:
+        u_full[grid.exterior_ids] = exterior_closure(stencil, convolve(stencil, u_full))
 
     if isinstance(init.theta0, str):
-        from .fields_io import read_field
-
         _, theta = read_field(init.theta0)
         if theta.size != grid.n_interior:
             raise ValueError("theta0 field size does not match interior nodes")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"theta0 field {init.theta0} has non-finite values")
     else:
         theta = np.full(grid.n_interior, float(init.theta0))
     return State(k=0, t=0.0, theta=theta, u=u_full)
@@ -353,10 +373,12 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
 def run(config: RunConfig) -> RunResult:
     """Execute the full time loop and collect snapshots plus diagnostics.
 
-    Records, per step: active-set iterations and convergence, complementarity
-    residual, bound range of u over all nodes, enthalpy, and (on implicit
-    nonlocal-CH paths, or when record_energy is set) the per-step objective
-    at the new and previous iterates and the projection-formula residual.
+    Records, per step: active-set iterations and convergence; where the
+    phase step returns a multiplier (the obstacle variants) the
+    complementarity residual and the bound range of u over all nodes; the
+    enthalpy drift; and, when ``config.records_energy``, the per-step
+    objective at the new and previous iterates and the projection-formula
+    residual.
     """
     t0 = _time.perf_counter()
     config.validate()
@@ -365,19 +387,11 @@ def run(config: RunConfig) -> RunResult:
     grid = build_grid(config.dim, config.h, config.delta if config.is_nonlocal else 0.0)
     stencil = build_stencil(grid, config.kernel_spec()) if config.is_nonlocal else None
 
-    n_steps = int(round(config.T_final / tau))
-    n_steps = max(n_steps, 1)
+    n_steps = max(int(round(config.T_final / tau)), 1)
     t_mismatch = abs(n_steps * tau - config.T_final)
     snap_levels = sorted(
         {min(max(int(round(t / tau)), 0), n_steps) for t in config.snapshots}
     )
-
-    record_energy = config.record_energy
-    if record_energy is None:
-        record_energy = (
-            config.variant == "nonlocal_CH"
-            and config.pdas.convolution_mode == "implicit"
-        )
 
     state = initial_state(config, grid, stencil)
     ids = grid.interior_ids
@@ -398,88 +412,49 @@ def run(config: RunConfig) -> RunResult:
         "enthalpy_scale": enthalpy_scale,
     }
 
-    states = []
-    if 0 in snap_levels:
-        states.append(state)
+    states = [state] if 0 in snap_levels else []
 
-    prev_sets = None
-    w_warm = None
-    xi_vec = None
-    if stencil is not None:
+    # every operator and factorization of the run, built once
+    K = assemble_stiffness(grid)
+    phase = phase_step(config, grid, stencil, K)
+    heat = heat_solver(grid, K, params.D, tau)
+    if config.records_energy:
+        green = green_solver(grid, K, params.beta)
         xi_vec = stencil.c_gamma_h[ids] - params.c_F
 
-    u = state.u
-    theta = state.theta
+    u, theta = state.u, state.theta
     for k in range(1, n_steps + 1):
-        m_prev = coupling_m(params, theta)
-        w = lam = None
-        if config.variant == "nonlocal_CH":
-            res = pdas_step_CH(
-                grid, stencil, params, tau, u, m_prev, config.pdas,
-                init_sets=prev_sets, w0=w_warm,
-            )
-            u_new, w, lam = res.u, res.w, res.lam
-            prev_sets, w_warm = res.sets, res.w
-            diag["pdas_iters"][k - 1] = res.iters
-            diag["pdas_converged"][k - 1] = res.converged
-        elif config.variant == "nonlocal_AC":
-            u_new, lam = _ac_update(grid, stencil, params, tau, u, m_prev)
-        elif config.variant == "local_obstacle":
-            res = pdas_step_local_obstacle(
-                grid, params, tau, config.epsilon, u, m_prev, config.pdas,
-                init_sets=prev_sets,
-            )
-            u_new, w, lam = res.u, res.w, res.lam
-            prev_sets = res.sets
-            diag["pdas_iters"][k - 1] = res.iters
-            diag["pdas_converged"][k - 1] = res.converged
-        elif config.variant == "local_regular":
-            u_new = step_phase_local_regular(
-                grid, params, tau, config.epsilon, u, theta
-            )
-        else:  # pragma: no cover - validate() forbids this
-            raise ValueError(f"unknown variant {config.variant}")
-
-        # every path yields a full-domain field (local grids have no exterior)
-        assert u_new.shape == (grid.n_nodes,)
-        if lam is not None:
-            diag["comp_residual"][k - 1] = verify_complementarity(u_new[ids], lam)
-        if config.is_obstacle:
-            diag["bound_min"][k - 1] = float(u_new.min())
-            diag["bound_max"][k - 1] = float(u_new.max())
-
-        if record_energy and stencil is not None:
+        out = phase.step(u, theta)
+        diag["pdas_iters"][k - 1] = out.iters
+        diag["pdas_converged"][k - 1] = out.converged
+        if out.lam is not None:
+            diag["comp_residual"][k - 1] = verify_complementarity(out.u[ids], out.lam)
+            diag["bound_min"][k - 1] = float(out.u.min())
+            diag["bound_max"][k - 1] = float(out.u.max())
+        if config.records_energy:
+            m_prev = coupling_m(params, theta)
             diag["energy_J_new"][k - 1] = objective_Jk(
-                grid, stencil, params, tau, u_new, u, m_prev
+                grid, stencil, params, tau, out.u, u, m_prev, green
             )
             diag["energy_J_prev"][k - 1] = objective_Jk(
-                grid, stencil, params, tau, u, u, m_prev
+                grid, stencil, params, tau, u, u, m_prev, green
             )
-        if (
-            config.variant == "nonlocal_CH"
-            and config.pdas.convolution_mode == "implicit"
-        ):
-            g = (
-                w
-                + convolve(stencil, u_new)[ids]
-                + params.c_F * m_prev
-                - 0.5 * params.c_F
-            )
+            g = (out.w + convolve(stencil, out.u)[ids] + params.c_F * m_prev
+                 - 0.5 * params.c_F)
             diag["proj_residual"][k - 1] = float(
-                np.abs(u_new[ids] - np.clip(g / xi_vec, 0.0, 1.0)).max()
+                np.abs(out.u[ids] - np.clip(g / xi_vec, 0.0, 1.0)).max()
             )
 
-        theta_new = step_temperature(grid, params, tau, theta, u_new, u)
-        enthalpy = float(np.dot(mI, theta_new - params.L * u_new[ids]))
+        theta_new = step_temperature(heat, grid, params, theta, out.u, u)
+        enthalpy = float(np.dot(mI, theta_new - params.L * out.u[ids]))
         diag["enthalpy_drift"][k - 1] = abs(enthalpy - enthalpy0)
 
-        u = u_new
-        theta = theta_new
+        u, theta = out.u, theta_new
         if k in snap_levels:
             states.append(
                 State(k=k, t=k * tau, theta=theta.copy(), u=u.copy(),
-                      w=None if w is None else w.copy(),
-                      lam=None if lam is None else lam.copy())
+                      w=None if out.w is None else out.w.copy(),
+                      lam=None if out.lam is None else out.lam.copy())
             )
 
     return RunResult(
@@ -491,5 +466,4 @@ def run(config: RunConfig) -> RunResult:
         t_mismatch=t_mismatch,
         snapshot_levels=snap_levels,
         runtime_seconds=_time.perf_counter() - t0,
-        stencil=stencil,
     )

@@ -1,36 +1,250 @@
-"""Desk-scale self-verification: constants, quadratures and solver oracles.
+"""Oracles and desk-scale self-verification.
 
-Every check recomputes its expected value through an independent route
-(quadrature instead of closed form, dense matrices instead of stencils,
-exhaustive active-set enumeration instead of the iterative solver) and
-compares at a stated tolerance.  Used by the ``verify`` CLI command.
+The oracles recompute what the solvers compute through independent routes:
+the kernel written out as a polynomial, dense matrices built from
+coordinates instead of stencils, exhaustive 3^N active-set enumeration
+instead of the active-set iteration, and the nonlocal AC projection iterated
+as an active-set loop instead of evaluated in closed form.  Sizes are
+deliberately tiny.  ``run_all_checks`` (the ``verify`` CLI command) and the
+test suite both use them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import build_grid
-from .kernel import (
-    KernelSpec,
-    c_gamma_closed_form,
-    c_gamma_quadrature,
-    kernel_eval,
-    second_moment_check,
-    xi,
-)
-from .nonlocal_ops import build_stencil, convolve, exterior_flux_solve
-from .pdas import PdasConfig, pdas_step_AC_nonlocal, pdas_step_CH
-from .physics import ModelParams, coupling_m, project_unit
-from .stepper import step_phase_AC
+from .grid import assemble_stiffness, build_grid
+from .kernel import (KernelSpec, c_gamma_closed_form, c_gamma_quadrature,
+                     second_moment_check, xi)
+from .nonlocal_ops import build_stencil, conv_rows, convolve, exterior_closure
+from .pdas import (PdasConfig, PdasResult, _pdas_iterate, pdas_step_CH,
+                   sets_from_bounds, w_matrix)
+from .physics import ModelParams, coupling_m
+from .stepper import NonlocalACStep
 
-__all__ = ["run_all_checks", "Check"]
+__all__ = [
+    "Check", "run_all_checks", "gamma_poly", "trapezoid_masses",
+    "dense_conv_matrix", "dense_stiffness_1d", "enumerate_CH_explicit",
+    "enumerate_CH_implicit", "enumerate_local_obstacle", "pdas_step_AC_nonlocal",
+]
 
 EX1_KERNEL = KernelSpec(epsilon=0.02, delta=0.1540, dim=1)
 EX3_KERNEL = KernelSpec(epsilon=0.01, delta=0.0826, dim=2)
+
+
+def gamma_poly(r, eps, delta, dim):
+    """The polynomial kernel written out directly."""
+    if dim == 1:
+        C = 15.0 / (2.0 * delta**3)
+    elif dim == 2:
+        C = 24.0 / (math.pi * delta**4)
+    else:
+        raise ValueError(dim)
+    return eps**2 * C * np.maximum(0.0, 1.0 - (np.asarray(r) / delta) ** 2)
+
+
+def trapezoid_masses(n_axis, h, dim):
+    """Tensor trapezoidal weights of the extended domain, from scratch."""
+    w = np.full(n_axis, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    if dim == 1:
+        return w
+    return np.outer(w, w).ravel()
+
+
+def dense_conv_matrix(coords, masses, eps, delta, dim):
+    """Dense matrix of gamma(|x_i - x_j|) * m_j."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    return gamma_poly(dist, eps, delta, dim) * masses[None, :]
+
+
+def dense_stiffness_1d(n, h):
+    K = np.zeros((n, n))
+    for e in range(n - 1):
+        K[e, e] += 1.0 / h
+        K[e + 1, e + 1] += 1.0 / h
+        K[e, e + 1] -= 1.0 / h
+        K[e + 1, e] -= 1.0 / h
+    return K
+
+
+def _first_feasible(n, solve):
+    """Exhaustive KKT search: the first feasible of all 3^n active-set guesses.
+
+    ``solve(lower, inact, upper)`` solves the dense linear system of one
+    {lower, inactive, upper} assignment and returns (u, lam, result);
+    feasible means u in [0, 1] where inactive, lam >= 0 on the upper and
+    lam <= 0 on the lower set (to 1e-9).
+    """
+    tol = 1e-9
+    for assign in itertools.product((0, 1, 2), repeat=n):
+        assign = np.array(assign)
+        lower, inact, upper = assign == 0, assign == 1, assign == 2
+        try:
+            u, lam, result = solve(lower, inact, upper)
+        except np.linalg.LinAlgError:
+            continue
+        lam[inact] = 0.0
+        if (np.all(u[inact] >= -tol) and np.all(u[inact] <= 1.0 + tol)
+                and np.all(lam[upper] >= -tol) and np.all(lam[lower] <= tol)):
+            return result
+    raise RuntimeError("no feasible assignment")
+
+
+def enumerate_CH_explicit(grid, W, params, tau, u_prev, m_prev, K_dense):
+    """All 3^N active-set assignments of the explicit-convolution CH step.
+
+    Unknowns [u_int, w]; returns the feasible (u_int, w, lam).
+    """
+    ids = grid.interior_ids
+    n = grid.n_interior
+    mI = grid.lumped_mass[ids]
+    c_F = params.c_F
+    c_h = (W @ np.ones(grid.n_nodes))[ids]
+    xi_vec = c_h - c_F
+    q = (W @ u_prev)[ids] + c_F * m_prev - 0.5 * c_F
+    Aw = tau * (np.diag(mI) + params.beta * K_dense)
+
+    def solve(lower, inact, upper):
+        A = np.zeros((2 * n, 2 * n))
+        b = np.zeros(2 * n)
+        for j in range(n):
+            if inact[j]:
+                A[j, j] = xi_vec[j]
+                A[j, n + j] = -1.0
+                b[j] = q[j]
+            else:
+                A[j, j] = 1.0
+                b[j] = 1.0 if upper[j] else 0.0
+        A[n:, :n] = params.mu * np.diag(mI)
+        A[n:, n:] = Aw
+        b[n:] = params.mu * mI * u_prev[ids]
+        x = np.linalg.solve(A, b)
+        u, w = x[:n], x[n:]
+        lam = q + w - xi_vec * u
+        return u, lam, (u, w, lam)
+
+    return _first_feasible(n, solve)
+
+
+def enumerate_CH_implicit(grid, W, params, tau, u_prev, m_prev, K_dense):
+    """Exhaustive solve of the fully coupled CH step (implicit convolution).
+
+    Unknowns [u_int, u_ext, w] with the exterior flux rows included; returns
+    the feasible (u_int, u_ext, w, lam).
+    """
+    ids = grid.interior_ids
+    ext = grid.exterior_ids
+    n, ne = grid.n_interior, ext.size
+    mI = grid.lumped_mass[ids]
+    c_F = params.c_F
+    c_h = W @ np.ones(grid.n_nodes)
+    xi_vec = c_h[ids] - c_F
+    W_II = W[np.ix_(ids, ids)]
+    W_IE = W[np.ix_(ids, ext)]
+    W_EI = W[np.ix_(ext, ids)]
+    W_EE = W[np.ix_(ext, ext)]
+    Aw = tau * (np.diag(mI) + params.beta * K_dense)
+    N = 2 * n + ne
+
+    def solve(lower, inact, upper):
+        A = np.zeros((N, N))
+        b = np.zeros(N)
+        # w rows
+        A[:n, :n] = params.mu * np.diag(mI)
+        A[:n, n + ne :] = Aw
+        b[:n] = params.mu * mI * u_prev[ids]
+        # phase rows
+        for j in range(n):
+            r = n + j
+            if inact[j]:
+                A[r, :n] = -W_II[j]
+                A[r, j] += xi_vec[j]
+                A[r, n : n + ne] = -W_IE[j]
+                A[r, n + ne + j] = -1.0
+                b[r] = c_F * m_prev[j] - 0.5 * c_F
+            else:
+                A[r, j] = 1.0
+                b[r] = 1.0 if upper[j] else 0.0
+        # exterior flux rows
+        for j in range(ne):
+            r = 2 * n + j
+            A[r, :n] = -W_EI[j]
+            A[r, n : n + ne] = -W_EE[j]
+            A[r, n + j] += c_h[ext[j]]
+        x = np.linalg.solve(A, b)
+        u, u_e, w = x[:n], x[n : n + ne], x[n + ne :]
+        lam = W_II @ u + W_IE @ u_e + w + c_F * m_prev - 0.5 * c_F - xi_vec * u
+        return u, lam, (u, u_e, w, lam)
+
+    return _first_feasible(n, solve)
+
+
+def enumerate_local_obstacle(grid, params, tau, eps, u_prev, m_prev, K_dense):
+    """All 3^N assignments of the beta = 0 local obstacle step; returns (u, lam)."""
+    ids = grid.interior_ids
+    mI = grid.lumped_mass[ids]
+    c_F = params.c_F
+    r_t = params.mu / tau
+    A0 = np.diag((r_t - c_F) * mI) + eps**2 * K_dense
+    b0 = mI * (r_t * u_prev[ids] - 0.5 * c_F + c_F * m_prev)
+
+    def solve(lower, inact, upper):
+        A = A0.copy()
+        b = b0.copy()
+        for j in np.flatnonzero(~inact):
+            A[j, :] = 0.0
+            A[j, j] = 1.0
+            b[j] = 1.0 if upper[j] else 0.0
+        u = np.linalg.solve(A, b)
+        lam = (b0 - A0 @ u) / mI
+        return u, lam, (u, lam)
+
+    return _first_feasible(grid.n_interior, solve)
+
+
+def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
+                          init_sets=None) -> PdasResult:
+    """beta = 0 nonlocal step via the active-set loop (explicit convolution).
+
+    The rows are diagonal in u, so this is equivalent to the closed-form
+    projection of ``stepper.NonlocalACStep``; it is the independently
+    iterated route that the projection is checked against.
+    """
+    ids = grid.interior_ids
+    c_F = params.c_F
+    r = params.mu / tau
+    denom = r + (stencil.c_gamma_h[ids] - c_F)
+    u_prev = np.asarray(u_prev, dtype=float)
+    conv_prev = convolve(stencil, u_prev)
+    g = r * u_prev[ids] + conv_prev[ids] + c_F * np.asarray(m_prev) - 0.5 * c_F
+    if init_sets is None:
+        init_sets = sets_from_bounds(u_prev[ids])
+    c_eff = config.c_penalty * (float(denom.max()) + 1.0)
+
+    def solve_for_sets(upper, lower):
+        inactive = ~(upper | lower)
+        u_I = np.where(inactive, g / denom, upper.astype(float))
+        lam = np.where(inactive, 0.0, g - denom * u_I)
+        return u_I, lam, None
+
+    u_I, lam, _, sets, iters, ok = _pdas_iterate(
+        solve_for_sets, init_sets, c_eff, config.max_iters
+    )
+    u_full = np.empty(grid.n_nodes)
+    u_full[ids] = u_I
+    u_full[grid.exterior_ids] = exterior_closure(stencil, conv_prev)
+    return PdasResult(u_full, None, lam, sets, iters, ok)
+
+
+# --------------------------------------------------------------------------
+# desk-scale checks
 
 
 @dataclass
@@ -42,17 +256,14 @@ class Check:
     detail: str = ""
 
 
-def _dense_conv_matrix(grid, spec):
-    """Dense gamma(|x_i - x_j|) * m_j matrix straight from coordinates."""
-    coords = grid.coords()
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return kernel_eval(spec, dist) * grid.lumped_mass[None, :]
-
-
 def _check(name, value, tol, detail="") -> Check:
     return Check(name=name, value=float(value), tol=tol, ok=bool(value <= tol),
                  detail=detail)
+
+
+def _dense_W(grid, spec):
+    return dense_conv_matrix(grid.coords(), grid.lumped_mass, spec.epsilon,
+                             spec.delta, spec.dim)
 
 
 def run_all_checks() -> list:
@@ -93,24 +304,10 @@ def run_all_checks() -> list:
         ones = np.ones(grid.n_nodes)
         cons = np.abs(convolve(stencil, ones) - stencil.c_gamma_h).max()
         checks.append(_check(f"convolve(1) == c_gamma_h ({dim}D)", cons, 1e-14))
-        W = _dense_conv_matrix(grid, spec)
         u = rng.random(grid.n_nodes)
-        err = np.abs(convolve(stencil, u) - W @ u).max()
+        err = np.abs(convolve(stencil, u) - _dense_W(grid, spec) @ u).max()
         checks.append(_check(f"stencil convolution vs dense matrix ({dim}D)",
                              err, 1e-12))
-        uc = u.copy()
-        uc[grid.exterior_ids] = exterior_flux_solve(stencil, u, mode="implicit")
-        c_ext = stencil.c_gamma_h[grid.exterior_ids]
-        resid = np.abs(c_ext * uc[grid.exterior_ids]
-                       - (W @ uc)[grid.exterior_ids]).max() / c_ext.max()
-        checks.append(_check(f"implicit exterior closure residual ({dim}D)",
-                             resid, 1e-11))
-
-    # Projection map case table.
-    s = 0.35
-    got = project_unit(np.array([-1.0, 0.3 * s, 2.0 * s]), s)
-    checks.append(_check("projection clamp cases (-1, 0.3 s, 2 s) -> (0, 0.3, 1)",
-                         np.abs(got - np.array([0.0, 0.3, 1.0])).max(), 1e-15))
 
     # Fast projection path vs active-set route (beta = 0).
     params0 = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
@@ -118,82 +315,37 @@ def run_all_checks() -> list:
     spec = KernelSpec(epsilon=0.05, delta=3.2 * h, dim=1)
     grid = build_grid(1, h, spec.delta)
     stencil = build_stencil(grid, spec)
+    ac = NonlocalACStep(grid, stencil, params0, 3e-4)
     cfg = PdasConfig()
     worst = 0.0
     for _ in range(20):
         u_prev = np.clip(rng.random(grid.n_nodes), 0.0, 1.0)
         theta_prev = rng.normal(scale=0.5, size=grid.n_interior) + 1.0
-        u_fast = step_phase_AC(grid, stencil, params0, 3e-4, u_prev, theta_prev)
         res = pdas_step_AC_nonlocal(
             grid, stencil, params0, 3e-4, u_prev,
             coupling_m(params0, theta_prev), cfg)
-        worst = max(worst, float(np.abs(u_fast - res.u).max()))
+        worst = max(worst, float(np.abs(ac.step(u_prev, theta_prev).u - res.u).max()))
     checks.append(_check("AC projection fast path vs active-set route", worst,
                          1e-10, "20 random steps"))
 
-    # Constrained CH step vs exhaustive active-set enumeration (small 1D).
+    # Constrained CH step, both convolution modes, vs exhaustive enumeration.
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
-    h = 1.0 / 5
-    spec = KernelSpec(epsilon=0.35, delta=2.6 * h, dim=1)
-    grid = build_grid(1, h, spec.delta)
-    stencil = build_stencil(grid, spec)
     tau = 3e-4
-    u_prev = np.clip(rng.random(grid.n_nodes), 0.0, 1.0)
-    m_prev = rng.uniform(-0.4, 0.4, grid.n_interior)
-    res = pdas_step_CH(grid, stencil, params, tau, u_prev, m_prev, cfg)
-    u_oracle = _enumerate_CH_explicit(grid, stencil, params, tau, u_prev, m_prev)
-    err = np.abs(res.u[grid.interior_ids] - u_oracle).max()
-    checks.append(_check(
-        "CH active-set solve vs exhaustive enumeration (6 nodes)", err, 1e-9))
+    for mode, h in (("explicit", 1.0 / 5), ("implicit", 1.0 / 4)):
+        spec = KernelSpec(epsilon=0.35, delta=2.6 * h, dim=1)
+        grid = build_grid(1, h, spec.delta)
+        stencil = build_stencil(grid, spec)
+        u_prev = np.clip(rng.random(grid.n_nodes), 0.0, 1.0)
+        m_prev = rng.uniform(-0.4, 0.4, grid.n_interior)
+        W = conv_rows(stencil, np.arange(grid.n_nodes)) if mode == "implicit" else None
+        A_w = w_matrix(grid, assemble_stiffness(grid), params.beta, tau)
+        res = pdas_step_CH(grid, stencil, params, tau, u_prev, m_prev,
+                           PdasConfig(convolution_mode=mode), A_w, W)
+        oracle = enumerate_CH_explicit if mode == "explicit" else enumerate_CH_implicit
+        u_ref = oracle(grid, _dense_W(grid, spec), params, tau, u_prev, m_prev,
+                       dense_stiffness_1d(grid.n_interior, grid.h))[0]
+        err = np.abs(res.u[grid.interior_ids] - u_ref).max()
+        checks.append(_check(
+            f"CH active-set solve ({mode} convolution) vs exhaustive enumeration "
+            f"({grid.n_interior} nodes)", err, 1e-9))
     return checks
-
-
-def _enumerate_CH_explicit(grid, stencil, params, tau, u_prev, m_prev):
-    """Brute-force KKT solve of the explicit-convolution CH step.
-
-    Tries every {lower, inactive, upper} assignment of the interior nodes,
-    solves the resulting dense linear system and returns the feasible one.
-    """
-    from .grid import assemble_stiffness
-
-    ids = grid.interior_ids
-    n = grid.n_interior
-    mI = grid.mass_interior
-    c_F = params.c_F
-    xi_vec = stencil.c_gamma_h[ids] - c_F
-    conv_prev = convolve(stencil, u_prev)
-    q = conv_prev[ids] + c_F * m_prev - 0.5 * c_F
-    Aw = tau * (np.diag(mI) + params.beta * assemble_stiffness(grid).toarray())
-    tol = 1e-9
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        assign = np.array(assign)
-        lower = assign == 0
-        inact = assign == 1
-        upper = assign == 2
-        # Unknowns [u, w]; rows: phase rows then w rows.
-        A = np.zeros((2 * n, 2 * n))
-        b = np.zeros(2 * n)
-        for j in range(n):
-            if inact[j]:
-                A[j, j] = xi_vec[j]
-                A[j, n + j] = -1.0
-                b[j] = q[j]
-            else:
-                A[j, j] = 1.0
-                b[j] = 1.0 if upper[j] else 0.0
-        A[n:, :n] = params.mu * np.diag(mI)
-        A[n:, n:] = Aw
-        b[n:] = params.mu * mI * u_prev[ids]
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        u, w = x[:n], x[n:]
-        lam = q + w - xi_vec * u
-        lam[inact] = 0.0
-        if (
-            np.all(u[inact] >= -tol) and np.all(u[inact] <= 1 + tol)
-            and np.all(lam[upper] >= -tol) and np.all(lam[lower] <= tol)
-        ):
-            return u
-    raise RuntimeError("enumeration found no feasible active-set assignment")

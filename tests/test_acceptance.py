@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from nlpf.grid import build_grid
+from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import (
     KernelSpec,
     c_gamma_closed_form,
@@ -21,16 +21,16 @@ from nlpf.kernel import (
     xi,
 )
 from nlpf.nonlocal_ops import build_stencil, convolve
-from nlpf.pdas import PdasConfig, pdas_step_AC_nonlocal, pdas_step_CH
+from nlpf.pdas import PdasConfig, pdas_step_CH, pdas_step_local_obstacle, w_matrix
 from nlpf.physics import ModelParams, coupling_m
 from nlpf.presets import EX2_DELTAS, example1_config
-from nlpf.stepper import run, step_phase_AC, step_temperature
-
-from oracles import (
+from nlpf.stepper import NonlocalACStep, heat_solver, run, step_temperature
+from nlpf.verify import (
     dense_conv_matrix,
     dense_stiffness_1d,
     enumerate_CH_explicit,
     enumerate_local_obstacle,
+    pdas_step_AC_nonlocal,
 )
 
 
@@ -127,12 +127,13 @@ def test_criterion_07a_ac_fast_path_vs_pdas():
     stn = build_stencil(g, KernelSpec(0.06, 0.14, 1))
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     cfg = PdasConfig()
+    ac = NonlocalACStep(g, stn, p, 3e-4)
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(50):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         theta = rng.normal(1.0, 0.8, g.n_interior)
-        fast = step_phase_AC(g, stn, p, 3e-4, u_prev, theta)
+        fast = ac.step(u_prev, theta).u
         res = pdas_step_AC_nonlocal(g, stn, p, 3e-4, u_prev,
                                     coupling_m(p, theta), cfg)
         assert res.converged
@@ -151,22 +152,21 @@ def test_criterion_07b_pdas_vs_exhaustive_enumeration():
     stn = build_stencil(g, KernelSpec(0.35, 2.6 / 7, 1))
     W = dense_conv_matrix(g.coords(), g.lumped_mass, 0.35, 2.6 / 7, 1)
     K = dense_stiffness_1d(g.n_interior, g.h)
+    A_w = w_matrix(g, assemble_stiffness(g), p_ch.beta, 3e-4)
     for _ in range(3):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
-        res = pdas_step_CH(g, stn, p_ch, 3e-4, u_prev, m_prev, PdasConfig())
+        res = pdas_step_CH(g, stn, p_ch, 3e-4, u_prev, m_prev, PdasConfig(), A_w)
         u_ref, _, _ = enumerate_CH_explicit(g, W, p_ch, 3e-4, u_prev, m_prev, K)
         worst = max(worst, float(np.abs(res.u[g.interior_ids] - u_ref).max()))
     # local obstacle, 8 interior nodes
     gl = build_grid(1, 1 / 7, 0.0)
     Kl = dense_stiffness_1d(gl.n_interior, gl.h)
-    from nlpf.pdas import pdas_step_local_obstacle
-
     for _ in range(3):
         u_prev = np.clip(rng.random(gl.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, gl.n_interior)
         res = pdas_step_local_obstacle(gl, p_lo, 3e-4, 0.3, u_prev, m_prev,
-                                       PdasConfig())
+                                       PdasConfig(), assemble_stiffness(gl))
         u_ref, _ = enumerate_local_obstacle(gl, p_lo, 3e-4, 0.3, u_prev,
                                             m_prev, Kl)
         worst = max(worst, float(np.abs(res.u - u_ref).max()))
@@ -225,9 +225,10 @@ def test_criterion_10_heat_equation_control():
     theta = np.cos(np.pi * x)
     lam_h = (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
     u = np.zeros(g.n_interior)
+    heat = heat_solver(g, assemble_stiffness(g), p.D, tau)
     worst = 0.0
     for k in range(1, 31):
-        theta = step_temperature(g, p, tau, theta, u, u)
+        theta = step_temperature(heat, g, p, theta, u, u)
         expected = (1.0 + tau * lam_h) ** (-k) * np.cos(np.pi * x)
         worst = max(worst, float(np.abs(theta - expected).max()))
     assert worst <= 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlpf.grid import build_grid, assemble_stiffness, lumped_inner
+from nlpf.grid import build_grid, assemble_stiffness
 
 
 def test_example1_layer_width():
@@ -89,28 +89,6 @@ def test_lumped_mass_interior_near_unity_with_layer():
     total = g.mass_interior.sum()
     assert abs(total - 1.0) <= 2 * g.h  # O(h)
     assert np.all(g.lumped_mass > 0)
-
-
-def test_lumped_inner_cases():
-    g = build_grid(1, 0.5, 0.0)
-    ones = np.ones(g.n_nodes)
-    assert lumped_inner(g, ones, ones, "interior") == pytest.approx(1.0)
-    assert lumped_inner(g, np.zeros(g.n_nodes), ones, "interior") == 0.0
-    # hand trapezoid: 0.25 + 0.5 + 0.25
-    assert lumped_inner(g, ones, ones, "interior") == pytest.approx(0.25 + 0.5 + 0.25)
-
-
-def test_lumped_inner_regions_and_errors():
-    g = build_grid(1, 0.25, 0.3)
-    a = np.arange(g.n_nodes, dtype=float)
-    total = lumped_inner(g, a, a, "interior") + lumped_inner(g, a, a, "exterior")
-    # union weights differ from interior+exterior split only off the
-    # extended-domain extremes, which both sums include here
-    assert total == pytest.approx(lumped_inner(g, a, a, "union"))
-    with pytest.raises(ValueError):
-        lumped_inner(g, a[:-1], a, "interior")
-    with pytest.raises(ValueError):
-        lumped_inner(g, a, a, "nowhere")
 
 
 def test_h_snapping_reported():

@@ -206,3 +206,33 @@ def test_verify_catches_corrupted_constant(monkeypatch):
     )
     checks = verify_mod.run_all_checks()
     assert any(not c.ok for c in checks)
+
+
+def test_cli_run_rejects_nan_init_file(tmp_path):
+    g = build_grid(1, 0.025, 0.1)
+    u0 = (g.coords()[g.interior_ids, 0] <= 0.3).astype(float)
+    u0[5] = np.nan
+    write_field(str(tmp_path / "u0.csv"), g, u0)
+    cfg_path = tmp_path / "nan.cfg"
+    cfg_path.write_text(MINI_CFG.replace("preset = step(0.3)",
+                                         f"file = {tmp_path / 'u0.csv'}"))
+    out = tmp_path / "o"
+    assert cli_main(["run", str(cfg_path), "--output-dir", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "error" and "non-finite" in report["error"]
+
+
+def test_report_fails_invariant_on_nonfinite_diagnostic(tmp_path, monkeypatch):
+    import nlpf.stepper as stepper
+
+    res = run(parse_config_text(MINI_CFG))
+    assert build_report(result=res)["status"] == "ok"
+    res.diagnostics["enthalpy_drift"][3] = np.nan
+    report = build_report(result=res)
+    assert report["status"] == "invariant-failure"
+    assert report["invariants"]["enthalpy"] is False
+    # the same result through `nlpf run` exits 2
+    monkeypatch.setattr(stepper, "run", lambda cfg: res)
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG)
+    assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2

@@ -109,8 +109,6 @@ def test_spec_validation():
         KernelSpec(1.0, 0.0, 1)
     with pytest.raises(ValueError):
         KernelSpec(1.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        KernelSpec(1.0, 1.0, 1, family="gaussian")
 
 
 @settings(max_examples=60, deadline=None)

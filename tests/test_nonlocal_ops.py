@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from nlpf.grid import build_grid, lumped_inner
+from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec, c_gamma_closed_form
 from nlpf.nonlocal_ops import (
     apply_Bh,
     build_stencil,
     conv_rows,
     convolve,
-    exterior_flux_solve,
+    exterior_closure,
 )
-
-from oracles import dense_conv_matrix, trapezoid_masses
+from nlpf.pdas import PdasConfig, pdas_step_CH, w_matrix
+from nlpf.physics import ModelParams
+from nlpf.verify import dense_conv_matrix, trapezoid_masses
 
 
 def _dense_W(grid, spec):
@@ -140,8 +141,8 @@ def test_convolve_symmetric_bilinear_form():
     st = build_stencil(g, KernelSpec(0.9, 0.17, 1))
     rng = np.random.default_rng(2)
     u, v = rng.random(g.n_nodes), rng.random(g.n_nodes)
-    lhs = lumped_inner(g, convolve(st, u), v, "union")
-    rhs = lumped_inner(g, u, convolve(st, v), "union")
+    lhs = float(np.dot(g.lumped_mass * convolve(st, u), v))
+    rhs = float(np.dot(g.lumped_mass * u, convolve(st, v)))
     assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
 
@@ -159,13 +160,12 @@ def test_exterior_flux_constant_and_range():
     g = build_grid(1, 1 / 16, 0.2)
     st = build_stencil(g, KernelSpec(0.8, 0.2, 1))
     u = np.ones(g.n_nodes)
-    ext = exterior_flux_solve(st, u, mode="implicit")
+    ext = exterior_closure(st, convolve(st, u))
     assert np.abs(ext - 1.0).max() <= 1e-12
     rng = np.random.default_rng(9)
     u[g.interior_ids] = rng.random(g.n_interior)
-    for mode in ("explicit", "implicit"):
-        vals = exterior_flux_solve(st, u, mode=mode)
-        assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
+    vals = exterior_closure(st, convolve(st, u))
+    assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
 
 
 def test_exterior_flux_explicit_matches_dense_formula():
@@ -174,7 +174,7 @@ def test_exterior_flux_explicit_matches_dense_formula():
     st = build_stencil(g, spec)
     rng = np.random.default_rng(41)
     u = rng.random(g.n_nodes)
-    got = exterior_flux_solve(st, u, mode="explicit")
+    got = exterior_closure(st, convolve(st, u))
     W = _dense_W(g, spec)
     c_h = W @ np.ones(g.n_nodes)
     ref = (W @ u)[g.exterior_ids] / c_h[g.exterior_ids]
@@ -182,19 +182,24 @@ def test_exterior_flux_explicit_matches_dense_formula():
 
 
 def test_exterior_flux_implicit_matches_dense_solve():
-    g = build_grid(1, 1 / 7, 2.2 / 7)  # 8 interior + 2x2 exterior nodes
+    # implicit convolution closes the layer inside the coupled CH solve:
+    # its exterior values solve the dense flux rows for its interior values
+    g = build_grid(1, 1 / 7, 2.2 / 7)  # 8 interior + 2x3 exterior nodes
     spec = KernelSpec(0.9, 2.2 / 7, 1)
     st = build_stencil(g, spec)
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
     rng = np.random.default_rng(14)
-    u = np.zeros(g.n_nodes)
-    u[g.interior_ids] = rng.random(g.n_interior)
-    got = exterior_flux_solve(st, u, mode="implicit")
+    u_prev = rng.random(g.n_nodes)
+    res = pdas_step_CH(g, st, params, 3e-4, u_prev, np.zeros(g.n_interior),
+                       PdasConfig(convolution_mode="implicit"),
+                       w_matrix(g, assemble_stiffness(g), params.beta, 3e-4),
+                       conv_rows(st, np.arange(g.n_nodes)))
     W = _dense_W(g, spec)
     c_h = W @ np.ones(g.n_nodes)
     ext, ids = g.exterior_ids, g.interior_ids
     S = np.diag(c_h[ext]) - W[np.ix_(ext, ext)]
-    ref = np.linalg.solve(S, W[np.ix_(ext, ids)] @ u[ids])
-    assert np.abs(got - ref).max() <= 1e-12
+    ref = np.linalg.solve(S, W[np.ix_(ext, ids)] @ res.u[ids])
+    assert np.abs(res.u[ext] - ref).max() <= 1e-12
 
 
 def test_conv_rows_refuses_production_sizes(monkeypatch):

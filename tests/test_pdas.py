@@ -1,30 +1,44 @@
 import numpy as np
 import pytest
 
-from nlpf.grid import build_grid
+from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec
-from nlpf.nonlocal_ops import build_stencil, convolve
+from nlpf.nonlocal_ops import build_stencil, conv_rows, convolve
 from nlpf.pdas import (
     ActiveSets,
     PdasConfig,
-    pdas_step_AC_nonlocal,
     pdas_step_CH,
     pdas_step_local_obstacle,
     sets_from_bounds,
     verify_complementarity,
+    w_matrix,
 )
 from nlpf.physics import ModelParams, coupling_m
-
-from oracles import (
+from nlpf.verify import (
     dense_conv_matrix,
     dense_stiffness_1d,
     enumerate_CH_explicit,
     enumerate_CH_implicit,
     enumerate_local_obstacle,
+    pdas_step_AC_nonlocal,
 )
 
 CH_PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
 TAU = 3e-4
+
+
+def _ch(g, stn, params, tau, u_prev, m_prev, cfg, **kw):
+    """pdas_step_CH with its operators built as the time loop builds them."""
+    W = (conv_rows(stn, np.arange(g.n_nodes))
+         if cfg.convolution_mode == "implicit" else None)
+    A_w = w_matrix(g, assemble_stiffness(g), params.beta, tau)
+    return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, A_w, W, **kw)
+
+
+def _lo(g, params, tau, eps, u_prev, m_prev, cfg):
+    K = assemble_stiffness(g)
+    A_w = w_matrix(g, K, params.beta, tau) if params.beta > 0 else None
+    return pdas_step_local_obstacle(g, params, tau, eps, u_prev, m_prev, cfg, K, A_w)
 
 
 def _setup(n_cells=9, delta_cells=2.6, dim=1, eps=0.35):
@@ -36,8 +50,7 @@ def _setup(n_cells=9, delta_cells=2.6, dim=1, eps=0.35):
 def test_ch_step_pure_solid_stationary():
     g, spec, stn = _setup()
     u_prev = np.ones(g.n_nodes)
-    res = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, np.zeros(g.n_interior),
-                       PdasConfig())
+    res = _ch(g, stn, CH_PARAMS, TAU, u_prev, np.zeros(g.n_interior), PdasConfig())
     assert res.converged and res.iters <= 2
     assert np.array_equal(res.u, np.ones(g.n_nodes))
     assert np.abs(res.w).max() <= 1e-13
@@ -48,16 +61,17 @@ def test_ch_step_pure_solid_stationary():
 def test_ch_step_requires_positive_beta_and_xi():
     g, spec, stn = _setup()
     with pytest.raises(ValueError, match="beta"):
-        pdas_step_CH(g, stn, ModelParams(mu=1.0, L=0.0, D=1.0, beta=0.0), TAU,
-                     np.ones(g.n_nodes), np.zeros(g.n_interior), PdasConfig())
-    with pytest.raises(ValueError, match="infeasible"):
-        pdas_step_CH(g, stn, CH_PARAMS, TAU, 2 * np.ones(g.n_nodes),
-                     np.zeros(g.n_interior), PdasConfig())
+        _ch(g, stn, ModelParams(mu=1.0, L=0.0, D=1.0, beta=0.0), TAU,
+            np.ones(g.n_nodes), np.zeros(g.n_interior), PdasConfig())
+    for bad in (2.0, np.nan):  # NaN fails every comparison: must still raise
+        with pytest.raises(ValueError, match="infeasible"):
+            _ch(g, stn, CH_PARAMS, TAU, np.full(g.n_nodes, bad),
+                np.zeros(g.n_interior), PdasConfig())
     # c_gamma below c_F puts the step outside the xi > 0 regime
     weak = build_stencil(g, KernelSpec(0.01, spec.delta, 1))
     with pytest.raises(ValueError, match="xi"):
-        pdas_step_CH(g, weak, CH_PARAMS, TAU, np.ones(g.n_nodes),
-                     np.zeros(g.n_interior), PdasConfig())
+        _ch(g, weak, CH_PARAMS, TAU, np.ones(g.n_nodes),
+            np.zeros(g.n_interior), PdasConfig())
 
 
 @pytest.mark.parametrize("mode", ["explicit", "implicit"])
@@ -71,7 +85,7 @@ def test_ch_step_matches_exhaustive_enumeration(mode):
     for trial in range(4):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
-        res = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg)
+        res = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg)
         assert res.converged
         if mode == "explicit":
             u_ref, w_ref, lam_ref = enumerate_CH_explicit(
@@ -92,17 +106,13 @@ def test_ch_step_implicit_2d_matches_enumeration():
     g = build_grid(2, 1 / 2, 0.7)
     spec = KernelSpec(0.15, 0.7, 2)
     stn = build_stencil(g, spec)
-    from oracles import dense_conv_matrix as _dcm
-
-    W = _dcm(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 2)
-    from nlpf.grid import assemble_stiffness
-
+    W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 2)
     K = assemble_stiffness(g).toarray()
     rng = np.random.default_rng(77)
     u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
     m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
-    res = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, m_prev,
-                       PdasConfig(convolution_mode="implicit"))
+    res = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev,
+              PdasConfig(convolution_mode="implicit"))
     assert res.converged
     u_ref, u_e_ref, w_ref, lam_ref = enumerate_CH_implicit(
         g, W, CH_PARAMS, TAU, u_prev, m_prev, K
@@ -119,14 +129,13 @@ def test_ch_step_warm_start_reaches_same_fixed_point():
     u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
     m_prev = rng.uniform(-0.3, 0.3, g.n_interior)
     cfg = PdasConfig()
-    res_a = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg,
-                         init_sets=sets_from_bounds(u_prev[g.interior_ids]))
+    res_a = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg,
+                init_sets=sets_from_bounds(u_prev[g.interior_ids]))
     all_inactive = ActiveSets(
         upper=np.zeros(g.n_interior, dtype=bool),
         lower=np.zeros(g.n_interior, dtype=bool),
     )
-    res_b = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg,
-                         init_sets=all_inactive)
+    res_b = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg, init_sets=all_inactive)
     assert res_a.converged and res_b.converged
     assert np.abs(res_a.u - res_b.u).max() <= 1e-10
     assert np.abs(res_a.lam - res_b.lam).max() <= 1e-10
@@ -139,7 +148,7 @@ def test_ch_step_complementarity_and_bounds_on_random_steps():
     for _ in range(5):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
-        res = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg)
+        res = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg)
         assert res.converged
         uI = res.u[g.interior_ids]
         assert uI.min() >= -1e-12 and uI.max() <= 1 + 1e-12
@@ -151,8 +160,8 @@ def test_ch_projection_consistency_implicit():
     rng = np.random.default_rng(12)
     u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
     m_prev = rng.uniform(-0.4, 0.4, g.n_interior)
-    res = pdas_step_CH(g, stn, CH_PARAMS, TAU, u_prev, m_prev,
-                       PdasConfig(convolution_mode="implicit"))
+    res = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev,
+              PdasConfig(convolution_mode="implicit"))
     assert res.converged
     ids = g.interior_ids
     xi_vec = stn.c_gamma_h[ids] - CH_PARAMS.c_F
@@ -178,15 +187,14 @@ def test_local_obstacle_stationary_and_melting():
     g = build_grid(1, 1 / 40, 0.0)
     cfg = PdasConfig()
     u0 = np.zeros(g.n_nodes)
-    res = pdas_step_local_obstacle(g, params, TAU, 0.02, u0,
-                                   np.zeros(g.n_interior), cfg)
+    res = _lo(g, params, TAU, 0.02, u0, np.zeros(g.n_interior), cfg)
     assert np.array_equal(res.u, u0)
     # theta above equilibrium melts: lumped mass of u non-increasing
     u_prev = (g.coords()[:, 0] <= 0.5).astype(float)
     theta_hot = np.full(g.n_interior, params.theta_e + 2.0)
     m_prev = coupling_m(params, theta_hot)
     assert m_prev.max() < 0
-    res = pdas_step_local_obstacle(g, params, TAU, 0.02, u_prev, m_prev, cfg)
+    res = _lo(g, params, TAU, 0.02, u_prev, m_prev, cfg)
     assert res.converged
     m = g.mass_interior
     assert (m * res.u).sum() <= (m * u_prev[g.interior_ids]).sum() + 1e-12
@@ -200,8 +208,7 @@ def test_local_obstacle_matches_enumeration():
     for _ in range(4):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
-        res = pdas_step_local_obstacle(g, params, TAU, 0.3, u_prev, m_prev,
-                                       PdasConfig())
+        res = _lo(g, params, TAU, 0.3, u_prev, m_prev, PdasConfig())
         u_ref, lam_ref = enumerate_local_obstacle(g, params, TAU, 0.3, u_prev,
                                                   m_prev, K)
         assert res.converged
@@ -213,16 +220,15 @@ def test_local_obstacle_rejects_large_tau():
     params = ModelParams(mu=1e-4, L=0.0, D=1.0, beta=0.0)
     g = build_grid(1, 1 / 10, 0.0)
     with pytest.raises(ValueError, match="mu/tau"):
-        pdas_step_local_obstacle(g, params, 1e-2, 0.1, np.zeros(g.n_nodes),
-                                 np.zeros(g.n_interior), PdasConfig())
+        _lo(g, params, 1e-2, 0.1, np.zeros(g.n_nodes),
+            np.zeros(g.n_interior), PdasConfig())
 
 
 def test_local_obstacle_beta_positive_pure_phase():
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.05)
     g = build_grid(1, 1 / 12, 0.0)
     u_prev = np.ones(g.n_nodes)
-    res = pdas_step_local_obstacle(g, params, TAU, 0.1, u_prev,
-                                   np.zeros(g.n_interior), PdasConfig())
+    res = _lo(g, params, TAU, 0.1, u_prev, np.zeros(g.n_interior), PdasConfig())
     assert res.converged
     assert np.abs(res.u - 1.0).max() <= 1e-12
     assert np.abs(res.w).max() <= 1e-12

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlpf.grid import build_grid
+from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil
 from nlpf.physics import (
     ModelParams,
     coupling_m,
+    green_solver,
     greens_dual_norm,
     objective_Jk,
-    project_unit,
     regular_potential_dF,
 )
-
-from oracles import dense_conv_matrix
+from nlpf.verify import dense_conv_matrix
 
 PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=20.0,
                      theta_e=1.0)
@@ -64,29 +63,6 @@ def test_params_validation():
         ModelParams(mu=1.0, L=0.0, D=1.0, c_F=0.0)
 
 
-def test_project_unit_cases():
-    s = 0.4
-    assert project_unit(np.array([0.5 * s]), s)[0] == 0.5
-    got = project_unit(np.array([-1.0, 0.3 * s, 2.0 * s]), s)
-    assert np.allclose(got, [0.0, 0.3, 1.0], atol=0)
-    with pytest.raises(ValueError):
-        project_unit(np.array([1.0]), 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    g=st.lists(st.floats(-10, 10), min_size=1, max_size=8),
-    s=st.floats(1e-3, 10.0),
-)
-def test_project_unit_idempotent_and_nonexpansive(g, s):
-    g = np.array(g)
-    p = project_unit(g, s)
-    assert np.array_equal(project_unit(p * s, s), p)
-    g2 = g + 0.25
-    p2 = project_unit(g2, s)
-    assert np.all(np.abs(p2 - p) <= np.abs(g2 - g) / s + 1e-15)
-
-
 def test_regular_potential_critical_points():
     for m in (-0.4, 0.0, 0.4):
         assert regular_potential_dF(0.0, m) == 0.0
@@ -106,22 +82,25 @@ def test_regular_potential_matches_finite_differences():
 
 def test_greens_dual_norm_basics():
     g = build_grid(1, 1 / 32, 0.0)
+    assert green_solver(g, assemble_stiffness(g), 0.0) is None
     zero = np.zeros(g.n_interior)
-    assert greens_dual_norm(g, 0.0, zero) == 0.0
+    assert greens_dual_norm(g, zero, None) == 0.0
     ones = np.ones(g.n_interior)
-    assert greens_dual_norm(g, 0.0, ones) == pytest.approx(1.0)
+    assert greens_dual_norm(g, ones, None) == pytest.approx(1.0)
     # constants are in the stiffness null space: beta > 0 gives the same value
-    assert greens_dual_norm(g, 0.37, ones) == pytest.approx(
-        greens_dual_norm(g, 0.0, ones), rel=1e-12
+    solve = green_solver(g, assemble_stiffness(g), 0.37)
+    assert greens_dual_norm(g, ones, solve) == pytest.approx(
+        greens_dual_norm(g, ones, None), rel=1e-12
     )
 
 
 def test_greens_dual_norm_contraction():
     g = build_grid(1, 1 / 24, 0.0)
+    solve = green_solver(g, assemble_stiffness(g), 0.5)
     rng = np.random.default_rng(8)
     for _ in range(20):
         v = rng.standard_normal(g.n_interior)
-        assert greens_dual_norm(g, 0.5, v) <= greens_dual_norm(g, 0.0, v) + 1e-12
+        assert greens_dual_norm(g, v, solve) <= greens_dual_norm(g, v, None) + 1e-12
 
 
 def _dense_objective(grid, W, params, tau, u, u_prev, m_prev):
@@ -145,7 +124,7 @@ def test_objective_vanishes_at_rest():
     spec = KernelSpec(0.8, 0.45, 1)
     stn = build_stencil(g, spec)
     zero = np.zeros(g.n_nodes)
-    val = objective_Jk(g, stn, PARAMS, 1e-3, zero, zero, np.zeros(g.n_interior))
+    val = objective_Jk(g, stn, PARAMS, 1e-3, zero, zero, np.zeros(g.n_interior), None)
     assert val == 0.0
 
 
@@ -160,8 +139,8 @@ def test_objective_difference_matches_dense_hand_computation():
     u2 = rng.random(g.n_nodes)
     m_prev = rng.uniform(-0.4, 0.4, g.n_interior)
     tau = 2e-3
-    got = objective_Jk(g, stn, PARAMS, tau, u1, u_prev, m_prev) - objective_Jk(
-        g, stn, PARAMS, tau, u2, u_prev, m_prev
+    got = objective_Jk(g, stn, PARAMS, tau, u1, u_prev, m_prev, None) - objective_Jk(
+        g, stn, PARAMS, tau, u2, u_prev, m_prev, None
     )
     ref = _dense_objective(g, W, PARAMS, tau, u1, u_prev, m_prev) - _dense_objective(
         g, W, PARAMS, tau, u2, u_prev, m_prev

@@ -4,24 +4,30 @@ import math
 import numpy as np
 import pytest
 
+from nlpf import stepper
 from nlpf.config import InitSpec, RunConfig
-from nlpf.grid import build_grid
+from nlpf.fields_io import write_field
+from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil
-from nlpf.pdas import PdasConfig, pdas_step_AC_nonlocal
+from nlpf.pdas import PdasConfig, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams, coupling_m, regular_potential_dF
 from nlpf.presets import example1_config
 from nlpf.stepper import (
+    LocalRegularStep,
+    NonlocalACStep,
+    NonlocalCHStep,
+    heat_solver,
     initial_state,
     run,
-    step_phase_AC,
-    step_phase_CH,
-    step_phase_local_regular,
     step_temperature,
     timestep_admissibility,
 )
+from nlpf.verify import dense_stiffness_1d, pdas_step_AC_nonlocal
 
-from oracles import dense_stiffness_1d
+
+def _heat(g, p, tau):
+    return heat_solver(g, assemble_stiffness(g), p.D, tau)
 
 
 def test_temperature_equilibrium():
@@ -29,7 +35,7 @@ def test_temperature_equilibrium():
     p = ModelParams(mu=1.0, L=0.5, D=1.0)
     theta = np.full(g.n_interior, 0.7)
     u = np.full(g.n_interior, 0.3)
-    out = step_temperature(g, p, 1e-3, theta, u, u)
+    out = step_temperature(_heat(g, p, 1e-3), g, p, theta, u, u)
     assert np.abs(out - 0.7).max() <= 1e-13
 
 
@@ -42,8 +48,9 @@ def test_temperature_eigen_decay():
     theta = np.cos(np.pi * x)
     lam_h = (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
     u = np.zeros(g.n_interior)
+    heat = _heat(g, p, tau)
     for k in range(1, 26):
-        theta = step_temperature(g, p, tau, theta, u, u)
+        theta = step_temperature(heat, g, p, theta, u, u)
         expected = (1.0 + tau * lam_h) ** (-k) * np.cos(np.pi * x)
         assert np.abs(theta - expected).max() <= 1e-6
 
@@ -55,7 +62,7 @@ def test_temperature_enthalpy_identity():
     theta = rng.random(g.n_interior)
     u_prev = rng.random(g.n_interior)
     u_new = rng.random(g.n_interior)
-    out = step_temperature(g, p, 5e-3, theta, u_new, u_prev)
+    out = step_temperature(_heat(g, p, 5e-3), g, p, theta, u_new, u_prev)
     m = g.mass_interior
     before = (m * (theta - p.L * u_prev)).sum()
     after = (m * (out - p.L * u_new)).sum()
@@ -72,10 +79,10 @@ def test_ac_pure_phases_stationary():
     g, stn = _ac_setup()
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     theta_eq = np.full(g.n_interior, p.theta_e)
+    ac = NonlocalACStep(g, stn, p, 3e-4)
     for val in (0.0, 1.0):
-        u_prev = np.full(g.n_nodes, val)
-        u_new = step_phase_AC(g, stn, p, 3e-4, u_prev, theta_eq)
-        assert np.abs(u_new - val).max() == 0.0
+        out = ac.step(np.full(g.n_nodes, val), theta_eq)
+        assert np.abs(out.u - val).max() == 0.0
 
 
 def test_ac_fast_path_equals_pdas_route():
@@ -83,14 +90,16 @@ def test_ac_fast_path_equals_pdas_route():
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     rng = np.random.default_rng(17)
     cfg = PdasConfig()
+    ac = NonlocalACStep(g, stn, p, 3e-4)
     for _ in range(10):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         theta = rng.normal(1.0, 0.7, g.n_interior)
-        fast = step_phase_AC(g, stn, p, 3e-4, u_prev, theta)
+        fast = ac.step(u_prev, theta)
         res = pdas_step_AC_nonlocal(g, stn, p, 3e-4, u_prev,
                                     coupling_m(p, theta), cfg)
         assert res.converged
-        assert np.abs(fast - res.u).max() <= 1e-10
+        assert np.abs(fast.u - res.u).max() <= 1e-10
+        assert np.abs(fast.lam - res.lam).max() <= 1e-10
 
 
 def test_ac_rejects_nonpositive_denominator():
@@ -98,34 +107,43 @@ def test_ac_rejects_nonpositive_denominator():
     stn = build_stencil(g, KernelSpec(0.01, 0.12, 1))  # c_gamma ~ 0.007
     p = ModelParams(mu=1e-6, L=0.0, D=1.0, beta=0.0)  # mu/tau tiny
     with pytest.raises(ValueError, match="mu/tau"):
-        step_phase_AC(g, stn, p, 1.0, np.zeros(g.n_nodes),
-                      np.full(g.n_interior, p.theta_e))
+        NonlocalACStep(g, stn, p, 1.0)
 
 
 def test_step_phase_CH_delegates():
+    # the CH phase step is pdas_step_CH on its prebuilt operators, warm-started
     g = build_grid(1, 1 / 12, 0.25)
     stn = build_stencil(g, KernelSpec(0.45, 0.25, 1))
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
-    res = step_phase_CH(g, stn, p, 3e-4, np.ones(g.n_nodes),
-                        np.full(g.n_interior, p.theta_e), PdasConfig())
-    assert res.converged
-    assert np.abs(res.u - 1.0).max() == 0.0
+    K = assemble_stiffness(g)
+    ch = NonlocalCHStep(g, stn, p, 3e-4, PdasConfig(), K)
+    out = ch.step(np.ones(g.n_nodes), np.full(g.n_interior, p.theta_e))
+    assert out.converged
+    assert np.abs(out.u - 1.0).max() == 0.0
+    u = (g.coords()[:, 0] <= 0.5).astype(float)
+    theta = np.full(g.n_interior, 0.3)
+    out = ch.step(u, theta)
+    res = pdas_step_CH(g, stn, p, 3e-4, u, coupling_m(p, theta), PdasConfig(),
+                       w_matrix(g, K, p.beta, 3e-4), init_sets=ch.sets, w0=ch.w)
+    assert res.converged and res.iters == 1  # warm start is the fixed point
+    assert np.array_equal(out.u, res.u) and np.array_equal(out.lam, res.lam)
 
 
 def test_local_regular_stationary_and_dense_oracle():
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     g = build_grid(1, 1 / 15, 0.0)  # 16 nodes
+    K = assemble_stiffness(g)
     theta_eq = np.full(g.n_interior, p.theta_e)
     for val in (0.0, 1.0):
-        u_new = step_phase_local_regular(g, p, 3e-4, 0.04,
-                                         np.full(g.n_interior, val), theta_eq)
-        assert np.abs(u_new - val).max() <= 1e-14
+        out = LocalRegularStep(g, p, 3e-4, 0.04, K).step(
+            np.full(g.n_interior, val), theta_eq)
+        assert np.abs(out.u - val).max() <= 1e-14
     # dense single-step oracle
     rng = np.random.default_rng(19)
     u_prev = rng.random(g.n_interior)
     theta = rng.normal(1.0, 0.5, g.n_interior)
     eps = 0.07
-    got = step_phase_local_regular(g, p, 3e-4, eps, u_prev, theta)
+    got = LocalRegularStep(g, p, 3e-4, eps, K).step(u_prev, theta).u
     M = np.diag(g.mass_interior)
     K = dense_stiffness_1d(g.n_interior, g.h)
     A = (p.mu / 3e-4) * M + eps**2 * K
@@ -210,11 +228,13 @@ def test_phase_and_temperature_substeps_commute():
     stn = build_stencil(g, cfg.kernel_spec())
     state = initial_state(cfg, g, stn)
     p = cfg.model
-    res = step_phase_CH(g, stn, p, cfg.tau, state.u, state.theta, cfg.pdas)
-    theta_after = step_temperature(g, p, cfg.tau, state.theta, res.u, state.u)
+    K = assemble_stiffness(g)
+    heat = heat_solver(g, K, p.D, cfg.tau)
+    res = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas, K).step(state.u, state.theta)
+    theta_after = step_temperature(heat, g, p, state.theta, res.u, state.u)
     # "temperature first": same inputs, evaluated in the other order
-    theta_first = step_temperature(g, p, cfg.tau, state.theta, res.u, state.u)
-    res2 = step_phase_CH(g, stn, p, cfg.tau, state.u, state.theta, cfg.pdas)
+    theta_first = step_temperature(heat, g, p, state.theta, res.u, state.u)
+    res2 = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas, K).step(state.u, state.theta)
     assert np.array_equal(res.u, res2.u)
     assert np.array_equal(theta_after, theta_first)
 
@@ -280,3 +300,54 @@ def test_run_rejects_invalid_variant_configs():
                      model=ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0))
     with pytest.raises(Exception):
         _mini_config(variant="nonlocal_AC")  # beta = 0.02 in base
+
+
+def _variant_config(variant):
+    """_mini_config with the delta and beta that ``variant`` requires."""
+    return _mini_config(
+        variant=variant, delta=0.1 if variant.startswith("nonlocal") else 0.0,
+        model=ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02 * (variant == "nonlocal_CH")))
+
+
+@pytest.mark.parametrize("variant", ["nonlocal_CH", "nonlocal_AC",
+                                     "local_obstacle", "local_regular"])
+def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
+    cfg = _variant_config(variant)
+    g = build_grid(cfg.dim, cfg.h, cfg.delta)
+    u0 = (g.coords()[g.interior_ids, 0] <= 0.3).astype(float)
+    bad = {"non-finite": np.nan, "outside": 1.5}
+    if variant == "local_regular":  # no bound constraint: only finiteness
+        bad = {"non-finite": np.inf}
+    for match, value in bad.items():
+        u0[g.n_interior // 2] = value
+        path = tmp_path / f"u0_{match}.csv"
+        write_field(str(path), g, u0)
+        with pytest.raises(ValueError, match=match):
+            run(dataclasses.replace(cfg, init=InitSpec(kind="file", path=str(path))))
+    u0[g.n_interior // 2] = np.nan  # reused as a theta0 file: finite only
+    write_field(str(tmp_path / "theta0.csv"), g, u0)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(dataclasses.replace(cfg, init=InitSpec(theta0=str(tmp_path / "theta0.csv"))))
+
+
+@pytest.mark.parametrize("variant", ["nonlocal_CH", "local_regular"])
+def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
+    built, factorized = [], []
+
+    def record(fn):
+        def wrapped(*args):
+            obj = fn(*args)
+            built.append((obj, set(vars(obj))))
+            return obj
+        return wrapped
+
+    factorize = stepper.factorized
+    monkeypatch.setattr(stepper, "build_grid", record(stepper.build_grid))
+    monkeypatch.setattr(stepper, "build_stencil", record(stepper.build_stencil))
+    monkeypatch.setattr(stepper, "factorized", lambda A: factorized.append(A) or factorize(A))
+    assert run(_variant_config(variant)).n_steps == 10
+    assert len(built) == (2 if variant == "nonlocal_CH" else 1)
+    for obj, keys in built:
+        assert set(vars(obj)) == keys, type(obj).__name__
+    # heat matrix (and the local_regular phase matrix): once per run
+    assert len(factorized) == (1 if variant == "nonlocal_CH" else 2)
