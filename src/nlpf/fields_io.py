@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -149,7 +150,6 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
         "proj_residual_max": float(np.max(d["proj_residual"])) if energy else None,
         "runtime_seconds": result.runtime_seconds,
     }
-    report["diagnostics_summary"] = summary
 
     scale = d.get("enthalpy_scale") or 1.0
     inv = {}
@@ -162,13 +162,19 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
         inv["projection_consistency"] = bool(summary["proj_residual_max"] <= 1e-8)
     inv["pdas_converged"] = not result.non_converged_steps
     report["invariants"] = inv
+    # strict JSON: a non-finite value, which has failed its invariant, is null
+    report["diagnostics_summary"] = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in summary.items()
+    }
     if status == "ok" and (not all(inv.values())):
         report["status"] = "invariant-failure"
     return report
 
 
 def write_report(path: str, report: dict) -> None:
+    """Write the report as strict JSON (a NaN or infinity raises)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -7,16 +7,19 @@ On a uniform grid the nodal-quadrature convolution
 has translation-invariant kernel values, so one stencil of weights
 ``gamma(|offset| * h) * h^n`` is shared by every node; the trapezoidal
 boundary halving of the quadrature masses ``m_k`` is folded in at application
-time by scaling the source field.  Application cost is O(N * (delta/h)^n)
-via a dense-footprint correlation; no N x N matrix is ever materialized for
-production runs (a sparse matrix restricted to requested rows exists for
+time by scaling the source field.  Application cost is O(N log N),
+independent of delta/h, via a real FFT on a zero-padded grid (the kernel's
+spectrum is computed once per stencil); no N x N matrix is ever materialized
+for production runs (a sparse matrix restricted to requested rows exists for
 implicit solves and small verification problems).
 
 The per-node constant ``c_gamma_h(x_j) = sum_k gamma(|x_j - x_k|) m_k`` over
 in-domain nodes closes the operator consistently: applying the stencil to the
 constant field 1 reproduces c_gamma_h exactly, so the discrete operator
 ``B_h u = c_gamma_h u - gamma (*) u`` annihilates constants and the quadratic
-form sum_j m_j u_j (B_h u)_j is positive semidefinite.
+form sum_j m_j u_j (B_h u)_j is positive semidefinite.  The FFT keeps the
+first property exact, not only to round-off: it is applied to u - u[0], and
+the constant part u[0] c_gamma_h is added back.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage as ndi
+import scipy.fft as sfft
 import scipy.sparse as sp
 
 from .grid import Grid
@@ -51,6 +54,11 @@ class ConvolutionStencil:
     footprint     : gamma values times h^dim on the (2R+1)^dim offset box
     offsets       : (m, dim) integer offsets with nonzero weight
     weights       : (m,) weights matching ``offsets``
+    mass_ratio    : m_k / h^dim per node (1 except at the outermost nodes)
+    fft_shape     : zero-padded grid shape of the FFT, at least
+                    n_axis + R per axis so that no output wraps around
+    spectrum      : real FFT of the footprint placed on ``fft_shape`` with
+                    wrap-around offsets; real because the kernel is even
     c_gamma_h     : per-node in-domain weight sum (flux-consistent closure);
                     at least gamma(0) m_j > 0 on every node, since each node
                     sees itself
@@ -62,9 +70,11 @@ class ConvolutionStencil:
     footprint: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    mass_ratio: np.ndarray = field(repr=False)
+    fft_shape: tuple
+    spectrum: np.ndarray = field(repr=False)
     c_gamma_h: np.ndarray = field(repr=False)
-    c_gamma_h_interior: float = 0.0
-    _mass_ratio: np.ndarray = field(default=None, repr=False)
+    c_gamma_h_interior: float
 
 
 def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
@@ -75,11 +85,12 @@ def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
         raise ValueError(
             f"delta = {kernel.delta} < h = {grid.h}: stencil would be empty"
         )
-    if grid.layer * grid.h < kernel.delta - 1e-12:
-        raise ValueError("grid interaction layer does not cover delta")
-
     # Largest offset with a nonzero kernel value (gamma vanishes at delta).
     R = int(math.floor((kernel.delta / grid.h) * (1.0 - 1e-12)))
+    # The stencil of every interior node must stay off the outermost
+    # (half-mass) nodes; build_grid's ceil(delta/h) layer always does.
+    if grid.layer <= R:
+        raise ValueError("grid interaction layer does not cover delta")
     k = np.arange(-R, R + 1)
     if grid.dim == 1:
         dist = np.abs(k) * grid.h
@@ -96,35 +107,50 @@ def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
     weights = footprint[nz].ravel() if grid.dim == 1 else footprint.ravel()[nz.ravel()]
 
     mass_ratio = grid.lumped_mass / grid.h**grid.dim
-    stencil = ConvolutionStencil(
+    fft_shape = (sfft.next_fast_len(grid.n_axis + R, real=True),) * grid.dim
+    padded = np.zeros(fft_shape)
+    padded[np.ix_(*(k % fft_shape[0],) * grid.dim)] = footprint
+    spectrum = sfft.rfftn(padded).real
+    c_gamma_h = _fft_correlate(grid, fft_shape, spectrum, mass_ratio)
+    # every interior node's stencil lies where mass_ratio == 1 (R < layer)
+    c_gamma_h_interior = float(footprint.sum())
+    c_gamma_h[grid.interior_ids] = c_gamma_h_interior
+    return ConvolutionStencil(
         grid=grid,
         kernel=kernel,
         footprint=footprint,
         offsets=offsets,
         weights=weights,
-        c_gamma_h=np.empty(0),
-        _mass_ratio=mass_ratio,
+        mass_ratio=mass_ratio,
+        fft_shape=fft_shape,
+        spectrum=spectrum,
+        c_gamma_h=c_gamma_h,
+        c_gamma_h_interior=c_gamma_h_interior,
     )
-    stencil.c_gamma_h = convolve(stencil, np.ones(grid.n_nodes))
-    stencil.c_gamma_h_interior = float(footprint.sum())
-    return stencil
+
+
+def _fft_correlate(grid: Grid, fft_shape: tuple, spectrum: np.ndarray,
+                   src: np.ndarray) -> np.ndarray:
+    """Footprint correlation of a full nodal field, zero outside the grid."""
+    out = sfft.irfftn(sfft.rfftn(src.reshape(grid.shape), s=fft_shape) * spectrum,
+                      s=fft_shape)
+    return out[(slice(0, grid.n_axis),) * grid.dim].ravel()
 
 
 def convolve(stencil: ConvolutionStencil, u: np.ndarray) -> np.ndarray:
     """Apply gamma (*) to a full nodal field; returns a full nodal field.
 
+    Computed as u[0] c_gamma_h plus the FFT correlation of
+    (u - u[0]) m / h^dim, so a constant field gives exactly c * c_gamma_h.
     Pure data-parallel map over output nodes (no shared mutable state).
     """
     grid = stencil.grid
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_nodes,):
         raise ValueError(f"field must have {grid.n_nodes} entries, got {u.shape}")
-    src = (u * stencil._mass_ratio).reshape(grid.shape)
-    if grid.dim == 1:
-        out = ndi.correlate1d(src, stencil.footprint, mode="constant", cval=0.0)
-    else:
-        out = ndi.correlate(src, stencil.footprint, mode="constant", cval=0.0)
-    return out.ravel()
+    c = u[0]
+    return c * stencil.c_gamma_h + _fft_correlate(
+        grid, stencil.fft_shape, stencil.spectrum, (u - c) * stencil.mass_ratio)
 
 
 def apply_Bh(stencil: ConvolutionStencil, u: np.ndarray) -> np.ndarray:
@@ -155,7 +181,7 @@ def conv_rows(stencil: ConvolutionStencil, rows: np.ndarray) -> sp.csr_matrix:
             row_list.append(rows[ok])
             cols = cols[ok]
             col_list.append(cols)
-            dat_list.append(w * stencil._mass_ratio[cols])
+            dat_list.append(w * stencil.mass_ratio[cols])
     else:
         ix = rows % n_ax
         iy = rows // n_ax
@@ -166,7 +192,7 @@ def conv_rows(stencil: ConvolutionStencil, rows: np.ndarray) -> sp.csr_matrix:
             cols = jy[ok] * n_ax + jx[ok]
             row_list.append(rows[ok])
             col_list.append(cols)
-            dat_list.append(w * stencil._mass_ratio[cols])
+            dat_list.append(w * stencil.mass_ratio[cols])
     return sp.coo_matrix(
         (np.concatenate(dat_list), (np.concatenate(row_list), np.concatenate(col_list))),
         shape=(grid.n_nodes, grid.n_nodes),

@@ -19,12 +19,16 @@ Solvers:
 
 The explicit-convolution CH step reduces to one SPD solve per sweep in the
 chemical potential w: on the inactive set u = (w + q)/xi is eliminated
-nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).
+nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).  The
+``WSolver`` solves it: directly in 1D, where the system is tridiagonal, and
+in 2D by conjugate gradients preconditioned with one symmetric multigrid
+V-cycle (bilinear prolongations fixed per grid, Galerkin coarse operators
+rebuilt per sweep because the inactive-set diagonal changes the matrix).
 
 The solvers assemble nothing that is fixed over a run: the stiffness K, the
-w-equation matrix ``w_matrix`` and, for implicit convolution, the
-convolution rows are passed in by the caller (the time loop builds them once
-per run).
+w-solver (around the w-equation matrix ``w_matrix``) and, for implicit
+convolution, the convolution rows are passed in by the caller (the time loop
+builds them once per run).
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, factorized, spsolve
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import LinearOperator, cg, factorized, spsolve
 
 from .grid import Grid
 from .nonlocal_ops import ConvolutionStencil, convolve, exterior_closure
@@ -43,6 +48,7 @@ __all__ = [
     "ActiveSets",
     "PdasConfig",
     "PdasResult",
+    "WSolver",
     "pdas_step_CH",
     "pdas_step_local_obstacle",
     "verify_complementarity",
@@ -50,8 +56,15 @@ __all__ = [
     "w_matrix",
 ]
 
-#: Problem size below which inner solves go straight to a direct factorization.
+#: Problem size below which reduced solves go straight to a direct factorization.
 _DIRECT_SOLVE_MAX = 500
+
+#: 2D w-solve: coarsen until a level has at most this many nodes, then solve
+#: it directly; damping of the Jacobi smoother; CG iteration cap (the
+#: w-solves of the ex3 runs take at most ~15).
+_COARSEST_NODES = 200
+_JACOBI_DAMPING = 0.8
+_CG_MAX_ITERS = 500
 
 
 @dataclass
@@ -152,16 +165,96 @@ def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_ma
     return (tau * (M + beta * K)).tocsr()
 
 
-def _spd_solve(A: sp.csr_matrix, b: np.ndarray, x0, lin_tol: float) -> np.ndarray:
-    """SPD solve: direct for small systems, Jacobi-preconditioned CG otherwise."""
-    n = A.shape[0]
-    if n <= _DIRECT_SOLVE_MAX:
-        return spsolve(A.tocsc(), b)
-    M = sp.diags_array(1.0 / A.diagonal()).tocsr()
-    x, info = cg(A, b, x0=x0, M=M, rtol=lin_tol, atol=0.0, maxiter=20 * n)
-    if info != 0:
-        x = spsolve(A.tocsc(), b)
-    return x
+def _prolongation_1d(n: int) -> sp.csr_matrix:
+    """Linear interpolation onto n nodes from the (n + 1) // 2 at even indices.
+
+    Fine node 2i is coarse node i; an odd fine node takes the mean of its two
+    coarse neighbours, or copies the last coarse node where an even-sized
+    axis has no right neighbour.  Every row sums to 1.
+    """
+    nc = (n + 1) // 2
+    j = np.arange(n)
+    rows = np.concatenate([j, j])
+    cols = np.concatenate([j // 2, np.minimum((j + 1) // 2, nc - 1)])
+    return sp.coo_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, nc)).tocsr()
+
+
+class _VCycle:
+    """One symmetric multigrid V-cycle for A = A_w + diag(d), built per sweep.
+
+    Level l + 1 holds the Galerkin product P_l^T A_l P_l.  By linearity that
+    is the fixed coarse A_w of the solver plus the product of the diagonal
+    alone, which is nonzero only near the inactive band, so only the latter
+    is formed here.  One damped-Jacobi sweep before and one after each
+    coarse correction, and a Cholesky solve on the coarsest level.  The
+    cycle is a loop, not a recursive closure, so the hierarchy is freed as
+    soon as the solve that built it drops it.
+    """
+
+    def __init__(self, solver: WSolver, A: sp.csr_matrix, d: np.ndarray):
+        self.P, self.R = solver.prolongations, solver.restrictions
+        self.A = [A]
+        D = sp.diags_array(d).tocsr()
+        for P, R, A_w in zip(self.P, self.R, solver.coarse_A_w):
+            D = (R @ D @ P).tocsr()
+            self.A.append((A_w + D).tocsr())
+        self.smooth = [_JACOBI_DAMPING / A_l.diagonal() for A_l in self.A[:-1]]
+        self.coarsest = cho_factor(self.A[-1].toarray())
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        rhs, pre = [r], []
+        for A_l, S, R in zip(self.A, self.smooth, self.R):
+            x = S * rhs[-1]
+            pre.append(x)
+            rhs.append(R @ (rhs[-1] - A_l @ x))
+        x = cho_solve(self.coarsest, rhs[-1])
+        for l in reversed(range(len(self.P))):
+            x = pre[l] + self.P[l] @ x
+            x += self.smooth[l] * (rhs[l] - self.A[l] @ x)
+        return x
+
+
+class WSolver:
+    """Solves (A_w + diag(d)) w = b, the w-equation of one active-set sweep.
+
+    ``A_w`` is ``w_matrix(grid, K, beta, tau)``, fixed over a run; the
+    nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
+    the system is tridiagonal and is solved directly.  In 2D it is solved by
+    CG to the relative residual ``lin_tol``, preconditioned by one V-cycle
+    over levels coarsened per axis (n -> (n + 1) // 2) until at most
+    ``_COARSEST_NODES`` nodes remain.  The bilinear prolongations and the
+    coarse products of A_w depend only on the grid and A_w, so they are
+    built here once.  A CG failure raises: there is no fallback.
+    """
+
+    def __init__(self, grid: Grid, A_w: sp.csr_matrix):
+        self.A = A_w
+        self.dim = grid.dim
+        P, coarse = [], [A_w]
+        n = grid.n_axis_interior
+        while grid.dim == 2 and n * n > _COARSEST_NODES:
+            P1 = _prolongation_1d(n)
+            P.append(sp.kron(P1, P1).tocsr())
+            coarse.append((P[-1].T @ coarse[-1] @ P[-1]).tocsr())
+            n = P1.shape[1]
+        self.prolongations = tuple(P)
+        self.restrictions = tuple(P_l.T.tocsr() for P_l in P)
+        self.coarse_A_w = tuple(coarse[1:])
+
+    def solve(self, d: np.ndarray, b: np.ndarray, x0: np.ndarray,
+              lin_tol: float) -> np.ndarray:
+        A = (self.A + sp.diags_array(d)).tocsr()
+        if self.dim == 1:
+            return spsolve(A.tocsc(), b)
+        V = _VCycle(self, A, d)
+        x, info = cg(A, b, x0=x0, M=LinearOperator(A.shape, matvec=V, dtype=float),
+                     rtol=lin_tol, atol=0.0, maxiter=_CG_MAX_ITERS)
+        if info != 0:
+            raise RuntimeError(
+                f"multigrid-preconditioned CG for the w-equation did not reach "
+                f"rtol {lin_tol:g} in {_CG_MAX_ITERS} iterations (info {info})"
+            )
+        return x
 
 
 def _check_feasible(u_interior: np.ndarray, slack: float = 1e-9) -> None:
@@ -182,7 +275,7 @@ def pdas_step_CH(
     u_prev: np.ndarray,
     m_prev: np.ndarray,
     config: PdasConfig,
-    A_w: sp.csr_matrix,
+    w_solver: WSolver,
     W: sp.csr_matrix | None = None,
     init_sets: ActiveSets | None = None,
     w0: np.ndarray | None = None,
@@ -198,8 +291,9 @@ def pdas_step_CH(
     become diagonal in u) or at the current level (implicit mode, one sparse
     solve of the full (u_int, u_ext, w) system per sweep).  The exterior
     layer is closed by the zero-flux condition, explicitly or as part of the
-    coupled solve respectively.  ``A_w`` is ``w_matrix(grid, K, beta, tau)``;
-    implicit mode also needs ``W = conv_rows(stencil, all nodes)``.
+    coupled solve respectively.  ``w_solver`` is
+    ``WSolver(grid, w_matrix(grid, K, beta, tau))``; implicit mode also needs
+    ``W = conv_rows(stencil, all nodes)``.
     """
     if params.beta <= 0:
         raise ValueError("pdas_step_CH requires beta > 0")
@@ -232,11 +326,11 @@ def pdas_step_CH(
         def solve_for_sets(upper, lower):
             inactive = ~(upper | lower)
             ubar = upper.astype(float)
-            A = A_w + sp.diags_array(np.where(inactive, mu * mI / xi_vec, 0.0))
             rhs = mu * mI * (
                 u_prev_I - np.where(inactive, q / xi_vec, ubar)
             )
-            w = _spd_solve(A.tocsr(), rhs, warm["w"], config.lin_tol)
+            w = w_solver.solve(np.where(inactive, mu * mI / xi_vec, 0.0), rhs,
+                               warm["w"], config.lin_tol)
             warm["w"] = w
             u_I = np.where(inactive, (w + q) / xi_vec, ubar)
             lam = np.where(inactive, 0.0, w + q - xi_vec * u_I)
@@ -267,7 +361,7 @@ def pdas_step_CH(
             rhs2 = np.where(inactive, rhs_R2_inactive, ubar)
             A = sp.bmat(
                 [
-                    [mu * M_I, Z_ie, A_w],
+                    [mu * M_I, Z_ie, w_solver.A],
                     [R2_uI, R2_uE, R2_w],
                     [-W_EI, S_E, Z_ee],
                 ],
@@ -348,7 +442,7 @@ def pdas_step_local_obstacle(
                 rhs = b[idx]
                 if act.size:
                     rhs = rhs - A[idx][:, act] @ u_I[act]
-                u_I[idx] = _solve_reduced(A, idx, rhs, config.lin_tol)
+                u_I[idx] = _solve_reduced(A, idx, rhs)
             lam = np.where(inactive, 0.0, (b - A @ u_I) / mI)
             return u_I, lam, None
     else:
@@ -376,19 +470,16 @@ def pdas_step_local_obstacle(
     return PdasResult(u_I, w, lam, sets, iters, ok)
 
 
-def _solve_reduced(A: sp.csr_matrix, idx: np.ndarray, rhs: np.ndarray, lin_tol: float):
-    """Solve the principal submatrix system A[idx, idx] x = rhs."""
+def _solve_reduced(A: sp.csr_matrix, idx: np.ndarray, rhs: np.ndarray):
+    """Solve the principal submatrix system A[idx, idx] x = rhs.
+
+    A is SPD, so every principal submatrix is too: the factorization
+    cannot meet a singular pivot.
+    """
     sub = A[idx][:, idx].tocsc()
     if idx.size <= _DIRECT_SOLVE_MAX:
         return spsolve(sub, rhs)
-    try:
-        return factorized(sub)(rhs)
-    except RuntimeError:
-        M = sp.diags_array(1.0 / sub.diagonal()).tocsr()
-        x, info = cg(sub, rhs, M=M, rtol=lin_tol, atol=0.0, maxiter=20 * idx.size)
-        if info != 0:
-            raise
-        return x
+    return factorized(sub)(rhs)
 
 
 def verify_complementarity(u, lam, tol: float | None = None) -> float:

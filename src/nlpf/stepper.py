@@ -38,7 +38,7 @@ from .grid import Grid, assemble_stiffness, build_grid
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
                            exterior_closure)
-from .pdas import (PdasConfig, pdas_step_CH, pdas_step_local_obstacle,
+from .pdas import (PdasConfig, WSolver, pdas_step_CH, pdas_step_local_obstacle,
                    verify_complementarity, w_matrix)
 from .physics import (ModelParams, coupling_m, green_solver, objective_Jk,
                       regular_potential_dF)
@@ -141,15 +141,16 @@ def step_phase_local_regular(solve, grid: Grid, params: ModelParams, tau: float,
 class NonlocalCHStep:
     """Constrained Cahn-Hilliard step (beta > 0), warm-started between steps.
 
-    Owns tau (M + beta K) and, for implicit convolution, the convolution
-    rows; carries the previous step's active sets and w into the next solve.
+    Owns the w-solver around tau (M + beta K) and, for implicit convolution,
+    the convolution rows; carries the previous step's active sets and w into
+    the next solve.
     """
 
     def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
                  tau: float, config: PdasConfig, K: sp.csr_matrix):
         self.grid, self.stencil, self.params, self.tau = grid, stencil, params, tau
         self.config = config
-        self.A_w = w_matrix(grid, K, params.beta, tau)
+        self.w_solver = WSolver(grid, w_matrix(grid, K, params.beta, tau))
         self.W = (conv_rows(stencil, np.arange(grid.n_nodes))
                   if config.convolution_mode == "implicit" else None)
         self.sets = self.w = None
@@ -157,7 +158,7 @@ class NonlocalCHStep:
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
         res = pdas_step_CH(
             self.grid, self.stencil, self.params, self.tau, u,
-            coupling_m(self.params, theta), self.config, self.A_w, self.W,
+            coupling_m(self.params, theta), self.config, self.w_solver, self.W,
             init_sets=self.sets, w0=self.w,
         )
         self.sets, self.w = res.sets, res.w

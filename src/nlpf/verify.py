@@ -16,12 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from .grid import assemble_stiffness, build_grid
 from .kernel import (KernelSpec, c_gamma_closed_form, c_gamma_quadrature,
                      second_moment_check, xi)
-from .nonlocal_ops import build_stencil, conv_rows, convolve, exterior_closure
-from .pdas import (PdasConfig, PdasResult, _pdas_iterate, pdas_step_CH,
+from .nonlocal_ops import apply_Bh, build_stencil, conv_rows, convolve, exterior_closure
+from .pdas import (PdasConfig, PdasResult, WSolver, _pdas_iterate, pdas_step_CH,
                    sets_from_bounds, w_matrix)
 from .physics import ModelParams, coupling_m
 from .stepper import NonlocalACStep
@@ -301,13 +303,30 @@ def run_all_checks() -> list:
         spec = KernelSpec(epsilon=0.5, delta=3.4 * h, dim=dim)
         grid = build_grid(dim, h, spec.delta)
         stencil = build_stencil(grid, spec)
-        ones = np.ones(grid.n_nodes)
-        cons = np.abs(convolve(stencil, ones) - stencil.c_gamma_h).max()
-        checks.append(_check(f"convolve(1) == c_gamma_h ({dim}D)", cons, 1e-14))
+        cons = max(float(np.abs(apply_Bh(stencil, np.full(grid.n_nodes, c))).max())
+                   for c in (1.0, -0.37, 2.9e3, 1e-7))
+        checks.append(_check(f"FFT convolution exact on constants: B_h c == 0 ({dim}D)",
+                             cons, 0.0, "c = 1, -0.37, 2.9e3, 1e-7"))
         u = rng.random(grid.n_nodes)
         err = np.abs(convolve(stencil, u) - _dense_W(grid, spec) @ u).max()
         checks.append(_check(f"stencil convolution vs dense matrix ({dim}D)",
                              err, 1e-12))
+
+    # Multigrid-preconditioned CG w-solve vs a sparse direct solve (2D).
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
+    tau = 3e-4
+    grid = build_grid(2, 1.0 / 32, 0.0)
+    solver = WSolver(grid, w_matrix(grid, assemble_stiffness(grid), params.beta, tau))
+    r = np.hypot(*(grid.coords() - 0.5).T)
+    d = np.where(np.abs(r - 0.3) <= 1.5 * grid.h, params.mu * grid.mass_interior / 0.0093,
+                 0.0)
+    b = grid.mass_interior * np.random.default_rng(11).standard_normal(grid.n_interior)
+    ref = spsolve((solver.A + sp.diags_array(d)).tocsc(), b)
+    got = solver.solve(d, b, np.zeros(grid.n_interior), PdasConfig().lin_tol)
+    checks.append(_check(
+        f"2D multigrid-CG w-solve vs sparse direct solve ({grid.n_interior} nodes, "
+        f"{len(solver.prolongations) + 1} levels)",
+        np.linalg.norm(got - ref) / np.linalg.norm(ref), 1e-10, "relative error"))
 
     # Fast projection path vs active-set route (beta = 0).
     params0 = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
@@ -329,8 +348,6 @@ def run_all_checks() -> list:
                          1e-10, "20 random steps"))
 
     # Constrained CH step, both convolution modes, vs exhaustive enumeration.
-    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
-    tau = 3e-4
     for mode, h in (("explicit", 1.0 / 5), ("implicit", 1.0 / 4)):
         spec = KernelSpec(epsilon=0.35, delta=2.6 * h, dim=1)
         grid = build_grid(1, h, spec.delta)
@@ -338,9 +355,9 @@ def run_all_checks() -> list:
         u_prev = np.clip(rng.random(grid.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.4, 0.4, grid.n_interior)
         W = conv_rows(stencil, np.arange(grid.n_nodes)) if mode == "implicit" else None
-        A_w = w_matrix(grid, assemble_stiffness(grid), params.beta, tau)
+        w_solver = WSolver(grid, w_matrix(grid, assemble_stiffness(grid), params.beta, tau))
         res = pdas_step_CH(grid, stencil, params, tau, u_prev, m_prev,
-                           PdasConfig(convolution_mode=mode), A_w, W)
+                           PdasConfig(convolution_mode=mode), w_solver, W)
         oracle = enumerate_CH_explicit if mode == "explicit" else enumerate_CH_implicit
         u_ref = oracle(grid, _dense_W(grid, spec), params, tau, u_prev, m_prev,
                        dense_stiffness_1d(grid.n_interior, grid.h))[0]

@@ -21,7 +21,8 @@ from nlpf.kernel import (
     xi,
 )
 from nlpf.nonlocal_ops import build_stencil, convolve
-from nlpf.pdas import PdasConfig, pdas_step_CH, pdas_step_local_obstacle, w_matrix
+from nlpf.pdas import (PdasConfig, WSolver, pdas_step_CH, pdas_step_local_obstacle,
+                       w_matrix)
 from nlpf.physics import ModelParams, coupling_m
 from nlpf.presets import EX2_DELTAS, example1_config
 from nlpf.stepper import NonlocalACStep, heat_solver, run, step_temperature
@@ -152,11 +153,11 @@ def test_criterion_07b_pdas_vs_exhaustive_enumeration():
     stn = build_stencil(g, KernelSpec(0.35, 2.6 / 7, 1))
     W = dense_conv_matrix(g.coords(), g.lumped_mass, 0.35, 2.6 / 7, 1)
     K = dense_stiffness_1d(g.n_interior, g.h)
-    A_w = w_matrix(g, assemble_stiffness(g), p_ch.beta, 3e-4)
+    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), p_ch.beta, 3e-4))
     for _ in range(3):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
-        res = pdas_step_CH(g, stn, p_ch, 3e-4, u_prev, m_prev, PdasConfig(), A_w)
+        res = pdas_step_CH(g, stn, p_ch, 3e-4, u_prev, m_prev, PdasConfig(), w_solver)
         u_ref, _, _ = enumerate_CH_explicit(g, W, p_ch, 3e-4, u_prev, m_prev, K)
         worst = max(worst, float(np.abs(res.u[g.interior_ids] - u_ref).max()))
     # local obstacle, 8 interior nodes

@@ -7,7 +7,8 @@ import pytest
 
 from nlpf.cli import main as cli_main
 from nlpf.config import ConfigError, parse_config_file, parse_config_text
-from nlpf.fields_io import build_report, read_field, write_field, write_vtk
+from nlpf.fields_io import (build_report, read_field, write_field, write_report,
+                            write_vtk)
 from nlpf.grid import build_grid
 from nlpf.presets import example1_config
 from nlpf.stepper import run
@@ -236,3 +237,18 @@ def test_report_fails_invariant_on_nonfinite_diagnostic(tmp_path, monkeypatch):
     cfg_path = tmp_path / "mini.cfg"
     cfg_path.write_text(MINI_CFG)
     assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+
+
+def test_report_with_nonfinite_diagnostic_is_strict_json(tmp_path):
+    res = run(parse_config_text(MINI_CFG))
+    res.diagnostics["enthalpy_drift"][3] = np.nan
+    path = tmp_path / "report.json"
+    write_report(str(path), build_report(result=res))
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads(path.read_text(), parse_constant=reject)
+    assert report["diagnostics_summary"]["enthalpy_drift_max"] is None
+    assert report["invariants"]["enthalpy"] is False
+    assert report["status"] == "invariant-failure"

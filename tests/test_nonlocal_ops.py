@@ -10,7 +10,7 @@ from nlpf.nonlocal_ops import (
     convolve,
     exterior_closure,
 )
-from nlpf.pdas import PdasConfig, pdas_step_CH, w_matrix
+from nlpf.pdas import PdasConfig, WSolver, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams
 from nlpf.verify import dense_conv_matrix, trapezoid_masses
 
@@ -126,6 +126,16 @@ def test_apply_Bh_annihilates_constants_and_is_linear():
     assert np.abs(lhs - rhs).max() <= 1e-13
 
 
+@pytest.mark.parametrize("dim,h", [(1, 1 / 40), (2, 1 / 12)])
+def test_apply_Bh_exactly_zero_on_constants(dim, h):
+    # the FFT convolution splits off u[0] c_gamma_h, so no round-off survives
+    g = build_grid(dim, h, 3.3 * h)
+    st = build_stencil(g, KernelSpec(0.4, 3.3 * h, dim))
+    rng = np.random.default_rng(21)
+    for c in rng.standard_normal(5) * 10.0 ** rng.integers(-6, 6, 5):
+        assert np.abs(apply_Bh(st, np.full(g.n_nodes, c))).max() == 0.0
+
+
 def test_apply_Bh_half_indicator_matches_dense():
     g = build_grid(1, 1 / 40, 2.5 / 40)
     spec = KernelSpec(0.02, 2.5 / 40, 1)  # c_gamma ~ 1
@@ -192,7 +202,7 @@ def test_exterior_flux_implicit_matches_dense_solve():
     u_prev = rng.random(g.n_nodes)
     res = pdas_step_CH(g, st, params, 3e-4, u_prev, np.zeros(g.n_interior),
                        PdasConfig(convolution_mode="implicit"),
-                       w_matrix(g, assemble_stiffness(g), params.beta, 3e-4),
+                       WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 3e-4)),
                        conv_rows(st, np.arange(g.n_nodes)))
     W = _dense_W(g, spec)
     c_h = W @ np.ones(g.n_nodes)

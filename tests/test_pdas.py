@@ -1,5 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
+
+import nlpf.pdas as pdas
 
 from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec
@@ -7,6 +14,7 @@ from nlpf.nonlocal_ops import build_stencil, conv_rows, convolve
 from nlpf.pdas import (
     ActiveSets,
     PdasConfig,
+    WSolver,
     pdas_step_CH,
     pdas_step_local_obstacle,
     sets_from_bounds,
@@ -31,8 +39,8 @@ def _ch(g, stn, params, tau, u_prev, m_prev, cfg, **kw):
     """pdas_step_CH with its operators built as the time loop builds them."""
     W = (conv_rows(stn, np.arange(g.n_nodes))
          if cfg.convolution_mode == "implicit" else None)
-    A_w = w_matrix(g, assemble_stiffness(g), params.beta, tau)
-    return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, A_w, W, **kw)
+    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, tau))
+    return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, w_solver, W, **kw)
 
 
 def _lo(g, params, tau, eps, u_prev, m_prev, cfg):
@@ -245,3 +253,94 @@ def test_verify_complementarity_cases():
     assert verify_complementarity(u, lam) == pytest.approx(0.2)
     with pytest.raises(RuntimeError):
         verify_complementarity(u, lam, tol=0.1)
+
+
+def _w_system(n_axis, inactive, dim=2, seed=0):
+    """The ex3-scale w-equation on a local grid with n_axis nodes per axis."""
+    g = build_grid(dim, 1.0 / (n_axis - 1), 0.0)
+    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    xi = 0.0093  # discrete xi of the ex3 kernel
+    d = np.where(inactive(g), CH_PARAMS.mu * g.mass_interior / xi, 0.0)
+    rng = np.random.default_rng(seed)
+    b = g.mass_interior * rng.standard_normal(g.n_interior)
+    x_ref = spsolve((solver.A + sp.diags_array(d)).tocsc(), b)
+    return g, solver, d, b, x_ref
+
+
+_INACTIVE_SETS = {
+    "all-inactive": lambda g: np.ones(g.n_interior, dtype=bool),
+    "all-active": lambda g: np.zeros(g.n_interior, dtype=bool),
+    "band": lambda g: np.abs(np.hypot(*(g.coords()[g.interior_ids] - 0.5).T) - 0.3)
+    <= 1.5 * g.h,
+}
+
+
+@pytest.mark.parametrize("inactive", sorted(_INACTIVE_SETS))
+@pytest.mark.parametrize("n_axis", [9, 10, 17, 28, 33])
+def test_w_solver_2d_matches_spsolve(n_axis, inactive):
+    g, solver, d, b, x_ref = _w_system(n_axis, _INACTIVE_SETS[inactive])
+    assert len(solver.prolongations) == {9: 0, 10: 0, 17: 1, 28: 1, 33: 2}[n_axis]
+    for x0 in (np.zeros(g.n_interior), x_ref + 1e-3):
+        x = solver.solve(d, b, x0, 1e-12)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("n", [9, 10, 14, 27])
+def test_prolongation_interpolates_linear_functions(n):
+    P = pdas._prolongation_1d(n)
+    nc = (n + 1) // 2
+    assert P.shape == (n, nc)
+    assert np.abs(P @ np.ones(nc) - 1.0).max() == 0.0
+    fine = P @ (2.0 * np.arange(nc))
+    # exact except the last node of an even axis, which copies its neighbour
+    exact = n if n % 2 else n - 1
+    assert np.abs(fine[:exact] - np.arange(exact)).max() == 0.0
+    assert n % 2 or fine[-1] == n - 2
+
+
+def test_w_solver_1d_is_a_direct_solve(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("1D w-systems must not reach CG")
+
+    monkeypatch.setattr(pdas, "cg", no_cg)
+    g, solver, d, b, x_ref = _w_system(
+        834, lambda g: np.abs(g.coords()[g.interior_ids, 0] - 0.5) <= 0.1, dim=1)
+    assert solver.prolongations == ()
+    x = solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+
+
+def test_w_solver_cg_failure_raises(monkeypatch):
+    # no silent fallback: a CG that stops short is an error, not a direct solve
+    def failed_cg(A, b, *args, **kwargs):
+        return np.zeros_like(b), 7
+
+    def no_spsolve(*args, **kwargs):
+        raise AssertionError("no fallback to a direct solve")
+
+    g, solver, d, b, _ = _w_system(17, _INACTIVE_SETS["band"])
+    monkeypatch.setattr(pdas, "cg", failed_cg)
+    monkeypatch.setattr(pdas, "spsolve", no_spsolve)
+    with pytest.raises(RuntimeError, match="did not reach"):
+        solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+
+
+def test_w_solver_frees_its_hierarchy_without_the_cyclic_gc(monkeypatch):
+    # a hierarchy kept alive by a reference cycle would survive every sweep
+    # until the cyclic collector runs, multiplying the peak memory
+    built = []
+
+    class Recorded(pdas._VCycle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(pdas, "_VCycle", Recorded)
+    g, solver, d, b, _ = _w_system(33, _INACTIVE_SETS["band"])
+    gc.disable()
+    try:
+        solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+        assert len(built) == 1
+        assert built[0]() is None
+    finally:
+        gc.enable()

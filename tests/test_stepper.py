@@ -10,7 +10,7 @@ from nlpf.fields_io import write_field
 from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil
-from nlpf.pdas import PdasConfig, pdas_step_CH, w_matrix
+from nlpf.pdas import PdasConfig, WSolver, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams, coupling_m, regular_potential_dF
 from nlpf.presets import example1_config
 from nlpf.stepper import (
@@ -124,7 +124,8 @@ def test_step_phase_CH_delegates():
     theta = np.full(g.n_interior, 0.3)
     out = ch.step(u, theta)
     res = pdas_step_CH(g, stn, p, 3e-4, u, coupling_m(p, theta), PdasConfig(),
-                       w_matrix(g, K, p.beta, 3e-4), init_sets=ch.sets, w0=ch.w)
+                       WSolver(g, w_matrix(g, K, p.beta, 3e-4)),
+                       init_sets=ch.sets, w0=ch.w)
     assert res.converged and res.iters == 1  # warm start is the fixed point
     assert np.array_equal(out.u, res.u) and np.array_equal(out.lam, res.lam)
 
