@@ -1,31 +1,38 @@
 """Run configuration: the sectioned key-value file format and its validation.
 
 A run is described by a plain-text config with ``[section]`` headers, one
-``key = value`` per line and ``#`` comments:
+``key = value`` per line and ``#`` comments.  ``_FORMAT`` lists every key
+with the RunConfig attribute it sets; required keys are marked *:
 
-    [model]    mu, L, D, beta, c_F, alpha, rho, theta_e
-    [kernel]   epsilon, delta (delta required only for nonlocal variants)
-    [grid]     dim, h
-    [time]     tau, T, snapshots (comma-separated times)
-    [variant]  name = nonlocal_CH | nonlocal_AC | local_obstacle | local_regular
+    [model]    mu*, L*, D*, beta*, c_F, alpha*, rho*, theta_e*
+    [kernel]   epsilon*, delta (> 0 for the nonlocal variants)
+    [grid]     dim*, h*
+    [time]     tau*, T*, snapshots (comma-separated times)
+    [variant]  name* = nonlocal_CH | nonlocal_AC | local_obstacle | local_regular
     [solver]   convolution_mode, pdas_c, pdas_max_iters, lin_tol
-    [init]     preset = step(x0) | box(a,b), or file = path; theta0 = const | path
+    [init]     preset = step(x0) | box(a,b) | frame(a,b), or file = path;
+               theta0 = const | path
     [output]   directory, formats (csv[,vtk])
 
-Overrides of the form ``section.key=value`` are applied before validation.
+An absent optional key keeps its dataclass default.  An unknown section or
+key is an error, in the file and in ``section.key=value`` overrides, which
+are applied before validation.
 """
 
 from __future__ import annotations
 
 import configparser
+import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 from .kernel import KernelSpec
 from .pdas import PdasConfig
 from .physics import ModelParams
 
-__all__ = ["InitSpec", "RunConfig", "ConfigError", "parse_config_file", "parse_overrides"]
+__all__ = ["InitSpec", "RunConfig", "ConfigError", "parse_config_file", "parse_config_text",
+           "config_as_dict"]
 
 VARIANTS = ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular")
 
@@ -144,207 +151,135 @@ class RunConfig:
         return self
 
 
-_REQUIRED = {
-    "model": ("mu", "L", "D", "beta", "alpha", "rho", "theta_e"),
-    "kernel": ("epsilon",),
-    "grid": ("dim", "h"),
-    "time": ("tau", "T"),
-    "variant": ("name",),
+def _int(raw: str) -> int:
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(s) for s in raw.split(",")) if raw else ()
+
+
+def _formats(raw: str) -> tuple:
+    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+    for f in formats:
+        if f not in ("csv", "vtk"):
+            raise ValueError(f"unknown output format {f!r}")
+    return formats
+
+
+#: The config format: (section, key) -> (RunConfig attribute, type, required).
+#: An absent optional key keeps the dataclass default of its attribute.  The
+#: [init] keys have no attribute of their own: _parse_init reads them.
+_FORMAT = {
+    **{("model", key): (f"model.{key}", float, key != "c_F")
+       for key in ("mu", "L", "D", "beta", "c_F", "alpha", "rho", "theta_e")},
+    ("kernel", "epsilon"): ("epsilon", float, True),
+    ("kernel", "delta"): ("delta", float, False),
+    ("grid", "dim"): ("dim", _int, True),
+    ("grid", "h"): ("h", float, True),
+    ("time", "tau"): ("tau", float, True),
+    ("time", "T"): ("T_final", float, True),
+    ("time", "snapshots"): ("snapshots", _floats, False),
+    ("variant", "name"): ("variant", str, True),
+    ("solver", "convolution_mode"): ("pdas.convolution_mode", str, False),
+    ("solver", "pdas_c"): ("pdas.c_penalty", float, False),
+    ("solver", "pdas_max_iters"): ("pdas.max_iters", _int, False),
+    ("solver", "lin_tol"): ("pdas.lin_tol", float, False),
+    ("init", "preset"): (None, None, False),
+    ("init", "file"): (None, None, False),
+    ("init", "theta0"): (None, None, False),
+    ("output", "directory"): ("output_dir", str, False),
+    ("output", "formats"): ("formats", _formats, False),
 }
+_SECTIONS = {section for section, _ in _FORMAT}
 
 
-def _get(cp, section, key, cast=float, default=None, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def _parse_init(cp) -> InitSpec:
-    theta0_raw = _get(cp, "init", "theta0", cast=str, default="0.0")
-    try:
-        theta0 = float(theta0_raw)
-    except ValueError:
-        theta0 = theta0_raw  # path to a nodal CSV
-    if cp.has_option("init", "file"):
-        return InitSpec(kind="file", params=(), path=cp.get("init", "file"), theta0=theta0)
-    preset = _get(cp, "init", "preset", cast=str, default="step(0.2)")
+def _parse_init(sec: dict) -> InitSpec:
+    kw = {}
+    if "theta0" in sec:
+        try:
+            kw["theta0"] = float(sec["theta0"])
+        except ValueError:
+            kw["theta0"] = sec["theta0"]  # path to a nodal CSV
+    if "file" in sec:
+        return InitSpec(kind="file", params=(), path=sec["file"], **kw)
+    if "preset" not in sec:
+        return InitSpec(**kw)
+    preset = sec["preset"]
     m = re.fullmatch(r"\s*(step|box|frame)\s*\(([^)]*)\)\s*", preset)
     if not m:
-        raise ConfigError(
-            f"bad [init] preset {preset!r}; expected step(x0), box(a,b) "
-            "or frame(a,b)"
-        )
+        raise ConfigError(f"bad [init] preset {preset!r}; expected step(x0), box(a,b) "
+                          "or frame(a,b)")
     kind = m.group(1)
     try:
         params = tuple(float(p) for p in m.group(2).split(","))
     except ValueError as exc:
         raise ConfigError(f"bad numbers in [init] preset {preset!r}") from exc
-    if (kind == "step" and len(params) != 1) or (
-        kind in ("box", "frame") and len(params) != 2
-    ):
+    if len(params) != (1 if kind == "step" else 2):
         raise ConfigError(f"wrong arity in [init] preset {preset!r}")
-    return InitSpec(kind=kind, params=params, theta0=theta0)
+    return InitSpec(kind=kind, params=params, **kw)
 
 
-def _build_parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(
-        comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
-    )
+def parse_config_text(text: str, label: str = "run", overrides=()) -> RunConfig:
+    """Parse and validate config text, applying ``section.key=value`` overrides."""
+    # default_section=None: a [DEFAULT] header is an unknown section like any other
+    cp = configparser.ConfigParser(comment_prefixes=("#",), inline_comment_prefixes=("#",),
+                                   interpolation=None, default_section=None)
     cp.optionxform = str
-    return cp
-
-
-def parse_config_text(text: str, label: str = "run") -> RunConfig:
-    cp = _build_parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-
-    for section, keys in _REQUIRED.items():
-        if not cp.has_section(section):
-            raise ConfigError(f"missing required section [{section}]")
+    raw = {section: dict(cp[section]) for section in cp.sections()}
+    for pair in overrides:
+        m = re.fullmatch(r"(\w+)\.(\w+)=(.*)", pair.strip())
+        if not m:
+            raise ConfigError(f"bad override {pair!r}; expected section.key=value")
+        raw.setdefault(m.group(1), {})[m.group(2)] = m.group(3).strip()
+    for section, keys in raw.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
         for key in keys:
-            if not cp.has_option(section, key):
+            if (section, key) not in _FORMAT:
+                raise ConfigError(f"unknown key [{section}] {key}")
+
+    kw = {"model": {}, "pdas": {}, "": {}}
+    for (section, key), (attr, cast, required) in _FORMAT.items():
+        value = raw.get(section, {}).get(key)
+        if value is None:
+            if required:
                 raise ConfigError(f"missing required key [{section}] {key}")
-
-    variant = cp.get("variant", "name").strip()
-    model = ModelParams(
-        mu=_get(cp, "model", "mu", required=True),
-        L=_get(cp, "model", "L", required=True),
-        D=_get(cp, "model", "D", required=True),
-        beta=_get(cp, "model", "beta", required=True),
-        c_F=_get(cp, "model", "c_F", default=1.0 / 6.0),
-        alpha=_get(cp, "model", "alpha", required=True),
-        rho=_get(cp, "model", "rho", required=True),
-        theta_e=_get(cp, "model", "theta_e", required=True),
-    )
-    delta = _get(cp, "kernel", "delta", default=0.0)
-    if variant in ("nonlocal_CH", "nonlocal_AC") and not cp.has_option("kernel", "delta"):
-        raise ConfigError("missing required key [kernel] delta (nonlocal variant)")
-
-    snapshots = ()
-    if cp.has_option("time", "snapshots"):
-        raw = cp.get("time", "snapshots").strip()
-        if raw:
+        elif attr is not None:
+            group, _, name = attr.rpartition(".")
             try:
-                snapshots = tuple(float(s) for s in raw.split(","))
+                kw[group][name] = cast(value)
             except ValueError as exc:
-                raise ConfigError(f"bad [time] snapshots list: {raw!r}") from exc
-
-    # has_option is False for a missing section, so the defaults apply
-    pdas = PdasConfig(
-        c_penalty=_get(cp, "solver", "pdas_c", default=1.0),
-        max_iters=int(_get(cp, "solver", "pdas_max_iters", default=50)),
-        lin_tol=_get(cp, "solver", "lin_tol", default=1e-12),
-        convolution_mode=_get(cp, "solver", "convolution_mode", cast=str,
-                              default="explicit"),
-    )
-
-    init = _parse_init(cp) if cp.has_section("init") else InitSpec()
-    output_dir = None
-    formats = ("csv",)
-    if cp.has_section("output"):
-        output_dir = _get(cp, "output", "directory", cast=str, default=None)
-        fmt_raw = _get(cp, "output", "formats", cast=str, default="csv")
-        formats = tuple(f.strip() for f in fmt_raw.split(",") if f.strip())
-        for f in formats:
-            if f not in ("csv", "vtk"):
-                raise ConfigError(f"unknown output format {f!r}")
-
-    cfg = RunConfig(
-        model=model,
-        variant=variant,
-        dim=int(_get(cp, "grid", "dim", required=True)),
-        h=_get(cp, "grid", "h", required=True),
-        tau=_get(cp, "time", "tau", required=True),
-        T_final=_get(cp, "time", "T", required=True),
-        epsilon=_get(cp, "kernel", "epsilon", required=True),
-        delta=delta,
-        snapshots=snapshots,
-        pdas=pdas,
-        init=init,
-        output_dir=output_dir,
-        formats=formats,
-        label=label,
-    )
-    return cfg.validate()
+                raise ConfigError(f"bad value for [{section}] {key}: {value!r} ({exc})") from exc
+    init = _parse_init(raw.get("init", {}))
+    try:
+        model, pdas = ModelParams(**kw["model"]), PdasConfig(**kw["pdas"])
+    except ValueError as exc:
+        raise ConfigError(f"bad [model] or [solver] value: {exc}") from exc
+    return RunConfig(model=model, pdas=pdas, init=init, label=label, **kw[""]).validate()
 
 
-def parse_config_file(path: str, overrides: list[str] | None = None) -> RunConfig:
+def parse_config_file(path: str, overrides=()) -> RunConfig:
     """Parse and validate a config file, applying ``section.key=value`` overrides."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if overrides:
-        text = _apply_overrides_text(text, overrides)
-    import os
-
     label = os.path.splitext(os.path.basename(path))[0]
-    return parse_config_text(text, label=label)
-
-
-def parse_overrides(pairs: list[str]) -> list[tuple[str, str, str]]:
-    out = []
-    for pair in pairs:
-        m = re.fullmatch(r"([\w]+)\.([\w]+)=(.*)", pair.strip())
-        if not m:
-            raise ConfigError(
-                f"bad override {pair!r}; expected section.key=value"
-            )
-        out.append((m.group(1), m.group(2), m.group(3)))
-    return out
-
-
-def _apply_overrides_text(text: str, overrides: list[str]) -> str:
-    cp = _build_parser()
-    cp.read_string(text)
-    for section, key, value in parse_overrides(overrides):
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value)
-    import io
-
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+    return parse_config_text(text, label=label, overrides=overrides)
 
 
 def config_as_dict(cfg: RunConfig) -> dict:
-    """Flatten a RunConfig for reporting."""
-    return {
-        "variant": cfg.variant,
-        "label": cfg.label,
-        "model": {
-            "mu": cfg.model.mu,
-            "L": cfg.model.L,
-            "D": cfg.model.D,
-            "beta": cfg.model.beta,
-            "c_F": cfg.model.c_F,
-            "alpha": cfg.model.alpha,
-            "rho": cfg.model.rho,
-            "theta_e": cfg.model.theta_e,
-        },
-        "kernel": {"epsilon": cfg.epsilon, "delta": cfg.delta},
-        "grid": {"dim": cfg.dim, "h": cfg.h},
-        "time": {"tau": cfg.tau, "T": cfg.T_final, "snapshots": list(cfg.snapshots)},
-        "solver": {
-            "convolution_mode": cfg.pdas.convolution_mode,
-            "pdas_c": cfg.pdas.c_penalty,
-            "pdas_max_iters": cfg.pdas.max_iters,
-            "lin_tol": cfg.pdas.lin_tol,
-        },
-        "init": {
-            "kind": cfg.init.kind,
-            "params": list(cfg.init.params),
-            "path": cfg.init.path,
-            "theta0": cfg.init.theta0,
-        },
-        "output": {"directory": cfg.output_dir, "formats": list(cfg.formats)},
-    }
-
+    """The resolved config under the file's section and key names, for reporting."""
+    out = {"variant": cfg.variant, "label": cfg.label,
+           "init": {**asdict(cfg.init), "params": list(cfg.init.params)}}
+    for (section, key), (attr, _, _) in _FORMAT.items():
+        if section not in ("variant", "init"):
+            value = attrgetter(attr)(cfg)
+            out.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+    return out

@@ -20,38 +20,33 @@ __all__ = [
 ]
 
 
-def _region_ids(grid: Grid, region: str) -> np.ndarray:
-    if region == "interior":
-        return grid.interior_ids
-    if region == "union":
-        return np.arange(grid.n_nodes)
-    if region == "exterior":
-        return grid.exterior_ids
-    raise ValueError(f"unknown region {region!r}")
+def _restrict(grid: Grid, values, ids: np.ndarray, name: str) -> np.ndarray:
+    """``values`` on the nodes ``ids``, given full-length or already restricted."""
+    values = np.asarray(values, dtype=float)
+    if values.shape == (grid.n_nodes,):
+        values = values[ids]
+    if values.shape != (ids.size,):
+        raise ValueError(f"{name} has {values.size} values; the region has {ids.size} nodes")
+    return values
 
 
 def write_field(path: str, grid: Grid, values: np.ndarray, region: str = "interior") -> None:
     """Write one nodal field as CSV with header ``x[,y],value``.
 
+    ``region`` is "interior" or "union" (interior plus interaction layer).
     Rows follow node ordering (row-major, x fastest).  Floats are written
     with ``repr`` so the round trip through read_field is bit-faithful.
     ``values`` may be full-length (restricted to the region) or already
     region-length.
     """
-    ids = _region_ids(grid, region)
-    values = np.asarray(values, dtype=float)
-    if values.shape == (grid.n_nodes,):
-        values = values[ids]
-    if values.shape != (ids.size,):
-        raise ValueError(
-            f"field has {values.size} values; region {region!r} has {ids.size} nodes"
-        )
-    coords = grid.coords()[ids]
+    if region not in ("interior", "union"):
+        raise ValueError(f"unknown region {region!r}")
+    ids = grid.interior_ids if region == "interior" else np.arange(grid.n_nodes)
+    rows = np.column_stack([grid.coords()[ids], _restrict(grid, values, ids, "field")])
     header = "x,value" if grid.dim == 1 else "x,y,value"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row, v in zip(coords, values):
-            fh.write(",".join(repr(float(c)) for c in row) + "," + repr(float(v)) + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
 
 
 def read_field(path: str):
@@ -69,31 +64,25 @@ def read_field(path: str):
     return data[:, : ncols - 1], data[:, ncols - 1]
 
 
-def write_vtk(path: str, grid: Grid, fields: dict, region: str = "interior") -> None:
-    """Legacy-VTK STRUCTURED_POINTS export (2D), one SCALARS block per field."""
+def write_vtk(path: str, grid: Grid, fields: dict) -> None:
+    """Legacy-VTK STRUCTURED_POINTS export of the 2D interior, one SCALARS block per field."""
     if grid.dim != 2:
         raise ValueError("VTK export supports 2D grids only")
-    ids = _region_ids(grid, region)
-    n_ax = grid.n_axis_interior if region == "interior" else grid.n_axis
-    origin = 0.0 if region == "interior" else -grid.layer * grid.h
+    n_ax = grid.n_axis_interior
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("nlpf field export\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
         fh.write(f"DIMENSIONS {n_ax} {n_ax} 1\n")
-        fh.write(f"ORIGIN {origin} {origin} 0.0\n")
+        fh.write("ORIGIN 0.0 0.0 0.0\n")
         fh.write(f"SPACING {grid.h} {grid.h} 1.0\n")
         fh.write(f"POINT_DATA {n_ax * n_ax}\n")
         for name, values in fields.items():
-            values = np.asarray(values, dtype=float)
-            if values.shape == (grid.n_nodes,):
-                values = values[ids]
-            if values.shape != (ids.size,):
-                raise ValueError(f"field {name!r} does not match region {region!r}")
+            values = _restrict(grid, values, grid.interior_ids, f"field {name!r}")
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            fh.write("\n".join(repr(float(v)) for v in values) + "\n")
+            fh.write("\n".join(map(repr, values.tolist())) + "\n")
 
 
 def build_report(result=None, config: RunConfig | None = None, status: str = "ok",

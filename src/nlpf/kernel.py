@@ -38,12 +38,8 @@ __all__ = [
     "xi",
 ]
 
-#: Simpson panel count for 1D cross-check quadratures.  The integrands are
-#: low-degree polynomials on [0, delta], so this makes 1e-8 agreement trivial.
-SIMPSON_PANELS = 10_000
-
-#: Gauss-Legendre order for the radial 2D quadratures (exact for the
-#: polynomial integrands used here).
+#: Gauss-Legendre order for the radial quadratures (exact for the polynomial
+#: integrands used here).
 GAUSS_ORDER = 60
 
 
@@ -103,18 +99,12 @@ def kernel_eval(spec: KernelSpec, r):
 def _radial_integral(spec: KernelSpec, moment: int) -> float:
     """Integral of |z|^moment * gamma(|z|) over R^n by radial quadrature.
 
-    1D uses composite Simpson on [0, delta] (times 2 for symmetry); 2D uses
-    Gauss-Legendre with the 2*pi*r surface weight.
+    Gauss-Legendre on [0, delta] with the surface weight: 2 in 1D (both
+    signs of z), 2*pi*r in 2D.
     """
-    if spec.dim == 1:
-        r = np.linspace(0.0, spec.delta, SIMPSON_PANELS + 1)
-        vals = r**moment * kernel_eval(spec, r)
-        from scipy.integrate import simpson
-
-        return 2.0 * float(simpson(vals, x=r))
-    # dim == 2
+    surface = 2.0 if spec.dim == 1 else 2.0 * math.pi
     val, _ = fixed_quad(
-        lambda r: 2.0 * math.pi * r ** (moment + 1) * kernel_eval(spec, r),
+        lambda r: surface * r ** (moment + spec.dim - 1) * kernel_eval(spec, r),
         0.0,
         spec.delta,
         n=GAUSS_ORDER,

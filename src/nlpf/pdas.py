@@ -56,9 +56,6 @@ __all__ = [
     "w_matrix",
 ]
 
-#: Problem size below which reduced solves go straight to a direct factorization.
-_DIRECT_SOLVE_MAX = 500
-
 #: 2D w-solve: coarsen until a level has at most this many nodes, then solve
 #: it directly; damping of the Jacobi smoother; CG iteration cap (the
 #: w-solves of the ex3 runs take at most ~15).
@@ -438,11 +435,9 @@ def pdas_step_local_obstacle(
             u_I = upper.astype(float)
             idx = np.flatnonzero(inactive)
             if idx.size:
-                act = np.flatnonzero(~inactive)
-                rhs = b[idx]
-                if act.size:
-                    rhs = rhs - A[idx][:, act] @ u_I[act]
-                u_I[idx] = _solve_reduced(A, idx, rhs)
+                # A is SPD, so its principal submatrix cannot meet a singular
+                # pivot; u_I is 0 on idx, so A @ u_I carries the pinned values
+                u_I[idx] = factorized(A[idx][:, idx].tocsc())((b - A @ u_I)[idx])
             lam = np.where(inactive, 0.0, (b - A @ u_I) / mI)
             return u_I, lam, None
     else:
@@ -468,18 +463,6 @@ def pdas_step_local_obstacle(
         solve_for_sets, init_sets, c_eff, config.max_iters
     )
     return PdasResult(u_I, w, lam, sets, iters, ok)
-
-
-def _solve_reduced(A: sp.csr_matrix, idx: np.ndarray, rhs: np.ndarray):
-    """Solve the principal submatrix system A[idx, idx] x = rhs.
-
-    A is SPD, so every principal submatrix is too: the factorization
-    cannot meet a singular pivot.
-    """
-    sub = A[idx][:, idx].tocsc()
-    if idx.size <= _DIRECT_SOLVE_MAX:
-        return spsolve(sub, rhs)
-    return factorized(sub)(rhs)
 
 
 def verify_complementarity(u, lam, tol: float | None = None) -> float:

@@ -53,7 +53,7 @@ def write_snapshots(result: RunResult, outdir: str) -> list:
         if "vtk" in result.config.formats and grid.dim == 2:
             fname = f"fields_{st.k:06d}.vtk"
             fields = {"u": st.u[grid.interior_ids], "theta": st.theta}
-            write_vtk(os.path.join(outdir, fname), grid, fields, region="interior")
+            write_vtk(os.path.join(outdir, fname), grid, fields)
             files["vtk"] = fname
         manifest.append({
             "k": st.k,
@@ -76,13 +76,13 @@ def _state_at(result: RunResult, t: float):
     return best
 
 
-def repro_ex1(outdir: str, convolution_mode: str = "explicit", log=None) -> dict:
+def repro_ex1(outdir: str, log=None) -> dict:
     """Run ex1 (constrained CH + local obstacle comparison) and check widths."""
     log = log or (lambda msg: None)
     os.makedirs(outdir, exist_ok=True)
     results = {}
     for variant in ("nonlocal_CH", "local_obstacle"):
-        cfg = presets.example1_config(variant, convolution_mode=convolution_mode)
+        cfg = presets.example1_config(variant)
         log(f"ex1: running {variant} ...")
         res = run(cfg)
         results[variant] = res
@@ -158,16 +158,15 @@ def repro_ex2(outdir: str, log=None) -> dict:
             "ok": strictly_decreasing}
 
 
-def repro_ex3(outdir: str, log=None, variants=None) -> dict:
+def repro_ex3(outdir: str, log=None) -> dict:
     """Run the 2D experiment (all four variants) and check width windows."""
     log = log or (lambda msg: None)
     os.makedirs(outdir, exist_ok=True)
-    variants = variants or ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular")
     results = {}
     widths = {}
     rows = []
     t_check = 0.0041
-    for variant in variants:
+    for variant in ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular"):
         cfg = presets.example3_config(variant)
         log(f"ex3: running {variant} ({cfg.dim}D, ~{int(round(1 / cfg.h)) + 1}^2 nodes) ...")
         res = run(cfg)
@@ -186,8 +185,6 @@ def repro_ex3(outdir: str, log=None, variants=None) -> dict:
 
     checks = []
     for variant, window in EX3_WIDTH_WINDOWS.items():
-        if variant not in widths:
-            continue
         wmin, wmax = widths[variant]
         lo, hi = window
         ok = (wmin >= lo) and (wmax <= hi)

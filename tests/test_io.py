@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from nlpf.cli import main as cli_main
-from nlpf.config import ConfigError, parse_config_file, parse_config_text
+from nlpf.config import ConfigError, config_as_dict, parse_config_file, parse_config_text
 from nlpf.fields_io import (build_report, read_field, write_field, write_report,
                             write_vtk)
 from nlpf.grid import build_grid
-from nlpf.presets import example1_config
+from nlpf.presets import example1_config, example2_config, example3_config
 from nlpf.stepper import run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -64,21 +65,64 @@ def test_parse_errors_name_the_key():
         parse_config_text(MINI_CFG.replace("mu = 0.0012\n", ""))
     with pytest.raises(ConfigError, match="preset"):
         parse_config_text(MINI_CFG.replace("step(0.3)", "blob(1)"))
+    with pytest.raises(ConfigError, match=r"\[model\].*mu must be > 0"):
+        parse_config_text(MINI_CFG.replace("mu = 0.0012", "mu = -1"))
+    with pytest.raises(ConfigError, match=r"\[grid\] dim"):
+        parse_config_text(MINI_CFG.replace("dim = 1", "dim = 1.7"))
     with pytest.raises(ConfigError, match="beta"):
         parse_config_text(MINI_CFG.replace("name = nonlocal_AC",
                                            "name = nonlocal_CH"))
 
 
+def test_unknown_sections_and_keys_are_errors(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown section \[outptu\]"):
+        parse_config_text(MINI_CFG + "\n[outptu]\ndirectory = x\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        parse_config_text("[DEFAULT]\n" + MINI_CFG)
+    with pytest.raises(ConfigError, match=r"unknown key \[solver\] lin_tolerance"):
+        parse_config_text(MINI_CFG + "\n[solver]\nlin_tolerance = 1e-3\n")
+    path = tmp_path / "c.cfg"
+    path.write_text(MINI_CFG)
+    with pytest.raises(ConfigError, match=r"unknown key \[time\] taux"):
+        parse_config_file(str(path), overrides=["time.taux=1"])
+    with pytest.raises(ConfigError, match=r"unknown section \[outptu\]"):
+        parse_config_file(str(path), overrides=["outptu.formats=csv"])
+
+
+SHIPPED_PRESETS = {
+    "ex1_nonlocal_CH": lambda: example1_config("nonlocal_CH"),
+    "ex1_local_obstacle": lambda: example1_config("local_obstacle"),
+    "ex2_nonlocal_CH": lambda: example2_config(),
+    **{f"ex3_{v}": (lambda v=v: example3_config(v))
+       for v in ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular")},
+}
+
+
 def test_shipped_configs_parse_and_match_presets():
+    assert sorted(SHIPPED_PRESETS) == sorted(p.stem for p in (REPO / "configs").glob("*.cfg"))
+    for name, preset in SHIPPED_PRESETS.items():
+        cfg = parse_config_file(str(REPO / "configs" / f"{name}.cfg"))
+        ref = preset()
+        assert cfg.output_dir == name
+        assert dataclasses.replace(cfg, output_dir=None, label=ref.label) == ref, name
+
+
+def test_resolved_config_of_shipped_ex1():
     cfg = parse_config_file(str(REPO / "configs" / "ex1_nonlocal_CH.cfg"))
-    ref = example1_config("nonlocal_CH")
-    assert cfg.model == ref.model
-    assert (cfg.h, cfg.tau, cfg.T_final, cfg.delta) == (
-        ref.h, ref.tau, ref.T_final, ref.delta)
-    assert cfg.snapshots == ref.snapshots
-    for name in ("ex1_local_obstacle", "ex2_nonlocal_CH", "ex3_nonlocal_CH",
-                 "ex3_nonlocal_AC", "ex3_local_obstacle", "ex3_local_regular"):
-        parse_config_file(str(REPO / "configs" / f"{name}.cfg"))
+    assert config_as_dict(cfg) == {
+        "variant": "nonlocal_CH",
+        "label": "ex1_nonlocal_CH",
+        "model": {"mu": 0.0012, "L": 0.5, "D": 1.0, "beta": 0.02,
+                  "c_F": 0.16666666666666666, "alpha": 0.9, "rho": 20.0,
+                  "theta_e": 1.0},
+        "kernel": {"epsilon": 0.02, "delta": 0.154},
+        "grid": {"dim": 1, "h": 0.0024},
+        "time": {"tau": 0.0003, "T": 0.05, "snapshots": [0.0, 0.0013, 0.0163]},
+        "solver": {"convolution_mode": "explicit", "pdas_c": 1.0,
+                   "pdas_max_iters": 50, "lin_tol": 1e-12},
+        "init": {"kind": "step", "params": [0.2], "path": None, "theta0": 0.0},
+        "output": {"directory": "ex1_nonlocal_CH", "formats": ["csv"]},
+    }
 
 
 def test_overrides(tmp_path):
@@ -171,10 +215,17 @@ def test_cli_run_config_error_is_reported(tmp_path):
     assert rc == 1
 
 
+def test_cli_run_unknown_override_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG)
+    rc = cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "x"),
+                   "--override", "time.taux=1"])
+    assert rc == 1
+    assert "[time] taux" in capsys.readouterr().err
+
+
 def test_cli_metrics_on_saved_field(tmp_path, capsys):
     cfg = example1_config("nonlocal_CH")
-    import dataclasses
-
     cfg = dataclasses.replace(cfg, T_final=0.0012, snapshots=(0.0012,))
     res = run(cfg)
     p = tmp_path / "u.csv"
