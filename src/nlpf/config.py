@@ -10,8 +10,8 @@ with the RunConfig attribute it sets; required keys are marked *:
     [time]     tau*, T*, snapshots (comma-separated times)
     [variant]  name* = nonlocal_CH | nonlocal_AC | local_obstacle | local_regular
     [solver]   convolution_mode, pdas_c, pdas_max_iters, lin_tol
-    [init]     preset = step(x0) | box(a,b) | frame(a,b), or file = path;
-               theta0 = const | path
+    [init]     preset = step(x0) | box(a,b) | frame(a,b), or file = path
+               (not both); theta0 = const | path
     [output]   directory, formats (csv[,vtk])
 
 An absent optional key keeps its dataclass default.  An unknown section or
@@ -205,6 +205,8 @@ def _parse_init(sec: dict) -> InitSpec:
         except ValueError:
             kw["theta0"] = sec["theta0"]  # path to a nodal CSV
     if "file" in sec:
+        if "preset" in sec:
+            raise ConfigError("[init] preset and [init] file are exclusive; set one")
         return InitSpec(kind="file", params=(), path=sec["file"], **kw)
     if "preset" not in sec:
         return InitSpec(**kw)

@@ -129,6 +129,7 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
     summary = {
         "pdas_iters_max": int(d["pdas_iters"].max()),
         "pdas_iters_total": int(d["pdas_iters"].sum()),
+        "pdas_restarts_total": int(d["pdas_restarts"].sum()),
         "non_converged_steps": result.non_converged_steps,
         "comp_residual_max": float(np.max(d["comp_residual"])) if obstacle else None,
         "bound_violation_max": float(np.max(bound_excess)) if obstacle else None,

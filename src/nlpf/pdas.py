@@ -25,6 +25,13 @@ in 2D by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (bilinear prolongations fixed per grid, Galerkin coarse operators
 rebuilt per sweep because the inactive-set diagonal changes the matrix).
 
+The beta = 0 local obstacle step solves, per sweep, the principal submatrix
+of (mu/tau - c_F) M + eps^2 K on the inactive set: directly in 1D
+(tridiagonal), and in 2D by unpreconditioned CG warm-started from the
+previous sweep (the matrix is well conditioned, ~13 after Jacobi scaling on
+the ex3 grid).  In both 2D routes a CG that misses its tolerance raises:
+there is no direct-solve fallback.
+
 The solvers assemble nothing that is fixed over a run: the stiffness K, the
 w-solver (around the w-equation matrix ``w_matrix``) and, for implicit
 convolution, the convolution rows are passed in by the caller (the time loop
@@ -57,8 +64,9 @@ __all__ = [
 ]
 
 #: 2D w-solve: coarsen until a level has at most this many nodes, then solve
-#: it directly; damping of the Jacobi smoother; CG iteration cap (the
-#: w-solves of the ex3 runs take at most ~15).
+#: it directly; damping of the Jacobi smoother; CG iteration cap of both 2D
+#: CG solves (the ex3 runs take at most ~15 per w-solve and ~41 per reduced
+#: local-obstacle solve).
 _COARSEST_NODES = 200
 _JACOBI_DAMPING = 0.8
 _CG_MAX_ITERS = 500
@@ -117,6 +125,7 @@ class PdasResult:
     sets: ActiveSets
     iters: int
     converged: bool
+    restarted: bool
 
 
 def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
@@ -126,12 +135,14 @@ def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
 
 
 def _pdas_iterate(solve_for_sets, init_sets: ActiveSets, c: float, max_iters: int):
-    """Drive the active-set fixed point; returns (u_I, lam, extra, sets, iters, ok).
+    """Drive the active-set fixed point.
 
-    If the warm-started iteration does not settle within max_iters (a cold
-    start from an all-pinned state opens a wide inactive band only a couple
-    of nodes per sweep), it is restarted once from the all-inactive estimate,
-    whose first unconstrained solve pins near-final sets immediately.
+    Returns (u_I, lam, extra, sets, iters, ok, restarted).  If the
+    warm-started iteration does not settle within max_iters (a cold start
+    from an all-pinned state opens a wide inactive band only a couple of
+    nodes per sweep), it is restarted once from the all-inactive estimate,
+    whose first unconstrained solve pins near-final sets immediately;
+    ``restarted`` reports that.
     """
     n = init_sets.upper.shape[0]
     attempts = [init_sets]
@@ -141,7 +152,7 @@ def _pdas_iterate(solve_for_sets, init_sets: ActiveSets, c: float, max_iters: in
         )
     u_I = lam = extra = sets = None
     iters_used = 0
-    for start in attempts:
+    for attempt, start in enumerate(attempts):
         sets = ActiveSets(start.upper.copy(), start.lower.copy())
         for _ in range(max_iters):
             iters_used += 1
@@ -151,9 +162,9 @@ def _pdas_iterate(solve_for_sets, init_sets: ActiveSets, c: float, max_iters: in
                 lower=lam + c * u_I < 0.0,
             )
             if new.same_as(sets):
-                return u_I, lam, extra, sets, iters_used, True
+                return u_I, lam, extra, sets, iters_used, True, attempt > 0
             sets = new
-    return u_I, lam, extra, sets, iters_used, False
+    return u_I, lam, extra, sets, iters_used, False, len(attempts) > 1
 
 
 def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:
@@ -375,13 +386,13 @@ def pdas_step_CH(
             )
             return u_I, lam, (w, u_E)
 
-    u_I, lam, (w, u_E), sets, iters, ok = _pdas_iterate(
+    u_I, lam, (w, u_E), sets, iters, ok, restarted = _pdas_iterate(
         solve_for_sets, init_sets, c_eff, config.max_iters
     )
     u_full = np.empty(grid.n_nodes)
     u_full[ids] = u_I
     u_full[ext] = u_E
-    return PdasResult(u_full, w, lam, sets, iters, ok)
+    return PdasResult(u_full, w, lam, sets, iters, ok, restarted)
 
 
 def pdas_step_local_obstacle(
@@ -400,7 +411,10 @@ def pdas_step_local_obstacle(
 
     For beta = 0 the chemical potential is eliminated and each sweep is one
     reduced SPD solve on the inactive set with the fixed matrix
-    (mu/tau - c_F) M + eps^2 K (mu/tau > c_F is required for definiteness).
+    (mu/tau - c_F) M + eps^2 K (mu/tau > c_F is required for definiteness):
+    sparse direct in 1D, CG to the relative residual ``config.lin_tol`` in
+    2D, started from the previous sweep's iterate (from u_prev in the first
+    sweep).  A CG failure raises ``RuntimeError``.
     For beta > 0 the same (M + beta K) w-equation as in the nonlocal step is
     kept and the coupled (u, w) system is solved sparsely; it needs
     ``A_w = w_matrix(grid, K, beta, tau)``.
@@ -429,15 +443,29 @@ def pdas_step_local_obstacle(
             )
         A = (sp.diags_array((r - c_F) * mI) + eps_interface**2 * K).tocsr()
         b = mI * (r * u_prev_I - 0.5 * c_F + c_F * m_prev)
+        warm = {"u": u_prev_I}
 
         def solve_for_sets(upper, lower):
             inactive = ~(upper | lower)
             u_I = upper.astype(float)
             idx = np.flatnonzero(inactive)
             if idx.size:
-                # A is SPD, so its principal submatrix cannot meet a singular
-                # pivot; u_I is 0 on idx, so A @ u_I carries the pinned values
-                u_I[idx] = factorized(A[idx][:, idx].tocsc())((b - A @ u_I)[idx])
+                # A is SPD, so its principal submatrix is too; u_I is 0 on
+                # idx, so A @ u_I carries the pinned values
+                A_in, rhs = A[idx][:, idx], (b - A @ u_I)[idx]
+                if grid.dim == 1:
+                    u_I[idx] = factorized(A_in.tocsc())(rhs)
+                else:
+                    x, info = cg(A_in, rhs, x0=warm["u"][idx], rtol=config.lin_tol,
+                                 atol=0.0, maxiter=_CG_MAX_ITERS)
+                    if info != 0:
+                        raise RuntimeError(
+                            f"CG for the reduced local-obstacle system did not reach "
+                            f"rtol {config.lin_tol:g} in {_CG_MAX_ITERS} iterations "
+                            f"(info {info})"
+                        )
+                    u_I[idx] = x
+            warm["u"] = u_I
             lam = np.where(inactive, 0.0, (b - A @ u_I) / mI)
             return u_I, lam, None
     else:
@@ -459,10 +487,10 @@ def pdas_step_local_obstacle(
             lam = np.where(inactive, 0.0, w - (L_u @ u_I) / mI - 0.5 * c_F + c_F * m_prev)
             return u_I, lam, w
 
-    u_I, lam, w, sets, iters, ok = _pdas_iterate(
+    u_I, lam, w, sets, iters, ok, restarted = _pdas_iterate(
         solve_for_sets, init_sets, c_eff, config.max_iters
     )
-    return PdasResult(u_I, w, lam, sets, iters, ok)
+    return PdasResult(u_I, w, lam, sets, iters, ok, restarted)
 
 
 def verify_complementarity(u, lam, tol: float | None = None) -> float:

@@ -92,7 +92,8 @@ class StepOut:
     u is the full-domain field (exterior layer closed on nonlocal grids);
     w and lam live on interior nodes and are None where the variant has no
     chemical potential or multiplier.  iters/converged are the active-set
-    sweep count and convergence (0 and True for the solve-free variants).
+    sweep count and convergence (0 and True for the solve-free variants);
+    restarted is whether the active-set iteration was restarted cold.
     """
 
     u: np.ndarray
@@ -100,6 +101,7 @@ class StepOut:
     lam: np.ndarray | None = None
     iters: int = 0
     converged: bool = True
+    restarted: bool = False
 
 
 def heat_solver(grid: Grid, K: sp.csr_matrix, D: float, tau: float):
@@ -162,7 +164,7 @@ class NonlocalCHStep:
             init_sets=self.sets, w0=self.w,
         )
         self.sets, self.w = res.sets, res.w
-        return StepOut(res.u, res.w, res.lam, res.iters, res.converged)
+        return StepOut(res.u, res.w, res.lam, res.iters, res.converged, res.restarted)
 
 
 class NonlocalACStep:
@@ -214,7 +216,7 @@ class LocalObstacleStep:
             init_sets=self.sets,
         )
         self.sets = res.sets
-        return StepOut(res.u, res.w, res.lam, res.iters, res.converged)
+        return StepOut(res.u, res.w, res.lam, res.iters, res.converged, res.restarted)
 
 
 class LocalRegularStep:
@@ -374,8 +376,8 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
 def run(config: RunConfig) -> RunResult:
     """Execute the full time loop and collect snapshots plus diagnostics.
 
-    Records, per step: active-set iterations and convergence; where the
-    phase step returns a multiplier (the obstacle variants) the
+    Records, per step: active-set iterations, convergence and cold restarts;
+    where the phase step returns a multiplier (the obstacle variants) the
     complementarity residual and the bound range of u over all nodes; the
     enthalpy drift; and, when ``config.records_energy``, the per-step
     objective at the new and previous iterates and the projection-formula
@@ -403,6 +405,7 @@ def run(config: RunConfig) -> RunResult:
     diag = {
         "pdas_iters": np.zeros(n_steps, dtype=int),
         "pdas_converged": np.ones(n_steps, dtype=bool),
+        "pdas_restarts": np.zeros(n_steps, dtype=int),
         "comp_residual": np.full(n_steps, np.nan),
         "bound_min": np.full(n_steps, np.nan),
         "bound_max": np.full(n_steps, np.nan),
@@ -428,6 +431,7 @@ def run(config: RunConfig) -> RunResult:
         out = phase.step(u, theta)
         diag["pdas_iters"][k - 1] = out.iters
         diag["pdas_converged"][k - 1] = out.converged
+        diag["pdas_restarts"][k - 1] = out.restarted
         if out.lam is not None:
             diag["comp_residual"][k - 1] = verify_complementarity(out.u[ids], out.lam)
             diag["bound_min"][k - 1] = float(out.u.min())

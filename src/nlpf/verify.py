@@ -24,7 +24,7 @@ from .kernel import (KernelSpec, c_gamma_closed_form, c_gamma_quadrature,
                      second_moment_check, xi)
 from .nonlocal_ops import apply_Bh, build_stencil, conv_rows, convolve, exterior_closure
 from .pdas import (PdasConfig, PdasResult, WSolver, _pdas_iterate, pdas_step_CH,
-                   sets_from_bounds, w_matrix)
+                   pdas_step_local_obstacle, sets_from_bounds, w_matrix)
 from .physics import ModelParams, coupling_m
 from .stepper import NonlocalACStep
 
@@ -236,13 +236,13 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         lam = np.where(inactive, 0.0, g - denom * u_I)
         return u_I, lam, None
 
-    u_I, lam, _, sets, iters, ok = _pdas_iterate(
+    u_I, lam, _, sets, iters, ok, restarted = _pdas_iterate(
         solve_for_sets, init_sets, c_eff, config.max_iters
     )
     u_full = np.empty(grid.n_nodes)
     u_full[ids] = u_I
     u_full[grid.exterior_ids] = exterior_closure(stencil, conv_prev)
-    return PdasResult(u_full, None, lam, sets, iters, ok)
+    return PdasResult(u_full, None, lam, sets, iters, ok, restarted)
 
 
 # --------------------------------------------------------------------------
@@ -327,6 +327,25 @@ def run_all_checks() -> list:
         f"2D multigrid-CG w-solve vs sparse direct solve ({grid.n_interior} nodes, "
         f"{len(solver.prolongations) + 1} levels)",
         np.linalg.norm(got - ref) / np.linalg.norm(ref), 1e-10, "relative error"))
+
+    # 2D local-obstacle step: its CG sweeps vs the last sweep solved directly.
+    lo = ModelParams(mu=0.0003, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=10.0)
+    lo_tau, lo_eps = 1e-4, 0.01
+    K = assemble_stiffness(grid)
+    u_prev = np.clip((r - 0.3) / (4 * grid.h) + 0.5, 0.0, 1.0)
+    m_prev = coupling_m(lo, np.full(grid.n_interior, 0.5))
+    res = pdas_step_local_obstacle(grid, lo, lo_tau, lo_eps, u_prev, m_prev,
+                                   PdasConfig(), K)
+    A = (sp.diags_array((lo.mu / lo_tau - lo.c_F) * grid.mass_interior)
+         + lo_eps**2 * K).tocsr()
+    b = grid.mass_interior * (lo.mu / lo_tau * u_prev - 0.5 * lo.c_F + lo.c_F * m_prev)
+    idx = np.flatnonzero(~(res.sets.upper | res.sets.lower))
+    ref = spsolve(A[idx][:, idx].tocsc(),
+                  (b - A @ res.sets.upper.astype(float))[idx])
+    checks.append(_check(
+        f"2D local-obstacle CG sweep vs sparse direct solve ({idx.size} of "
+        f"{grid.n_interior} nodes inactive)",
+        np.linalg.norm(res.u[idx] - ref) / np.linalg.norm(ref), 1e-10, "relative error"))
 
     # Fast projection path vs active-set route (beta = 0).
     params0 = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)

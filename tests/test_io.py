@@ -224,6 +224,18 @@ def test_cli_run_unknown_override_exits_1(tmp_path, capsys):
     assert "[time] taux" in capsys.readouterr().err
 
 
+def test_init_preset_and_file_together_are_an_error(tmp_path, capsys):
+    both = MINI_CFG.replace("preset = step(0.3)", "preset = step(0.3)\nfile = u0.csv")
+    with pytest.raises(ConfigError, match=r"\[init\] preset and \[init\] file"):
+        parse_config_text(both)
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG)
+    rc = cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "x"),
+                   "--override", "init.file=u0.csv"])
+    assert rc == 1
+    assert "[init] file" in capsys.readouterr().err
+
+
 def test_cli_metrics_on_saved_field(tmp_path, capsys):
     cfg = example1_config("nonlocal_CH")
     cfg = dataclasses.replace(cfg, T_final=0.0012, snapshots=(0.0012,))
@@ -288,6 +300,16 @@ def test_report_fails_invariant_on_nonfinite_diagnostic(tmp_path, monkeypatch):
     cfg_path = tmp_path / "mini.cfg"
     cfg_path.write_text(MINI_CFG)
     assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
+
+
+def test_report_counts_the_pdas_cold_restart():
+    # ex2's first local-obstacle step needs 57 sweeps against max_iters = 50
+    res = run(example2_config(variant="local_obstacle"))
+    assert res.diagnostics["pdas_iters"][0] == 57
+    assert res.diagnostics["pdas_restarts"].tolist() == [1] + [0] * (res.n_steps - 1)
+    report = build_report(result=res)
+    assert report["diagnostics_summary"]["pdas_restarts_total"] == 1
+    assert report["status"] == "ok"
 
 
 def test_report_with_nonfinite_diagnostic_is_strict_json(tmp_path):

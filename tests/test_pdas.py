@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import factorized, spsolve
 
 import nlpf.pdas as pdas
 
@@ -222,6 +222,89 @@ def test_local_obstacle_matches_enumeration():
         assert res.converged
         assert np.abs(res.u - u_ref).max() <= 1e-9
         assert np.abs(res.lam - lam_ref).max() <= 1e-9
+
+
+def _counting_cg(monkeypatch, calls):
+    """Route pdas.cg through a wrapper that records (A, b, x, info) per call."""
+    cg = pdas.cg
+
+    def counted(A, b, *args, **kwargs):
+        x, info = cg(A, b, *args, **kwargs)
+        calls.append((A, b, x, info))
+        return x, info
+
+    monkeypatch.setattr(pdas, "cg", counted)
+
+
+def test_local_obstacle_2d_matches_enumeration(monkeypatch):
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
+    g = build_grid(2, 0.5, 0.0)  # 3x3 nodes
+    K = assemble_stiffness(g).toarray()
+    calls = []
+    _counting_cg(monkeypatch, calls)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
+        m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
+        res = _lo(g, params, TAU, 0.3, u_prev, m_prev, PdasConfig())
+        u_ref, lam_ref = enumerate_local_obstacle(g, params, TAU, 0.3, u_prev,
+                                                  m_prev, K)
+        assert res.converged
+        assert np.abs(res.u - u_ref).max() <= 1e-9
+        assert np.abs(res.lam - lam_ref).max() <= 1e-9
+    assert calls  # the 2D sweeps went through CG
+
+
+def _band_step_2d():
+    """ex3-like local obstacle step on 33x33 nodes with an inactive ring."""
+    params = ModelParams(mu=0.0003, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=10.0)
+    g = build_grid(2, 1.0 / 32, 0.0)
+    r = np.hypot(*(g.coords() - 0.5).T)
+    u_prev = np.clip((r - 0.3) / (4 * g.h) + 0.5, 0.0, 1.0)
+    m_prev = coupling_m(params, np.full(g.n_interior, 0.5))
+    return g, params, u_prev, m_prev
+
+
+def test_local_obstacle_2d_cg_sweeps_match_direct_solve(monkeypatch):
+    g, params, u_prev, m_prev = _band_step_2d()
+    calls = []
+    _counting_cg(monkeypatch, calls)
+    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig())
+    assert res.converged and len(calls) == res.iters
+    assert min(b.size for _, b, _, _ in calls) >= 100
+    for A, b, x, info in calls:
+        x_ref = factorized(A.tocsc())(b)
+        assert info == 0
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_local_obstacle_2d_cg_failure_raises(monkeypatch):
+    # no fallback: a CG that stops short is an error, not a direct solve
+    def failed_cg(A, b, *args, **kwargs):
+        return np.zeros_like(b), 1
+
+    def no_factorized(*args, **kwargs):
+        raise AssertionError("no fallback to a direct solve")
+
+    g, params, u_prev, m_prev = _band_step_2d()
+    monkeypatch.setattr(pdas, "cg", failed_cg)
+    monkeypatch.setattr(pdas, "factorized", no_factorized)
+    with pytest.raises(RuntimeError, match="did not reach"):
+        _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig())
+
+
+def test_local_obstacle_1d_is_a_direct_solve(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("1D reduced systems must not reach CG")
+
+    monkeypatch.setattr(pdas, "cg", no_cg)
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
+    g = build_grid(1, 1 / 400, 0.0)
+    u_prev = (g.coords()[:, 0] <= 0.5).astype(float)
+    m_prev = coupling_m(params, np.full(g.n_interior, params.theta_e + 2.0))
+    res = _lo(g, params, TAU, 0.02, u_prev, m_prev, PdasConfig())
+    assert res.converged
+    assert np.count_nonzero((res.u > 0.0) & (res.u < 1.0)) > 10  # reduced solves ran
 
 
 def test_local_obstacle_rejects_large_tau():
