@@ -7,6 +7,7 @@ pin the BLAS/OpenMP pools through environment variables before numpy loads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,6 +45,9 @@ def cmd_run(args) -> int:
         cfg = parse_config_file(args.config, overrides=args.override)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if not (args.C_I >= 0 and math.isfinite(args.C_I)):
+        print(f"error: --C-I must be finite and >= 0, got {args.C_I}", file=sys.stderr)
         return 1
 
     outdir = _resolve_outdir(args.output_dir, cfg.output_dir, cfg.label)
@@ -158,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--output-dir")
     pr.add_argument("--allow-warnings", action="store_true")
     pr.add_argument("--C-I", type=float, default=0.0, dest="C_I",
-                    help="exterior constant for the advisory step-size check")
+                    help="exterior constant (finite, >= 0) for the advisory "
+                    "step-size check of the beta = 0 nonlocal variant")
     pr.set_defaults(func=cmd_run)
 
     pv = sub.add_parser("verify", help="run the desk-scale verification checks")

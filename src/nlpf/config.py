@@ -14,7 +14,8 @@ with the RunConfig attribute it sets; required keys are marked *:
                (not both); theta0 = const | path
     [output]   directory, formats (csv[,vtk])
 
-An absent optional key keeps its dataclass default.  An unknown section or
+An absent optional key keeps its dataclass default; a number that is NaN or
+infinite is an error that names its key.  An unknown section or
 key is an error, in the file and in ``section.key=value`` overrides, which
 are applied before validation.
 """
@@ -22,6 +23,7 @@ are applied before validation.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import re
 from dataclasses import asdict, dataclass, field
@@ -115,51 +117,47 @@ class RunConfig:
         if self.epsilon <= 0:
             raise ConfigError(f"[kernel] epsilon must be > 0, got {self.epsilon}")
         m = self.model
+        if self.variant == "nonlocal_CH":
+            if m.beta <= 0:
+                raise ConfigError("nonlocal_CH requires [model] beta > 0")
+        elif m.beta != 0:
+            raise ConfigError(f"{self.variant} requires [model] beta = 0")
         if self.is_nonlocal:
             if self.delta <= 0:
                 raise ConfigError(
                     "[kernel] delta must be > 0 for nonlocal variants"
                 )
-            spec = self.kernel_spec()
             from .kernel import c_gamma_closed_form
 
-            xi_val = c_gamma_closed_form(spec) - m.c_F
-            if self.variant == "nonlocal_CH":
-                if m.beta <= 0:
-                    raise ConfigError("nonlocal_CH requires [model] beta > 0")
-                if xi_val <= 0:
-                    raise ConfigError(
-                        f"nonlocal_CH requires xi = c_gamma - c_F > 0; got {xi_val:.4g}"
-                    )
-            else:
-                if m.beta != 0:
-                    raise ConfigError("nonlocal_AC requires [model] beta = 0")
-        else:
-            if self.variant == "local_regular" and m.beta != 0:
-                raise ConfigError("local_regular requires [model] beta = 0")
-            if (
-                self.variant == "local_obstacle"
-                and m.beta == 0
-                and m.mu / self.tau <= m.c_F
-            ):
+            xi_val = c_gamma_closed_form(self.kernel_spec()) - m.c_F
+            if self.variant == "nonlocal_CH" and xi_val <= 0:
                 raise ConfigError(
-                    "local_obstacle (beta = 0) requires mu/tau > c_F; shrink tau"
+                    f"nonlocal_CH requires xi = c_gamma - c_F > 0; got {xi_val:.4g}"
                 )
+        elif self.variant == "local_obstacle" and m.mu / self.tau <= m.c_F:
+            raise ConfigError("local_obstacle requires mu/tau > c_F; shrink tau")
         for t in self.snapshots:
             if t < 0 or t > self.T_final + 1e-12:
                 raise ConfigError(f"snapshot time {t} outside [0, T]")
         return self
 
 
-def _int(raw: str) -> int:
+def _float(raw: str) -> float:
     value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _int(raw: str) -> int:
+    value = _float(raw)
     if not value.is_integer():
         raise ValueError("not an integer")
     return int(value)
 
 
 def _floats(raw: str) -> tuple:
-    return tuple(float(s) for s in raw.split(",")) if raw else ()
+    return tuple(_float(s) for s in raw.split(",")) if raw else ()
 
 
 def _formats(raw: str) -> tuple:
@@ -174,20 +172,20 @@ def _formats(raw: str) -> tuple:
 #: An absent optional key keeps the dataclass default of its attribute.  The
 #: [init] keys have no attribute of their own: _parse_init reads them.
 _FORMAT = {
-    **{("model", key): (f"model.{key}", float, key != "c_F")
+    **{("model", key): (f"model.{key}", _float, key != "c_F")
        for key in ("mu", "L", "D", "beta", "c_F", "alpha", "rho", "theta_e")},
-    ("kernel", "epsilon"): ("epsilon", float, True),
-    ("kernel", "delta"): ("delta", float, False),
+    ("kernel", "epsilon"): ("epsilon", _float, True),
+    ("kernel", "delta"): ("delta", _float, False),
     ("grid", "dim"): ("dim", _int, True),
-    ("grid", "h"): ("h", float, True),
-    ("time", "tau"): ("tau", float, True),
-    ("time", "T"): ("T_final", float, True),
+    ("grid", "h"): ("h", _float, True),
+    ("time", "tau"): ("tau", _float, True),
+    ("time", "T"): ("T_final", _float, True),
     ("time", "snapshots"): ("snapshots", _floats, False),
     ("variant", "name"): ("variant", str, True),
     ("solver", "convolution_mode"): ("pdas.convolution_mode", str, False),
-    ("solver", "pdas_c"): ("pdas.c_penalty", float, False),
+    ("solver", "pdas_c"): ("pdas.c_penalty", _float, False),
     ("solver", "pdas_max_iters"): ("pdas.max_iters", _int, False),
-    ("solver", "lin_tol"): ("pdas.lin_tol", float, False),
+    ("solver", "lin_tol"): ("pdas.lin_tol", _float, False),
     ("init", "preset"): (None, None, False),
     ("init", "file"): (None, None, False),
     ("init", "theta0"): (None, None, False),
@@ -204,6 +202,10 @@ def _parse_init(sec: dict) -> InitSpec:
             kw["theta0"] = float(sec["theta0"])
         except ValueError:
             kw["theta0"] = sec["theta0"]  # path to a nodal CSV
+        else:
+            if not math.isfinite(kw["theta0"]):
+                raise ConfigError(f"bad value for [init] theta0: {sec['theta0']!r} "
+                                  "(not finite)")
     if "file" in sec:
         if "preset" in sec:
             raise ConfigError("[init] preset and [init] file are exclusive; set one")
@@ -217,7 +219,7 @@ def _parse_init(sec: dict) -> InitSpec:
                           "or frame(a,b)")
     kind = m.group(1)
     try:
-        params = tuple(float(p) for p in m.group(2).split(","))
+        params = tuple(_float(p) for p in m.group(2).split(","))
     except ValueError as exc:
         raise ConfigError(f"bad numbers in [init] preset {preset!r}") from exc
     if len(params) != (1 if kind == "step" else 2):

@@ -163,8 +163,8 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
 
 
 def write_report(path: str, report: dict) -> None:
-    """Write the report as strict JSON (a NaN or infinity raises)."""
+    """Write the report as strict JSON (a NaN or infinity raises, writing nothing)."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -18,6 +18,7 @@ loop does not branch on the variant.
                      system (beta > 0)
   NonlocalACStep     nonlocal_AC: direct nodal projection, no solve
   LocalObstacleStep  local_obstacle: active-set solve with eps^2 K stiffness
+                     (beta = 0)
   LocalRegularStep   local_regular: one prefactorized semi-implicit solve,
                      nonlinearity explicit, no constraints
 """
@@ -38,8 +39,8 @@ from .grid import Grid, assemble_stiffness, build_grid
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
                            exterior_closure)
-from .pdas import (PdasConfig, WSolver, pdas_step_CH, pdas_step_local_obstacle,
-                   verify_complementarity, w_matrix)
+from .pdas import (PdasConfig, WSolver, local_obstacle_matrix, pdas_step_CH,
+                   pdas_step_local_obstacle, verify_complementarity, w_matrix)
 from .physics import (ModelParams, coupling_m, green_solver, objective_Jk,
                       regular_potential_dF)
 
@@ -200,20 +201,21 @@ class NonlocalACStep:
 
 
 class LocalObstacleStep:
-    """Backward-Euler local obstacle step, active sets warm-started."""
+    """Backward-Euler local obstacle step (beta = 0), active sets warm-started.
+
+    Owns the matrix (mu/tau - c_F) M + eps^2 K, built once.
+    """
 
     def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
                  config: PdasConfig, K: sp.csr_matrix):
-        self.grid, self.params, self.tau, self.eps = grid, params, tau, eps
-        self.config, self.K = config, K
-        self.A_w = w_matrix(grid, K, params.beta, tau) if params.beta > 0 else None
+        self.grid, self.params, self.tau, self.config = grid, params, tau, config
+        self.A = local_obstacle_matrix(grid, K, params, tau, eps)
         self.sets = None
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
         res = pdas_step_local_obstacle(
-            self.grid, self.params, self.tau, self.eps, u,
-            coupling_m(self.params, theta), self.config, self.K, self.A_w,
-            init_sets=self.sets,
+            self.grid, self.params, self.tau, self.A, u,
+            coupling_m(self.params, theta), self.config, init_sets=self.sets,
         )
         self.sets = res.sets
         return StepOut(res.u, res.w, res.lam, res.iters, res.converged, res.restarted)
@@ -248,71 +250,36 @@ def phase_step(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None
 
 @dataclass
 class AdmissibilityReport:
-    """Advisory step-size check against the uniqueness conditions.
+    """Advisory step-size check against the uniqueness condition; never blocks a run."""
 
-    Never blocks a run; the beta > 0 bound involves kernel-mollifier
-    constants that the theory does not make computable, so it is reported
-    only when the user supplies them.
-    """
-
-    beta: float
-    tau: float
     bound: float | None
-    status: str  # "pass" | "warn" | "unconditional" | "not_computable"
+    status: str  # "pass" | "warn" | "not_computable"
     message: str
 
 
-def timestep_admissibility(
-    config: RunConfig,
-    C_I: float = 0.0,
-    C_eta: float | None = None,
-    C_hat_eta: float | None = None,
-) -> AdmissibilityReport:
-    """Check tau against the uniqueness step-size bounds (advisory only).
+def timestep_admissibility(config: RunConfig, C_I: float = 0.0) -> AdmissibilityReport:
+    """Check tau against the beta = 0 nonlocal uniqueness bound (advisory only).
 
-    beta = 0: tau < mu / (C_gamma (1 + C_I^2) - xi) with the user-supplied
-    exterior constant C_I (default 0); a nonpositive denominator makes the
-    bound vacuous ("unconditional").  beta > 0: requires C_eta and C_hat_eta
-    as well; otherwise reported as not computable.
+    tau < mu / (C_gamma (1 + C_I^2) - xi) with the user-supplied exterior
+    constant C_I >= 0; the denominator equals C_gamma C_I^2 + c_F > 0.  The
+    beta > 0 bound involves kernel-mollifier constants that the theory does
+    not make computable, so it and the local variants report
+    "not_computable".
     """
     m = config.model
-    if not config.is_nonlocal:
-        return AdmissibilityReport(
-            m.beta, config.tau, None, "not_computable",
-            "admissibility bound applies to the nonlocal variants only",
-        )
-    spec = config.kernel_spec()
-    C_gamma = c_gamma_closed_form(spec)
-    xi_val = C_gamma - m.c_F
-    if C_I < 0:
+    if not (C_I >= 0):
         raise ValueError("C_I must be >= 0")
-    if m.beta == 0:
-        denom = C_gamma * (1.0 + C_I**2) - xi_val
-        if denom <= 0:
-            return AdmissibilityReport(
-                m.beta, config.tau, None, "unconditional",
-                "denominator nonpositive: bound vacuous",
-            )
-        bound = m.mu / denom
-        ok = config.tau < bound
+    if not config.is_nonlocal or m.beta != 0:
         return AdmissibilityReport(
-            m.beta, config.tau, bound, "pass" if ok else "warn",
-            f"tau = {config.tau:.4g} vs bound {bound:.4g} (C_I = {C_I:g})",
+            None, "not_computable",
+            "admissibility bound applies to the beta = 0 nonlocal variant only",
         )
-    if C_eta is None or C_hat_eta is None:
-        return AdmissibilityReport(
-            m.beta, config.tau, None, "not_computable",
-            "beta > 0 bound needs user-supplied C_eta and C_hat_eta",
-        )
-    if xi_val <= 0:
-        return AdmissibilityReport(
-            m.beta, config.tau, None, "warn", "xi <= 0: outside uniqueness regime"
-        )
-    bound = 2.0 * xi_val * m.mu / ((C_eta**2 + m.beta * C_hat_eta**2) * (1.0 + C_I**2))
+    C_gamma = c_gamma_closed_form(config.kernel_spec())
+    bound = m.mu / (C_gamma * (1.0 + C_I**2) - (C_gamma - m.c_F))
     ok = config.tau < bound
     return AdmissibilityReport(
-        m.beta, config.tau, bound, "pass" if ok else "warn",
-        f"tau = {config.tau:.4g} vs bound {bound:.4g}",
+        bound, "pass" if ok else "warn",
+        f"tau = {config.tau:.4g} vs bound {bound:.4g} (C_I = {C_I:g})",
     )
 
 

@@ -23,8 +23,8 @@ from .grid import assemble_stiffness, build_grid
 from .kernel import (KernelSpec, c_gamma_closed_form, c_gamma_quadrature,
                      second_moment_check, xi)
 from .nonlocal_ops import apply_Bh, build_stencil, conv_rows, convolve, exterior_closure
-from .pdas import (PdasConfig, PdasResult, WSolver, _pdas_iterate, pdas_step_CH,
-                   pdas_step_local_obstacle, sets_from_bounds, w_matrix)
+from .pdas import (PdasConfig, PdasResult, WSolver, _pdas_iterate, local_obstacle_matrix,
+                   pdas_step_CH, pdas_step_local_obstacle, sets_from_bounds, w_matrix)
 from .physics import ModelParams, coupling_m
 from .stepper import NonlocalACStep
 
@@ -331,13 +331,10 @@ def run_all_checks() -> list:
     # 2D local-obstacle step: its CG sweeps vs the last sweep solved directly.
     lo = ModelParams(mu=0.0003, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=10.0)
     lo_tau, lo_eps = 1e-4, 0.01
-    K = assemble_stiffness(grid)
+    A = local_obstacle_matrix(grid, assemble_stiffness(grid), lo, lo_tau, lo_eps)
     u_prev = np.clip((r - 0.3) / (4 * grid.h) + 0.5, 0.0, 1.0)
     m_prev = coupling_m(lo, np.full(grid.n_interior, 0.5))
-    res = pdas_step_local_obstacle(grid, lo, lo_tau, lo_eps, u_prev, m_prev,
-                                   PdasConfig(), K)
-    A = (sp.diags_array((lo.mu / lo_tau - lo.c_F) * grid.mass_interior)
-         + lo_eps**2 * K).tocsr()
+    res = pdas_step_local_obstacle(grid, lo, lo_tau, A, u_prev, m_prev, PdasConfig())
     b = grid.mass_interior * (lo.mu / lo_tau * u_prev - 0.5 * lo.c_F + lo.c_F * m_prev)
     idx = np.flatnonzero(~(res.sets.upper | res.sets.lower))
     ref = spsolve(A[idx][:, idx].tocsc(),

@@ -21,8 +21,8 @@ from nlpf.kernel import (
     xi,
 )
 from nlpf.nonlocal_ops import build_stencil, convolve
-from nlpf.pdas import (PdasConfig, WSolver, pdas_step_CH, pdas_step_local_obstacle,
-                       w_matrix)
+from nlpf.pdas import (PdasConfig, WSolver, local_obstacle_matrix, pdas_step_CH,
+                       pdas_step_local_obstacle, w_matrix)
 from nlpf.physics import ModelParams, coupling_m
 from nlpf.presets import EX2_DELTAS, example1_config
 from nlpf.stepper import NonlocalACStep, heat_solver, run, step_temperature
@@ -163,11 +163,11 @@ def test_criterion_07b_pdas_vs_exhaustive_enumeration():
     # local obstacle, 8 interior nodes
     gl = build_grid(1, 1 / 7, 0.0)
     Kl = dense_stiffness_1d(gl.n_interior, gl.h)
+    A = local_obstacle_matrix(gl, assemble_stiffness(gl), p_lo, 3e-4, 0.3)
     for _ in range(3):
         u_prev = np.clip(rng.random(gl.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, gl.n_interior)
-        res = pdas_step_local_obstacle(gl, p_lo, 3e-4, 0.3, u_prev, m_prev,
-                                       PdasConfig(), assemble_stiffness(gl))
+        res = pdas_step_local_obstacle(gl, p_lo, 3e-4, A, u_prev, m_prev, PdasConfig())
         u_ref, _ = enumerate_local_obstacle(gl, p_lo, 3e-4, 0.3, u_prev,
                                             m_prev, Kl)
         worst = max(worst, float(np.abs(res.u - u_ref).max()))

@@ -1,7 +1,10 @@
 """Cross-scheme and packaging consistency checks."""
 
+import ast
+import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,8 +94,6 @@ def test_run_report_manifest_files_exist(tmp_path):
 
 
 def test_lazy_package_import():
-    import importlib
-
     import nlpf
 
     importlib.reload(nlpf)
@@ -100,3 +101,23 @@ def test_lazy_package_import():
     assert "stepper" in dir(nlpf)
     with pytest.raises(AttributeError):
         nlpf.not_a_module
+
+
+def test_benchmark_tracer_patches_existing_entry_points():
+    # nlpf_bench/spans.py wraps nlpf functions by module attribute name; a
+    # renamed entry point would otherwise surface only in a traced benchmark
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "nlpf_bench" / "spans.py")
+                     .read_text())
+    targets = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "PLAIN_ENTRIES" for t in node.targets):
+            targets |= {(mod, attr) for mod, attr, _ in ast.literal_eval(node.value)}
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch"
+              and all(isinstance(a, ast.Constant) for a in node.args[:2])):
+            targets.add((node.args[0].value, node.args[1].value))
+    assert {("pdas", "cg"), ("pdas", "factorized"), ("stepper", "factorized"),
+            ("stepper", "pdas_step_local_obstacle")} <= targets
+    for mod, attr in sorted(targets):
+        assert callable(getattr(importlib.import_module(f"nlpf.{mod}"), attr, None)), \
+            f"nlpf.{mod}.{attr}"

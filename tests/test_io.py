@@ -325,3 +325,50 @@ def test_report_with_nonfinite_diagnostic_is_strict_json(tmp_path):
     assert report["diagnostics_summary"]["enthalpy_drift_max"] is None
     assert report["invariants"]["enthalpy"] is False
     assert report["status"] == "invariant-failure"
+
+
+@pytest.mark.parametrize("override", [
+    "model.mu=nan", "model.D=inf", "model.c_F=-inf", "time.tau=nan", "kernel.epsilon=nan",
+    "solver.lin_tol=nan", "time.snapshots=0.0, nan", "init.theta0=nan",
+    "init.preset=step(inf)",
+])
+def test_config_rejects_nonfinite_numbers(override, tmp_path, capsys):
+    section, key = override.partition("=")[0].split(".")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        parse_config_text(MINI_CFG, overrides=[override])
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG)
+    out = tmp_path / "o"
+    assert cli_main(["run", str(cfg_path), "--output-dir", str(out),
+                     "--override", override]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_run_rejects_bad_C_I_before_the_run(value, tmp_path, capsys):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG)
+    out = tmp_path / "o"
+    assert cli_main(["run", str(cfg_path), "--output-dir", str(out),
+                     f"--C-I={value}"]) == 1
+    assert "--C-I" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_report_leaves_no_file_on_a_nonfinite_value(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_report(str(path), {"status": "ok", "value": float("nan")})
+    assert not path.exists()
+
+
+def test_local_obstacle_is_beta_zero_only(tmp_path, capsys):
+    path = REPO / "configs" / "ex1_local_obstacle.cfg"
+    with pytest.raises(ConfigError, match=r"local_obstacle requires \[model\] beta = 0"):
+        parse_config_text(path.read_text(), overrides=["model.beta=0.05"])
+    out = tmp_path / "o"
+    assert cli_main(["run", str(path), "--output-dir", str(out),
+                     "--override", "model.beta=0.05"]) == 1
+    assert "[model] beta" in capsys.readouterr().err
+    assert not out.exists()

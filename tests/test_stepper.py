@@ -286,13 +286,12 @@ def test_timestep_admissibility_beta_cases():
     rep = timestep_admissibility(big_cf, C_I=0.0)
     assert rep.status == "pass"
     assert rep.bound == pytest.approx(cfg.model.mu / 0.168, rel=1e-12)
+    # the beta > 0 bound needs constants the theory does not make computable
     rep_b = timestep_admissibility(cfg)
-    assert rep_b.status == "not_computable"
-    rep_b2 = timestep_admissibility(cfg, C_I=0.0, C_eta=1.0, C_hat_eta=1.0)
-    assert rep_b2.status in ("pass", "warn")
-    assert rep_b2.bound == pytest.approx(
-        2 * 0.0019958396581773175 * 0.0012 / (1.0 + 0.02), rel=1e-9
-    )
+    assert rep_b.status == "not_computable" and rep_b.bound is None
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="C_I"):
+            timestep_admissibility(big_cf, C_I=bad)
 
 
 def test_run_rejects_invalid_variant_configs():
@@ -331,9 +330,9 @@ def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
         run(dataclasses.replace(cfg, init=InitSpec(theta0=str(tmp_path / "theta0.csv"))))
 
 
-@pytest.mark.parametrize("variant", ["nonlocal_CH", "local_regular"])
+@pytest.mark.parametrize("variant", ["nonlocal_CH", "local_obstacle", "local_regular"])
 def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
-    built, factorized = [], []
+    built, factorized, lo_matrices = [], [], []
 
     def record(fn):
         def wrapped(*args):
@@ -346,9 +345,14 @@ def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
     monkeypatch.setattr(stepper, "build_grid", record(stepper.build_grid))
     monkeypatch.setattr(stepper, "build_stencil", record(stepper.build_stencil))
     monkeypatch.setattr(stepper, "factorized", lambda A: factorized.append(A) or factorize(A))
+    lo_matrix = stepper.local_obstacle_matrix
+    monkeypatch.setattr(stepper, "local_obstacle_matrix",
+                        lambda *args: lo_matrices.append(args) or lo_matrix(*args))
     assert run(_variant_config(variant)).n_steps == 10
     assert len(built) == (2 if variant == "nonlocal_CH" else 1)
     for obj, keys in built:
         assert set(vars(obj)) == keys, type(obj).__name__
     # heat matrix (and the local_regular phase matrix): once per run
-    assert len(factorized) == (1 if variant == "nonlocal_CH" else 2)
+    assert len(factorized) == (2 if variant == "local_regular" else 1)
+    # the local obstacle matrix: once per run
+    assert len(lo_matrices) == (1 if variant == "local_obstacle" else 0)
