@@ -12,10 +12,11 @@ with the RunConfig attribute it sets; required keys are marked *:
     [solver]   convolution_mode, pdas_c, pdas_max_iters, lin_tol
     [init]     preset = step(x0) | box(a,b) | frame(a,b), or file = path
                (not both); theta0 = const | path
-    [output]   directory, formats (csv[,vtk])
+    [output]   directory, formats (csv[,vtk]; vtk on 2D grids only)
 
 An absent optional key keeps its dataclass default; a number that is NaN or
-infinite is an error that names its key.  An unknown section or
+infinite is an error that names its key, also in a RunConfig built in code
+(``validate``).  An unknown section or
 key is an error, in the file and in ``section.key=value`` overrides, which
 are applied before validation.
 """
@@ -110,12 +111,18 @@ class RunConfig:
             raise ConfigError(f"[grid] dim must be 1 or 2, got {self.dim}")
         if not (0 < self.h < 1):
             raise ConfigError(f"[grid] h must lie in (0, 1), got {self.h}")
-        if self.tau <= 0:
-            raise ConfigError(f"[time] tau must be > 0, got {self.tau}")
-        if self.T_final < self.tau:
-            raise ConfigError("[time] T must be >= tau")
-        if self.epsilon <= 0:
-            raise ConfigError(f"[kernel] epsilon must be > 0, got {self.epsilon}")
+        # each check passes only valid values: NaN fails every comparison
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"[time] tau must be finite and > 0, got {self.tau}")
+        if not (math.isfinite(self.T_final) and self.T_final >= self.tau):
+            raise ConfigError(f"[time] T must be finite and >= tau, got {self.T_final}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"[kernel] epsilon must be finite and > 0, got {self.epsilon}")
+        if not math.isfinite(self.delta):
+            raise ConfigError(f"[kernel] delta must be finite, got {self.delta}")
+        if "vtk" in self.formats and self.dim != 2:
+            raise ConfigError("[output] formats: vtk is written for 2D grids only "
+                              f"([grid] dim = {self.dim})")
         m = self.model
         if self.variant == "nonlocal_CH":
             if m.beta <= 0:
@@ -123,7 +130,7 @@ class RunConfig:
         elif m.beta != 0:
             raise ConfigError(f"{self.variant} requires [model] beta = 0")
         if self.is_nonlocal:
-            if self.delta <= 0:
+            if not self.delta > 0:
                 raise ConfigError(
                     "[kernel] delta must be > 0 for nonlocal variants"
                 )
@@ -137,8 +144,8 @@ class RunConfig:
         elif self.variant == "local_obstacle" and m.mu / self.tau <= m.c_F:
             raise ConfigError("local_obstacle requires mu/tau > c_F; shrink tau")
         for t in self.snapshots:
-            if t < 0 or t > self.T_final + 1e-12:
-                raise ConfigError(f"snapshot time {t} outside [0, T]")
+            if not (0 <= t <= self.T_final + 1e-12):
+                raise ConfigError(f"[time] snapshots: time {t} outside [0, T]")
         return self
 
 

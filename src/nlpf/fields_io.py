@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .config import RunConfig, config_as_dict
 from .grid import Grid
 
 __all__ = [
+    "format_values",
     "write_field",
     "read_field",
     "write_vtk",
@@ -30,23 +32,73 @@ def _restrict(grid: Grid, values, ids: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def write_field(path: str, grid: Grid, values: np.ndarray, region: str = "interior") -> None:
+#: Values formatted per join in format_values.
+_CHUNK = 4096
+
+
+def format_values(values) -> str:
+    """``repr`` of each float, one per line, each line ending in a newline.
+
+    The one float formatter of the writers: write_field and write_vtk take
+    its text in place of an array, so a field written to both a CSV and a
+    VTK file is formatted once.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    # a chunk at a time, so no list of per-value strings spans the field
+    return "".join(["\n".join(map(repr, values[i:i + _CHUNK].tolist())) + "\n"
+                    for i in range(0, values.size, _CHUNK)])
+
+
+def _region_rows(grid: Grid, values, ids: np.ndarray, width: int, name: str):
+    """The text of ``values`` on the nodes ``ids``, ``width`` lines at a time.
+
+    ``values`` is an array or its format_values text, full-length or already
+    restricted to ``ids``; its size is checked here, the rows are sliced
+    lazily.  Each run of ``width`` ids must be consecutive nodes (a grid row
+    of the region), so that its lines are one slice of the text.
+    """
+    if isinstance(values, str):
+        text = values
+    else:
+        text = format_values(_restrict(grid, values, ids, name))
+    newlines = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 10)
+    starts = np.concatenate(([0], newlines + 1))  # line i is text[starts[i]:starts[i + 1]]
+    n = newlines.size
+    if n == grid.n_nodes:
+        lines = ids
+    elif n == ids.size:
+        lines = np.arange(n)
+    else:
+        raise ValueError(f"{name} has {n} values; the region has {ids.size} nodes")
+    return (text[starts[lines[a]]:starts[lines[a + width - 1] + 1]]
+            for a in range(0, lines.size, width))
+
+
+def write_field(path: str, grid: Grid, values, region: str = "interior") -> None:
     """Write one nodal field as CSV with header ``x[,y],value``.
 
     ``region`` is "interior" or "union" (interior plus interaction layer).
     Rows follow node ordering (row-major, x fastest).  Floats are written
     with ``repr`` so the round trip through read_field is bit-faithful.
     ``values`` may be full-length (restricted to the region) or already
-    region-length.
+    region-length, as an array or as its format_values text.  The
+    coordinates are formatted once per axis, and a 2D file is written one
+    grid row at a time.
     """
     if region not in ("interior", "union"):
         raise ValueError(f"unknown region {region!r}")
     ids = grid.interior_ids if region == "interior" else np.arange(grid.n_nodes)
-    rows = np.column_stack([grid.coords()[ids], _restrict(grid, values, ids, "field")])
-    header = "x,value" if grid.dim == 1 else "x,y,value"
+    axis = grid.axis_coords()
+    if region == "interior":
+        axis = axis[grid.layer:grid.layer + grid.n_axis_interior]
+    xs = [x + "," for x in format_values(axis).splitlines()]
+    ys = xs if grid.dim == 2 else [""]  # the text between x and value, per row
+    rows = _region_rows(grid, values, ids, len(xs), "field")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        fh.write("x,value\n" if grid.dim == 1 else "x,y,value\n")
+        for y, row in zip(ys, rows):
+            fh.write("".join(chain.from_iterable(
+                zip(xs, repeat(y), row.splitlines(keepends=True)))))
 
 
 def read_field(path: str):
@@ -65,7 +117,11 @@ def read_field(path: str):
 
 
 def write_vtk(path: str, grid: Grid, fields: dict) -> None:
-    """Legacy-VTK STRUCTURED_POINTS export of the 2D interior, one SCALARS block per field."""
+    """Legacy-VTK STRUCTURED_POINTS export of the 2D interior, one SCALARS block per field.
+
+    Each field is an array or its format_values text, full-length (the
+    interior is taken) or interior-length.
+    """
     if grid.dim != 2:
         raise ValueError("VTK export supports 2D grids only")
     n_ax = grid.n_axis_interior
@@ -79,10 +135,10 @@ def write_vtk(path: str, grid: Grid, fields: dict) -> None:
         fh.write(f"SPACING {grid.h} {grid.h} 1.0\n")
         fh.write(f"POINT_DATA {n_ax * n_ax}\n")
         for name, values in fields.items():
-            values = _restrict(grid, values, grid.interior_ids, f"field {name!r}")
+            rows = _region_rows(grid, values, grid.interior_ids, n_ax, f"field {name!r}")
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            fh.write("\n".join(map(repr, values.tolist())) + "\n")
+            fh.writelines(rows)
 
 
 def build_report(result=None, config: RunConfig | None = None, status: str = "ok",

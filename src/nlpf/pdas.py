@@ -40,6 +40,7 @@ the caller (the time loop builds them once per run).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,12 @@ class PdasConfig:
     convolution_mode: str = "explicit"
 
     def __post_init__(self):
-        if self.c_penalty <= 0:
-            raise ValueError("c_penalty must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (math.isfinite(self.c_penalty) and self.c_penalty > 0):
+            raise ValueError(f"c_penalty must be finite and > 0, got {self.c_penalty}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.lin_tol) and self.lin_tol >= 0):
+            raise ValueError(f"lin_tol must be finite and >= 0, got {self.lin_tol}")
         if self.convolution_mode not in ("explicit", "implicit"):
             raise ValueError(f"unknown convolution_mode {self.convolution_mode!r}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,17 @@ class ModelParams:
     theta_e: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.D <= 0:
-            raise ValueError(f"D must be > 0, got {self.D}")
-        if self.beta < 0:
+        # each check passes only valid values: NaN fails every comparison
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("mu", "D", "c_F", "rho"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.c_F <= 0:
-            raise ValueError(f"c_F must be > 0, got {self.c_F}")
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
 
 
 def coupling_m(params: ModelParams, theta):

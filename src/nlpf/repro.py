@@ -6,7 +6,7 @@ import csv
 import os
 
 from . import presets
-from .fields_io import build_report, write_field, write_report, write_vtk
+from .fields_io import build_report, format_values, write_field, write_report, write_vtk
 from .kernel import c_gamma_closed_form
 from .metrics import field_distance, interface_width
 from .stepper import RunResult, run
@@ -29,39 +29,47 @@ EX3_WIDTH_WINDOWS = {
 def write_snapshots(result: RunResult, outdir: str) -> list:
     """Write theta/u (and w, lam when present) per snapshot; return manifest.
 
-    Each manifest entry also carries the interface metrics of the snapshot,
-    including the counting convention, so saved widths stay comparable
-    across runs.
+    Every field is a CSV file (write_field); with ``vtk`` among the formats
+    (2D runs only) u and theta also go to one VTK file (write_vtk).  u and
+    theta are formatted once per snapshot and that text serves both files;
+    it is held for one snapshot at a time.  Each manifest entry also carries
+    the interface metrics of the snapshot, including the counting
+    convention, so saved widths stay comparable across runs.
     """
     os.makedirs(outdir, exist_ok=True)
-    grid = result.grid
     manifest = []
-    u_region = "union" if grid.exterior_ids.size else "interior"
     for st in result.states:
-        files = {}
-        for name, vals, region in (
-            ("theta", st.theta, "interior"),
-            ("u", st.u, u_region),
-            ("w", st.w, "interior"),
-            ("lambda", st.lam, "interior"),
-        ):
-            if vals is None:
-                continue
-            fname = f"{name}_{st.k:06d}.csv"
-            write_field(os.path.join(outdir, fname), grid, vals, region=region)
-            files[name] = fname
-        if "vtk" in result.config.formats and grid.dim == 2:
-            fname = f"fields_{st.k:06d}.vtk"
-            fields = {"u": st.u[grid.interior_ids], "theta": st.theta}
-            write_vtk(os.path.join(outdir, fname), grid, fields)
-            files["vtk"] = fname
+        files = _write_snapshot(result, st, outdir)
         manifest.append({
             "k": st.k,
             "t": st.t,
             "files": files,
-            "interface": interface_width(grid, st.u).as_dict(),
+            "interface": interface_width(result.grid, st.u).as_dict(),
         })
     return manifest
+
+
+def _write_snapshot(result: RunResult, st, outdir: str) -> dict:
+    grid = result.grid
+    u_region = "union" if grid.exterior_ids.size else "interior"
+    theta, u = format_values(st.theta), format_values(st.u)
+    files = {}
+    for name, vals, region in (
+        ("theta", theta, "interior"),
+        ("u", u, u_region),
+        ("w", st.w, "interior"),
+        ("lambda", st.lam, "interior"),
+    ):
+        if vals is None:
+            continue
+        fname = f"{name}_{st.k:06d}.csv"
+        write_field(os.path.join(outdir, fname), grid, vals, region=region)
+        files[name] = fname
+    if "vtk" in result.config.formats:
+        fname = f"fields_{st.k:06d}.vtk"
+        write_vtk(os.path.join(outdir, fname), grid, {"u": u, "theta": theta})
+        files["vtk"] = fname
+    return files
 
 
 def _finish(result: RunResult, outdir: str) -> dict:

@@ -8,8 +8,8 @@ import pytest
 
 from nlpf.cli import main as cli_main
 from nlpf.config import ConfigError, config_as_dict, parse_config_file, parse_config_text
-from nlpf.fields_io import (build_report, read_field, write_field, write_report,
-                            write_vtk)
+from nlpf.fields_io import (build_report, format_values, read_field, write_field,
+                            write_report, write_vtk)
 from nlpf.grid import build_grid
 from nlpf.presets import example1_config, example2_config, example3_config
 from nlpf.stepper import run
@@ -176,6 +176,102 @@ def test_vtk_header_and_blocks(tmp_path):
     assert sum(1 for ln in lines if ln.startswith("SCALARS")) == 2
     with pytest.raises(ValueError):
         write_vtk(str(tmp_path / "y.vtk"), build_grid(1, 1 / 4, 0.0), {"u": np.zeros(5)})
+
+
+def _parent_csv(grid, values, region):
+    """A field CSV by the writer's first formula: ``repr`` of every coordinate of every row."""
+    ids = grid.interior_ids if region == "interior" else np.arange(grid.n_nodes)
+    values = np.asarray(values, dtype=float)
+    if values.shape == (grid.n_nodes,):
+        values = values[ids]
+    rows = np.column_stack([grid.coords()[ids], values])
+    header = "x,value" if grid.dim == 1 else "x,y,value"
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+def _parent_vtk(grid, fields):
+    n_ax = grid.n_axis_interior
+    text = ("# vtk DataFile Version 3.0\nnlpf field export\nASCII\n"
+            f"DATASET STRUCTURED_POINTS\nDIMENSIONS {n_ax} {n_ax} 1\n"
+            f"ORIGIN 0.0 0.0 0.0\nSPACING {grid.h} {grid.h} 1.0\nPOINT_DATA {n_ax * n_ax}\n")
+    for name, values in fields.items():
+        values = np.asarray(values, dtype=float)
+        if values.shape == (grid.n_nodes,):
+            values = values[grid.interior_ids]
+        text += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+        text += "\n".join(map(repr, values.tolist())) + "\n"
+    return text
+
+
+def _awkward_values(n, seed):
+    """Random normals with the floats whose ``repr`` is least regular spread over them."""
+    values = np.random.default_rng(seed).standard_normal(n)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e22, 0.1 + 0.2, -1e-300]
+    values[np.linspace(0, n - 1, len(special)).astype(int)] = special
+    return values
+
+
+@pytest.mark.parametrize("dim, h, delta, regions", [
+    (1, 1 / 12, 0.2, ("union", "interior")),
+    (2, 1 / 6, 0.0, ("interior", "union")),
+    (2, 1 / 6, 0.34, ("union", "interior")),
+])
+def test_writers_match_the_per_row_repr_formula_byte_for_byte(tmp_path, dim, h, delta, regions):
+    g = build_grid(dim, h, delta)
+    u = _awkward_values(g.n_nodes, 1)
+    theta = _awkward_values(g.n_interior, 2)
+    for region in regions:
+        ids = g.interior_ids if region == "interior" else np.arange(g.n_nodes)
+        expected = _parent_csv(g, u, region).encode()
+        # full-length or region-length, as an array or as formatted text
+        for given in (u, u[ids], format_values(u), format_values(u[ids])):
+            path = tmp_path / f"{region}.csv"
+            write_field(str(path), g, given, region=region)
+            assert path.read_bytes() == expected, region
+    if dim == 2:
+        expected = _parent_vtk(g, {"u": u, "theta": theta}).encode()
+        for fields in ({"u": u, "theta": theta},
+                       {"u": format_values(u), "theta": format_values(theta)},
+                       {"u": u[g.interior_ids], "theta": format_values(theta)}):
+            path = tmp_path / "f.vtk"
+            write_vtk(str(path), g, fields)
+            assert path.read_bytes() == expected
+    with pytest.raises(ValueError, match="field has 3 values"):
+        write_field(str(tmp_path / "x.csv"), g, format_values(u[:3]))
+
+
+def test_snapshot_values_are_formatted_once(tmp_path, monkeypatch):
+    import nlpf.fields_io as fields_io
+    import nlpf.repro as repro
+
+    cfg = example3_config("nonlocal_CH")
+    cfg = dataclasses.replace(cfg, h=1 / 8, epsilon=0.05, delta=0.25, T_final=2 * cfg.tau,
+                              snapshots=(cfg.tau, 2 * cfg.tau))
+    assert cfg.formats == ("csv", "vtk")
+    res = run(cfg)
+    g = res.grid
+    assert g.n_axis_interior == 9 and g.layer > 0
+    sizes = []
+    original = fields_io.format_values
+
+    def counting(values):
+        sizes.append(np.size(values))
+        return original(values)
+
+    monkeypatch.setattr(fields_io, "format_values", counting)
+    monkeypatch.setattr(repro, "format_values", counting)
+    manifest = repro.write_snapshots(res, str(tmp_path))
+    assert len(manifest) == 2
+    expected = []
+    for snap in manifest:
+        files = snap["files"]
+        assert {"theta", "u", "vtk"} <= set(files)
+        # theta and u once each for their CSV and the VTK file, w and lambda once
+        expected += [g.n_interior, g.n_nodes]
+        expected += [g.n_interior] * (("w" in files) + ("lambda" in files))
+        # the coordinates once per CSV file, along one axis: u's is the union axis
+        expected += [g.n_axis] + [g.n_axis_interior] * (len(files) - 2)
+    assert sorted(sizes) == sorted(expected)
 
 
 def test_cli_run_writes_report_and_is_deterministic(tmp_path):
@@ -371,4 +467,42 @@ def test_local_obstacle_is_beta_zero_only(tmp_path, capsys):
     assert cli_main(["run", str(path), "--output-dir", str(out),
                      "--override", "model.beta=0.05"]) == 1
     assert "[model] beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"tau": NAN}, r"\[time\] tau"),
+    ({"tau": INF}, r"\[time\] tau"),
+    ({"T_final": NAN}, r"\[time\] T"),
+    ({"T_final": INF}, r"\[time\] T"),
+    ({"snapshots": (NAN,)}, r"\[time\] snapshots"),
+    ({"epsilon": NAN}, r"\[kernel\] epsilon"),
+    ({"delta": NAN}, r"\[kernel\] delta"),
+])
+def test_config_built_in_code_rejects_nonfinite_numbers(change, key):
+    cfg = dataclasses.replace(example1_config("local_obstacle"), **change)
+    with pytest.raises(ConfigError, match=key):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=key):
+        run(cfg)
+
+
+@pytest.mark.parametrize("key", ["mu", "L", "D", "beta", "c_F", "alpha", "rho", "theta_e"])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_model_params_reject_nonfinite_numbers(key, value):
+    model = example1_config("local_obstacle").model
+    with pytest.raises(ValueError, match=rf"^{key} must"):
+        dataclasses.replace(model, **{key: value})
+
+
+def test_vtk_in_1d_is_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"\[output\] formats"):
+        parse_config_text(MINI_CFG, overrides=["output.formats=csv,vtk"])
+    out = tmp_path / "o"
+    assert cli_main(["run", str(REPO / "configs" / "ex1_nonlocal_CH.cfg"),
+                     "--output-dir", str(out), "--override", "output.formats=csv,vtk"]) == 1
+    assert "[output] formats" in capsys.readouterr().err
     assert not out.exists()
