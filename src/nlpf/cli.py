@@ -131,12 +131,16 @@ def cmd_metrics(args) -> int:
     keep = np.all((coords >= -1e-9) & (coords <= 1.0 + 1e-9), axis=1)
     coords, values = coords[keep], values[keep]
     n_axis = round(len(values) ** (1.0 / dim))
-    if n_axis**dim != len(values):
-        print("error: field does not cover a full tensor grid on the unit "
-              "domain", file=sys.stderr)
+    if n_axis**dim != len(values) or n_axis < 2:
+        print("error: field does not cover a full tensor grid of at least 2 nodes "
+              "per axis on the unit domain", file=sys.stderr)
         return 1
-    grid = build_grid(dim, 1.0 / (n_axis - 1), 0.0)
-    rep = interface_width(grid, values, tol=args.tol)
+    try:
+        grid = build_grid(dim, 1.0 / (n_axis - 1), 0.0)
+        rep = interface_width(grid, values, tol=args.tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"interface width (cells): min = {rep.width_min}, max = {rep.width_max}")
     print(f"widths: {rep.widths}")
     print(f"pure-phase fractions: low = {rep.fraction_low:.4f}, "
@@ -176,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("metrics", help="re-run interface metrics on a saved field")
     pm.add_argument("field", help="field CSV written by a run")
-    pm.add_argument("--tol", type=float, default=1e-3)
+    pm.add_argument("--tol", type=float, default=1e-3,
+                    help="phase-class tolerance, 0 <= tol < 0.5 (default 1e-3)")
     pm.set_defaults(func=cmd_metrics)
     return p
 

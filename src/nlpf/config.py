@@ -39,6 +39,9 @@ __all__ = ["InitSpec", "RunConfig", "ConfigError", "parse_config_file", "parse_c
 
 VARIANTS = ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular")
 
+#: Number of parameters of each [init] preset kind.
+_PRESET_ARITY = {"step": 1, "box": 2, "frame": 2}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -146,7 +149,25 @@ class RunConfig:
         for t in self.snapshots:
             if not (0 <= t <= self.T_final + 1e-12):
                 raise ConfigError(f"[time] snapshots: time {t} outside [0, T]")
+        self._validate_init()
         return self
+
+    def _validate_init(self) -> None:
+        init = self.init
+        if init.kind == "file":
+            if not init.path:
+                raise ConfigError("[init] file: no path given")
+        elif init.kind not in _PRESET_ARITY:
+            raise ConfigError(f"[init] preset kind must be step, box, frame or file; "
+                              f"got {init.kind!r}")
+        elif len(init.params) != _PRESET_ARITY[init.kind]:
+            raise ConfigError(f"[init] preset {init.kind} takes "
+                              f"{_PRESET_ARITY[init.kind]} number(s), got {init.params}")
+        elif not all(math.isfinite(p) for p in init.params):
+            raise ConfigError(f"[init] preset {init.kind}{init.params}: numbers must be "
+                              "finite")
+        if not isinstance(init.theta0, str) and not math.isfinite(init.theta0):
+            raise ConfigError(f"[init] theta0 must be finite, got {init.theta0}")
 
 
 def _float(raw: str) -> float:
@@ -203,16 +224,13 @@ _SECTIONS = {section for section, _ in _FORMAT}
 
 
 def _parse_init(sec: dict) -> InitSpec:
+    """InitSpec of the [init] section; ``RunConfig.validate`` checks its values."""
     kw = {}
     if "theta0" in sec:
         try:
             kw["theta0"] = float(sec["theta0"])
         except ValueError:
             kw["theta0"] = sec["theta0"]  # path to a nodal CSV
-        else:
-            if not math.isfinite(kw["theta0"]):
-                raise ConfigError(f"bad value for [init] theta0: {sec['theta0']!r} "
-                                  "(not finite)")
     if "file" in sec:
         if "preset" in sec:
             raise ConfigError("[init] preset and [init] file are exclusive; set one")
@@ -220,18 +238,15 @@ def _parse_init(sec: dict) -> InitSpec:
     if "preset" not in sec:
         return InitSpec(**kw)
     preset = sec["preset"]
-    m = re.fullmatch(r"\s*(step|box|frame)\s*\(([^)]*)\)\s*", preset)
+    m = re.fullmatch(rf"\s*({'|'.join(_PRESET_ARITY)})\s*\(([^)]*)\)\s*", preset)
     if not m:
         raise ConfigError(f"bad [init] preset {preset!r}; expected step(x0), box(a,b) "
                           "or frame(a,b)")
-    kind = m.group(1)
     try:
-        params = tuple(_float(p) for p in m.group(2).split(","))
+        params = tuple(float(p) for p in m.group(2).split(","))
     except ValueError as exc:
         raise ConfigError(f"bad numbers in [init] preset {preset!r}") from exc
-    if len(params) != (1 if kind == "step" else 2):
-        raise ConfigError(f"wrong arity in [init] preset {preset!r}")
-    return InitSpec(kind=kind, params=params, **kw)
+    return InitSpec(kind=m.group(1), params=params, **kw)
 
 
 def parse_config_text(text: str, label: str = "run", overrides=()) -> RunConfig:

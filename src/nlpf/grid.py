@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +45,6 @@ class Grid:
     h_requested: float
     interior_ids: np.ndarray = field(repr=False)
     exterior_ids: np.ndarray = field(repr=False)
-    interior_mask: np.ndarray = field(repr=False)
     lumped_mass: np.ndarray = field(repr=False)
 
     @property
@@ -82,12 +82,17 @@ class Grid:
         return (np.arange(self.n_axis) - self.layer) * self.h
 
     def coords(self) -> np.ndarray:
-        """(n_nodes, dim) coordinates in node ordering."""
-        ax = self.axis_coords()
-        if self.dim == 1:
-            return ax[:, None]
-        X, Y = np.meshgrid(ax, ax, indexing="xy")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        """(n_nodes, dim) coordinates in node ordering, columns (x, y)."""
+        axes = np.meshgrid(*(self.axis_coords(),) * self.dim, indexing="ij")
+        return np.column_stack([a.ravel() for a in axes[::-1]])
+
+
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """1D trapezoidal weights of n nodes spaced h: h, halved at both ends."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
@@ -114,18 +119,9 @@ def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
 
     on_axis_interior = np.zeros(n_axis, dtype=bool)
     on_axis_interior[layer : layer + n_cells + 1] = True
-
+    interior_mask = reduce(np.logical_and.outer, (on_axis_interior,) * dim).ravel()
     # Tensor trapezoidal weights of the extended domain.
-    w_axis = np.full(n_axis, h_snapped)
-    w_axis[0] *= 0.5
-    w_axis[-1] *= 0.5
-
-    if dim == 1:
-        interior_mask = on_axis_interior
-        mass = w_axis.copy()
-    else:
-        interior_mask = (on_axis_interior[:, None] & on_axis_interior[None, :]).ravel()
-        mass = np.outer(w_axis, w_axis).ravel()
+    mass = reduce(np.multiply.outer, (_trapezoid_weights(n_axis, h_snapped),) * dim).ravel()
 
     ids = np.arange(n_axis**dim)
     return Grid(
@@ -136,7 +132,6 @@ def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
         h_requested=h,
         interior_ids=ids[interior_mask],
         exterior_ids=ids[~interior_mask],
-        interior_mask=interior_mask,
         lumped_mass=mass,
     )
 
@@ -160,8 +155,5 @@ def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     K1 = _stiffness_1d(n, grid.h)
     if grid.dim == 1:
         return K1
-    w = np.full(n, grid.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    M1 = sp.diags_array(w).tocsr()
+    M1 = sp.diags_array(_trapezoid_weights(n, grid.h)).tocsr()
     return (sp.kron(M1, K1) + sp.kron(K1, M1)).tocsr()

@@ -14,10 +14,10 @@ widths are frequently point counts even when labeled in cells:
                       points strictly between the pure phases (an exact step
                       has 0, the ramp over n cells has n - 1).
 
-In 2D the runs are collected along every horizontal and vertical grid line
-that crosses the interface (contains both a HIGH and a LOW node; if no line
-does, lines containing MID nodes are used) and min/max over all runs are
-reported.  Line scans overestimate the thickness of a band they cross
+The runs are collected along every grid line (x-lines, then in 2D the
+y-lines) that crosses the interface (contains both a HIGH and a LOW node;
+if no line does, lines containing MID nodes are used) and min/max over all
+runs are reported.  Line scans overestimate the thickness of a band they cross
 obliquely (near corners of a closed interface) by the secant of the
 incidence angle, so the report also carries a direction-free normal
 thickness: per MID node, the Euclidean distance to the nearest LOW node
@@ -112,16 +112,16 @@ def _classify(u: np.ndarray, tol: float) -> np.ndarray:
     return cls
 
 
-def _normal_thickness(cls, interior_shape, dim):
+def _normal_thickness(arr):
     """(min, max, p05, p95) direction-free node thickness over MID nodes.
 
-    The percentiles trim the corner neighborhoods of a closed interface,
-    where curvature genuinely thickens/thins the band relative to its
+    ``arr`` holds the node classes on the interior grid shape.  The
+    percentiles trim the corner neighborhoods of a closed interface, where
+    curvature genuinely thickens/thins the band relative to its
     characteristic transverse width.
     """
     from scipy.ndimage import distance_transform_edt
 
-    arr = cls.reshape(interior_shape) if dim == 2 else cls
     mid = arr == 1
     if not mid.any() or not (arr == 0).any() or not (arr == 2).any():
         return 0.0, 0.0, 0.0, 0.0
@@ -136,7 +136,10 @@ def interface_width(grid: Grid, u: np.ndarray, tol: float = DEFAULT_TOL) -> Inte
     """Interface widths of an interior nodal field.
 
     Accepts an interior-length or full-length field (restricted to interior).
+    ``tol`` must satisfy 0 <= tol < 0.5, so that no node is both LOW and HIGH.
     """
+    if not 0.0 <= tol < 0.5:
+        raise ValueError(f"tol must satisfy 0 <= tol < 0.5, got {tol}")
     u = np.asarray(u, dtype=float)
     if u.shape == (grid.n_nodes,):
         u = u[grid.interior_ids]
@@ -148,26 +151,19 @@ def interface_width(grid: Grid, u: np.ndarray, tol: float = DEFAULT_TOL) -> Inte
     frac_low = float(mI[u <= tol].sum()) / vol
     frac_high = float(mI[u >= 1.0 - tol].sum()) / vol
 
-    cls = _classify(u, tol)
-    runs = []
-    if grid.dim == 1:
-        runs = _line_runs(cls)
-    else:
-        arr = cls.reshape(grid.interior_shape)
-        lines = [arr[i, :] for i in range(arr.shape[0])]
-        lines += [arr[:, j] for j in range(arr.shape[1])]
-        crossing = [ln for ln in lines if (ln == 0).any() and (ln == 2).any()]
-        if not crossing:
-            crossing = [ln for ln in lines if (ln == 1).any()]
-        for ln in crossing:
-            runs.extend(_line_runs(ln))
+    cls = _classify(u, tol).reshape(grid.interior_shape)
+    # every grid line along x, then every line along y (x is the last axis)
+    lines = [ln for axis in reversed(range(grid.dim))
+             for ln in np.moveaxis(cls, axis, -1).reshape(-1, cls.shape[axis])]
+    crossing = [ln for ln in lines if (ln == 0).any() and (ln == 2).any()]
+    if not crossing:
+        crossing = [ln for ln in lines if (ln == 1).any()]
+    runs = [run for ln in crossing for run in _line_runs(ln)]
     if not runs:
         runs = [(0, 0)]
     widths = [r[0] for r in runs]
     nodes = [r[1] for r in runs]
-    normal_min, normal_max, normal_p05, normal_p95 = _normal_thickness(
-        cls, grid.interior_shape, grid.dim
-    )
+    normal_min, normal_max, normal_p05, normal_p95 = _normal_thickness(cls)
     return InterfaceReport(
         tol=tol,
         widths=widths,

@@ -92,19 +92,14 @@ def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
     if grid.layer <= R:
         raise ValueError("grid interaction layer does not cover delta")
     k = np.arange(-R, R + 1)
-    if grid.dim == 1:
-        dist = np.abs(k) * grid.h
-    else:
-        dist = np.hypot(*np.meshgrid(k, k, indexing="ij")) * grid.h
-    footprint = kernel_eval(kernel, dist) * grid.h**grid.dim
+    # hypot from 0.0 keeps the 1D distances |k| and the 2D ones hypot(kx, ky)
+    dist = np.hypot.reduce(np.meshgrid(*(k,) * grid.dim, indexing="ij"), initial=0.0)
+    footprint = kernel_eval(kernel, dist * grid.h) * grid.h**grid.dim
 
-    nz = footprint > 0.0
-    if grid.dim == 1:
-        offsets = k[nz][:, None]
-    else:
-        KX, KY = np.meshgrid(k, k, indexing="xy")
-        offsets = np.column_stack([KX.ravel()[nz.ravel()], KY.ravel()[nz.ravel()]])
-    weights = footprint[nz].ravel() if grid.dim == 1 else footprint.ravel()[nz.ravel()]
+    # footprint axes are (y, x) like the node ordering; offsets are (x, y)
+    nz = np.nonzero(footprint > 0.0)
+    offsets = np.column_stack([k[i] for i in nz[::-1]])
+    weights = footprint[nz]
 
     mass_ratio = grid.lumped_mass / grid.h**grid.dim
     fft_shape = (sfft.next_fast_len(grid.n_axis + R, real=True),) * grid.dim
@@ -172,27 +167,16 @@ def conv_rows(stencil: ConvolutionStencil, rows: np.ndarray) -> sp.csr_matrix:
             f"convolution matrix would need ~{nnz_bound} entries; "
             "use the stencil application instead"
         )
-    n_ax = grid.n_axis
+    # node multi-indices in (x, y) order, matching the offsets
+    index = np.unravel_index(rows, grid.shape)[::-1]
     row_list, col_list, dat_list = [], [], []
-    if grid.dim == 1:
-        for off, w in zip(stencil.offsets[:, 0], stencil.weights):
-            cols = rows + off
-            ok = (cols >= 0) & (cols < n_ax)
-            row_list.append(rows[ok])
-            cols = cols[ok]
-            col_list.append(cols)
-            dat_list.append(w * stencil.mass_ratio[cols])
-    else:
-        ix = rows % n_ax
-        iy = rows // n_ax
-        for (ox, oy), w in zip(stencil.offsets, stencil.weights):
-            jx = ix + ox
-            jy = iy + oy
-            ok = (jx >= 0) & (jx < n_ax) & (jy >= 0) & (jy < n_ax)
-            cols = jy[ok] * n_ax + jx[ok]
-            row_list.append(rows[ok])
-            col_list.append(cols)
-            dat_list.append(w * stencil.mass_ratio[cols])
+    for off, w in zip(stencil.offsets, stencil.weights):
+        target = [i + o for i, o in zip(index, off)]
+        ok = np.logical_and.reduce([(t >= 0) & (t < grid.n_axis) for t in target])
+        cols = np.ravel_multi_index([t[ok] for t in target[::-1]], grid.shape)
+        row_list.append(rows[ok])
+        col_list.append(cols)
+        dat_list.append(w * stencil.mass_ratio[cols])
     return sp.coo_matrix(
         (np.concatenate(dat_list), (np.concatenate(row_list), np.concatenate(col_list))),
         shape=(grid.n_nodes, grid.n_nodes),

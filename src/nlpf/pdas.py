@@ -20,6 +20,8 @@ Solvers:
 The explicit-convolution CH step reduces to one SPD solve per sweep in the
 chemical potential w: on the inactive set u = (w + q)/xi is eliminated
 nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).  The
+discrete xi = c_gamma_h - c_F is one number on the interior, where every
+node sees the full stencil.  The
 ``WSolver`` solves it: directly in 1D, where the system is tridiagonal, and
 in 2D by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (bilinear prolongations fixed per grid, Galerkin coarse operators
@@ -55,7 +57,7 @@ from .physics import ModelParams
 __all__ = [
     "ActiveSets",
     "PdasConfig",
-    "PdasResult",
+    "StepOut",
     "WSolver",
     "pdas_step_CH",
     "pdas_step_local_obstacle",
@@ -116,20 +118,24 @@ class ActiveSets:
 
 
 @dataclass
-class PdasResult:
-    """Converged (or best) iterate of one PDAS solve.
+class StepOut:
+    """One phase update: the result of every variant's phase step.
 
-    u is the full-domain field (exterior closed for nonlocal steps), w and
-    lam live on interior nodes; w is None for beta = 0 local/nonlocal paths.
+    u is the full-domain field (exterior layer closed on nonlocal grids);
+    w and lam live on interior nodes and are None where the variant has no
+    chemical potential or multiplier.  sets are the final active sets, None
+    for the solve-free variants.  iters/converged are the active-set sweep
+    count and convergence (0 and True for the solve-free variants);
+    restarted is whether the active-set iteration was restarted cold.
     """
 
     u: np.ndarray
-    w: np.ndarray | None
-    lam: np.ndarray
-    sets: ActiveSets
-    iters: int
-    converged: bool
-    restarted: bool
+    w: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    sets: ActiveSets | None = None
+    iters: int = 0
+    converged: bool = True
+    restarted: bool = False
 
 
 def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
@@ -138,15 +144,17 @@ def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
     return ActiveSets(upper=u_interior >= 1.0 - tol, lower=u_interior <= tol)
 
 
-def _pdas_iterate(solve_for_sets, init_sets: ActiveSets, c: float, max_iters: int):
+def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
+                  max_iters: int) -> StepOut:
     """Drive the active-set fixed point.
 
-    Returns (u_I, lam, extra, sets, iters, ok, restarted).  If the
-    warm-started iteration does not settle within max_iters (a cold start
-    from an all-pinned state opens a wide inactive band only a couple of
-    nodes per sweep), it is restarted once from the all-inactive estimate,
-    whose first unconstrained solve pins near-final sets immediately;
-    ``restarted`` reports that.
+    ``solve_for_sets(upper, lower)`` returns (u_I, u_E, w, lam): u on the
+    interior and on the exterior layer (u_E None on a grid without one), w
+    (None where beta = 0) and the multiplier.  If the warm-started iteration
+    does not settle within max_iters (a cold start from an all-pinned state
+    opens a wide inactive band only a couple of nodes per sweep), it is
+    restarted once from the all-inactive estimate, whose first unconstrained
+    solve pins near-final sets immediately; ``restarted`` reports that.
     """
     n = init_sets.upper.shape[0]
     attempts = [init_sets]
@@ -154,21 +162,29 @@ def _pdas_iterate(solve_for_sets, init_sets: ActiveSets, c: float, max_iters: in
         attempts.append(
             ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         )
-    u_I = lam = extra = sets = None
     iters_used = 0
+    converged = False
     for attempt, start in enumerate(attempts):
         sets = ActiveSets(start.upper.copy(), start.lower.copy())
         for _ in range(max_iters):
             iters_used += 1
-            u_I, lam, extra = solve_for_sets(sets.upper, sets.lower)
+            u_I, u_E, w, lam = solve_for_sets(sets.upper, sets.lower)
             new = ActiveSets(
                 upper=lam + c * (u_I - 1.0) > 0.0,
                 lower=lam + c * u_I < 0.0,
             )
-            if new.same_as(sets):
-                return u_I, lam, extra, sets, iters_used, True, attempt > 0
+            converged = new.same_as(sets)
+            if converged:
+                break
             sets = new
-    return u_I, lam, extra, sets, iters_used, False, len(attempts) > 1
+        if converged:
+            break
+    u = u_I
+    if u_E is not None:
+        u = np.empty(grid.n_nodes)
+        u[grid.interior_ids] = u_I
+        u[grid.exterior_ids] = u_E
+    return StepOut(u, w, lam, sets, iters_used, converged, attempt > 0)
 
 
 def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:
@@ -314,7 +330,7 @@ def pdas_step_CH(
     W: sp.csr_matrix | None = None,
     init_sets: ActiveSets | None = None,
     w0: np.ndarray | None = None,
-) -> PdasResult:
+) -> StepOut:
     """One constrained Cahn-Hilliard-type step (beta > 0).
 
     Solves the coupled system
@@ -322,8 +338,10 @@ def pdas_step_CH(
         mu M (u - u_prev) + tau (M + beta K) w = 0
         xi u - gamma(*)u - w + lambda = c_F m_prev - c_F/2   (+ complementarity)
 
-    with the convolution taken at the previous level (explicit mode, rows
-    become diagonal in u) or at the current level (implicit mode, one sparse
+    with the discrete xi = c_gamma_h - c_F, one number on the interior
+    (every interior node sees the full stencil), and the convolution taken
+    at the previous level (explicit mode, rows become diagonal in u) or at
+    the current level (implicit mode, one sparse
     solve of the full (u_int, u_ext, w) system per sweep).  The exterior
     layer is closed by the zero-flux condition, explicitly or as part of the
     coupled solve respectively.  ``w_solver`` is
@@ -336,8 +354,8 @@ def pdas_step_CH(
     mI = grid.mass_interior
     c_F = params.c_F
     mu = params.mu
-    xi_vec = stencil.c_gamma_h[ids] - c_F
-    if np.any(xi_vec <= 0.0):
+    xi = stencil.c_gamma_h_interior - c_F
+    if not xi > 0.0:
         raise ValueError(
             "discrete xi = c_gamma_h - c_F must be > 0 on interior nodes "
             "for the constrained Cahn-Hilliard step"
@@ -350,7 +368,6 @@ def pdas_step_CH(
         init_sets = sets_from_bounds(u_prev_I)
     c_eff = config.c_penalty * (mu / tau + stencil.c_gamma_h_interior + 1.0)
 
-    ext = grid.exterior_ids
     if config.convolution_mode == "explicit":
         conv_prev = convolve(stencil, u_prev)
         q = conv_prev[ids] + c_F * m_prev - 0.5 * c_F
@@ -362,17 +379,18 @@ def pdas_step_CH(
             inactive = ~(upper | lower)
             ubar = upper.astype(float)
             rhs = mu * mI * (
-                u_prev_I - np.where(inactive, q / xi_vec, ubar)
+                u_prev_I - np.where(inactive, q / xi, ubar)
             )
-            w = w_solver.solve(np.where(inactive, mu * mI / xi_vec, 0.0), rhs,
+            w = w_solver.solve(np.where(inactive, mu * mI / xi, 0.0), rhs,
                                warm["w"], config.lin_tol)
             warm["w"] = w
-            u_I = np.where(inactive, (w + q) / xi_vec, ubar)
-            lam = np.where(inactive, 0.0, w + q - xi_vec * u_I)
-            return u_I, lam, (w, u_E)
+            u_I = np.where(inactive, (w + q) / xi, ubar)
+            lam = np.where(inactive, 0.0, w + q - xi * u_I)
+            return u_I, u_E, w, lam
     else:
         # Implicit convolution: one sparse solve of the full coupled system
         # per sweep.  Unknown ordering [u_int, u_ext, w].
+        ext = grid.exterior_ids
         n_i, n_e = grid.n_interior, ext.size
         W_II = W[ids][:, ids]
         W_IE = W[ids][:, ext]
@@ -390,7 +408,7 @@ def pdas_step_CH(
             # Phase rows: identity on active nodes, operator rows elsewhere.
             D_in = sp.diags_array(inactive.astype(float)).tocsr()
             D_act = sp.diags_array((~inactive).astype(float)).tocsr()
-            R2_uI = D_in @ (sp.diags_array(xi_vec).tocsr() - W_II) + D_act
+            R2_uI = D_in @ (xi * I_i - W_II) + D_act
             R2_uE = D_in @ (-W_IE)
             R2_w = D_in @ (-I_i)
             rhs2 = np.where(inactive, rhs_R2_inactive, ubar)
@@ -409,17 +427,11 @@ def pdas_step_CH(
             w = x[n_i + n_e :]
             conv_I = W_II @ u_I + W_IE @ u_E
             lam = np.where(
-                inactive, 0.0, w + conv_I + c_F * m_prev - 0.5 * c_F - xi_vec * u_I
+                inactive, 0.0, w + conv_I + c_F * m_prev - 0.5 * c_F - xi * u_I
             )
-            return u_I, lam, (w, u_E)
+            return u_I, u_E, w, lam
 
-    u_I, lam, (w, u_E), sets, iters, ok, restarted = _pdas_iterate(
-        solve_for_sets, init_sets, c_eff, config.max_iters
-    )
-    u_full = np.empty(grid.n_nodes)
-    u_full[ids] = u_I
-    u_full[ext] = u_E
-    return PdasResult(u_full, w, lam, sets, iters, ok, restarted)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
 
 
 def pdas_step_local_obstacle(
@@ -431,7 +443,7 @@ def pdas_step_local_obstacle(
     m_prev: np.ndarray,
     config: PdasConfig,
     init_sets: ActiveSets | None = None,
-) -> PdasResult:
+) -> StepOut:
     """Backward-Euler local obstacle step (beta = 0): mu du/dt with eps^2 K stiffness.
 
     The chemical potential is eliminated, and each sweep is one reduced SPD
@@ -471,12 +483,9 @@ def pdas_step_local_obstacle(
                                "CG for the reduced local-obstacle system")
         warm["u"] = u_I
         lam = np.where(inactive, 0.0, (b - A @ u_I) / mI)
-        return u_I, lam, None
+        return u_I, None, None, lam
 
-    u_I, lam, _, sets, iters, ok, restarted = _pdas_iterate(
-        solve_for_sets, init_sets, c_eff, config.max_iters
-    )
-    return PdasResult(u_I, None, lam, sets, iters, ok, restarted)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
 
 
 def verify_complementarity(u, lam) -> float:

@@ -39,13 +39,13 @@ from .grid import Grid, assemble_stiffness, build_grid
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
                            exterior_closure)
-from .pdas import (PdasConfig, WSolver, local_obstacle_matrix, pdas_step_CH,
+from .pdas import (PdasConfig, StepOut, WSolver, local_obstacle_matrix, pdas_step_CH,
                    pdas_step_local_obstacle, verify_complementarity, w_matrix)
 from .physics import (ModelParams, coupling_m, green_solver, objective_Jk,
                       regular_potential_dF)
 
 __all__ = [
-    "State", "RunResult", "StepOut", "NonlocalCHStep", "NonlocalACStep",
+    "State", "RunResult", "NonlocalCHStep", "NonlocalACStep",
     "LocalObstacleStep", "LocalRegularStep", "phase_step", "heat_solver",
     "step_temperature", "step_phase_local_regular", "initial_state", "run",
     "AdmissibilityReport", "timestep_admissibility",
@@ -84,25 +84,6 @@ class RunResult:
     @property
     def non_converged_steps(self) -> list:
         return [int(k) + 1 for k in np.flatnonzero(~self.diagnostics["pdas_converged"])]
-
-
-@dataclass
-class StepOut:
-    """One phase update.
-
-    u is the full-domain field (exterior layer closed on nonlocal grids);
-    w and lam live on interior nodes and are None where the variant has no
-    chemical potential or multiplier.  iters/converged are the active-set
-    sweep count and convergence (0 and True for the solve-free variants);
-    restarted is whether the active-set iteration was restarted cold.
-    """
-
-    u: np.ndarray
-    w: np.ndarray | None = None
-    lam: np.ndarray | None = None
-    iters: int = 0
-    converged: bool = True
-    restarted: bool = False
 
 
 def heat_solver(grid: Grid, K: sp.csr_matrix, D: float, tau: float):
@@ -159,29 +140,30 @@ class NonlocalCHStep:
         self.sets = self.w = None
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
-        res = pdas_step_CH(
+        out = pdas_step_CH(
             self.grid, self.stencil, self.params, self.tau, u,
             coupling_m(self.params, theta), self.config, self.w_solver, self.W,
             init_sets=self.sets, w0=self.w,
         )
-        self.sets, self.w = res.sets, res.w
-        return StepOut(res.u, res.w, res.lam, res.iters, res.converged, res.restarted)
+        self.sets, self.w = out.sets, out.w
+        return out
 
 
 class NonlocalACStep:
     """Direct nodal projection step for the beta = 0 nonlocal model.
 
     No linear or nonlinear solve: u at each interior node is the clamp of
-    g / (mu/tau + c_gamma_h - c_F) with g built from the previous level;
-    the exterior layer is closed explicitly.
+    g / (mu/tau + c_gamma_h - c_F) with g built from the previous level
+    (c_gamma_h is one number on the interior); the exterior layer is closed
+    explicitly.
     """
 
     def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
                  tau: float):
         self.grid, self.stencil, self.params = grid, stencil, params
         self.r = params.mu / tau
-        self.denom = self.r + stencil.c_gamma_h[grid.interior_ids] - params.c_F
-        if np.any(self.denom <= 0.0):
+        self.denom = self.r + stencil.c_gamma_h_interior - params.c_F
+        if not self.denom > 0.0:
             raise ValueError(
                 "mu/tau + c_gamma_h - c_F must be > 0 at every node; "
                 "tau is too large relative to mu/(c_F - c_gamma_h)"
@@ -213,12 +195,12 @@ class LocalObstacleStep:
         self.sets = None
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
-        res = pdas_step_local_obstacle(
+        out = pdas_step_local_obstacle(
             self.grid, self.params, self.tau, self.A, u,
             coupling_m(self.params, theta), self.config, init_sets=self.sets,
         )
-        self.sets = res.sets
-        return StepOut(res.u, res.w, res.lam, res.iters, res.converged, res.restarted)
+        self.sets = out.sets
+        return out
 
 
 class LocalRegularStep:
@@ -391,7 +373,7 @@ def run(config: RunConfig) -> RunResult:
     heat = heat_solver(grid, K, params.D, tau)
     if config.records_energy:
         green = green_solver(grid, K, params.beta)
-        xi_vec = stencil.c_gamma_h[ids] - params.c_F
+        xi = stencil.c_gamma_h_interior - params.c_F
 
     u, theta = state.u, state.theta
     for k in range(1, n_steps + 1):
@@ -414,7 +396,7 @@ def run(config: RunConfig) -> RunResult:
             g = (out.w + convolve(stencil, out.u)[ids] + params.c_F * m_prev
                  - 0.5 * params.c_F)
             diag["proj_residual"][k - 1] = float(
-                np.abs(out.u[ids] - np.clip(g / xi_vec, 0.0, 1.0)).max()
+                np.abs(out.u[ids] - np.clip(g / xi, 0.0, 1.0)).max()
             )
 
         theta_new = step_temperature(heat, grid, params, theta, out.u, u)

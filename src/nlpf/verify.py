@@ -23,7 +23,7 @@ from .grid import assemble_stiffness, build_grid
 from .kernel import (KernelSpec, c_gamma_closed_form, c_gamma_quadrature,
                      second_moment_check, xi)
 from .nonlocal_ops import apply_Bh, build_stencil, conv_rows, convolve, exterior_closure
-from .pdas import (PdasConfig, PdasResult, WSolver, _pdas_iterate, local_obstacle_matrix,
+from .pdas import (PdasConfig, StepOut, WSolver, _pdas_iterate, local_obstacle_matrix,
                    pdas_step_CH, pdas_step_local_obstacle, sets_from_bounds, w_matrix)
 from .physics import ModelParams, coupling_m
 from .stepper import NonlocalACStep
@@ -212,7 +212,7 @@ def enumerate_local_obstacle(grid, params, tau, eps, u_prev, m_prev, K_dense):
 
 
 def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
-                          init_sets=None) -> PdasResult:
+                          init_sets=None) -> StepOut:
     """beta = 0 nonlocal step via the active-set loop (explicit convolution).
 
     The rows are diagonal in u, so this is equivalent to the closed-form
@@ -225,6 +225,7 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
     denom = r + (stencil.c_gamma_h[ids] - c_F)
     u_prev = np.asarray(u_prev, dtype=float)
     conv_prev = convolve(stencil, u_prev)
+    u_E = exterior_closure(stencil, conv_prev)
     g = r * u_prev[ids] + conv_prev[ids] + c_F * np.asarray(m_prev) - 0.5 * c_F
     if init_sets is None:
         init_sets = sets_from_bounds(u_prev[ids])
@@ -234,15 +235,9 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         inactive = ~(upper | lower)
         u_I = np.where(inactive, g / denom, upper.astype(float))
         lam = np.where(inactive, 0.0, g - denom * u_I)
-        return u_I, lam, None
+        return u_I, u_E, None, lam
 
-    u_I, lam, _, sets, iters, ok, restarted = _pdas_iterate(
-        solve_for_sets, init_sets, c_eff, config.max_iters
-    )
-    u_full = np.empty(grid.n_nodes)
-    u_full[ids] = u_I
-    u_full[grid.exterior_ids] = exterior_closure(stencil, conv_prev)
-    return PdasResult(u_full, None, lam, sets, iters, ok, restarted)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
 
 
 # --------------------------------------------------------------------------

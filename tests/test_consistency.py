@@ -1,6 +1,7 @@
 """Cross-scheme and packaging consistency checks."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -12,8 +13,10 @@ import pytest
 from nlpf.config import InitSpec, RunConfig
 from nlpf.grid import build_grid, assemble_stiffness
 from nlpf.metrics import field_distance
+from nlpf import stepper
 from nlpf.pdas import PdasConfig
 from nlpf.physics import ModelParams
+from nlpf.presets import example1_config
 from nlpf.stepper import run
 
 
@@ -103,9 +106,10 @@ def test_lazy_package_import():
         nlpf.not_a_module
 
 
-def test_benchmark_tracer_patches_existing_entry_points():
-    # nlpf_bench/spans.py wraps nlpf functions by module attribute name; a
-    # renamed entry point would otherwise surface only in a traced benchmark
+def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):
+    # nlpf_bench/spans.py wraps nlpf functions by module attribute name and
+    # reads their arguments and results; a renamed entry point or a changed
+    # call shape would otherwise surface only in a traced benchmark
     tree = ast.parse((Path(__file__).resolve().parents[1] / "nlpf_bench" / "spans.py")
                      .read_text())
     targets = set()
@@ -121,3 +125,26 @@ def test_benchmark_tracer_patches_existing_entry_points():
     for mod, attr in sorted(targets):
         assert callable(getattr(importlib.import_module(f"nlpf.{mod}"), attr, None)), \
             f"nlpf.{mod}.{attr}"
+
+    # the active-set steps are entered through stepper's attributes, with the
+    # PdasConfig positional and a result carrying the counters spans reads
+    calls = {}
+
+    def record(name, original):
+        def wrapped(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.setdefault(name, []).append((args, out))
+            return out
+        return wrapped
+
+    for name in ("pdas_step_CH", "pdas_step_local_obstacle"):
+        monkeypatch.setattr(stepper, name, record(name, getattr(stepper, name)))
+    for variant in ("nonlocal_CH", "local_obstacle"):
+        cfg = example1_config(variant)
+        run(dataclasses.replace(cfg, T_final=3 * cfg.tau, snapshots=()))
+    assert {name: len(c) for name, c in calls.items()} == {
+        "pdas_step_CH": 3, "pdas_step_local_obstacle": 3}
+    for args, out in (call for c in calls.values() for call in c):
+        assert sum(hasattr(a, "max_iters") for a in args) == 1
+        for attr in ("iters", "converged", "restarted", "sets"):
+            assert hasattr(out, attr), attr

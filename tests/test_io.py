@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nlpf.cli import main as cli_main
-from nlpf.config import ConfigError, config_as_dict, parse_config_file, parse_config_text
+from nlpf.config import (ConfigError, InitSpec, config_as_dict, parse_config_file,
+                         parse_config_text)
 from nlpf.fields_io import (build_report, format_values, read_field, write_field,
                             write_report, write_vtk)
 from nlpf.grid import build_grid
@@ -344,6 +345,26 @@ def test_cli_metrics_on_saved_field(tmp_path, capsys):
     assert "interface width" in out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--tol", "0.7"], "tol"),
+    (["--tol", "0.5"], "tol"),
+    (["--tol", "-1"], "tol"),
+    (["--tol", "nan"], "tol"),
+    ([], "2 nodes per axis"),
+])
+def test_cli_metrics_rejects_bad_tol_and_single_node_field(args, message, tmp_path,
+                                                           capsys):
+    g = build_grid(1, 0.1, 0.0)
+    p = tmp_path / "u.csv"
+    write_field(str(p), g, (g.coords()[:, 0] <= 0.5).astype(float))
+    if not args:  # one node inside the unit domain
+        p.write_text("x,value\n0.5,0.3\n")
+    assert cli_main(["metrics", str(p), *args]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
 def test_report_emitted_without_result():
     rep = build_report(config=example1_config("nonlocal_CH"), status="error",
                        error="boom")
@@ -481,6 +502,11 @@ NAN, INF = float("nan"), float("inf")
     ({"snapshots": (NAN,)}, r"\[time\] snapshots"),
     ({"epsilon": NAN}, r"\[kernel\] epsilon"),
     ({"delta": NAN}, r"\[kernel\] delta"),
+    ({"init": InitSpec(params=(NAN,))}, r"\[init\] preset"),
+    ({"init": InitSpec(params=(INF,))}, r"\[init\] preset"),
+    ({"init": InitSpec(kind="box", params=(0.2, -INF))}, r"\[init\] preset"),
+    ({"init": InitSpec(theta0=NAN)}, r"\[init\] theta0"),
+    ({"init": InitSpec(theta0=-INF)}, r"\[init\] theta0"),
 ])
 def test_config_built_in_code_rejects_nonfinite_numbers(change, key):
     cfg = dataclasses.replace(example1_config("local_obstacle"), **change)
@@ -488,6 +514,18 @@ def test_config_built_in_code_rejects_nonfinite_numbers(change, key):
         cfg.validate()
     with pytest.raises(ConfigError, match=key):
         run(cfg)
+
+
+@pytest.mark.parametrize("init", [
+    InitSpec(kind="blob"),
+    InitSpec(kind="box", params=(0.2,)),
+    InitSpec(kind="step", params=(0.2, 0.4)),
+    InitSpec(kind="file", params=()),
+])
+def test_config_built_in_code_rejects_bad_init(init):
+    cfg = dataclasses.replace(example1_config("local_obstacle"), init=init)
+    with pytest.raises(ConfigError, match=r"\[init\] (preset|file)"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("key", ["mu", "L", "D", "beta", "c_F", "alpha", "rho", "theta_e"])

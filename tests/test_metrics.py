@@ -62,13 +62,29 @@ def test_relabeling_symmetry():
     assert a.fraction_low == pytest.approx(b.fraction_high)
 
 
-def test_widths_match_brute_force_scan():
-    g = _grid1d(64)
+def brute_force_line_scan(u_lines, tol):
+    """Runs of every crossing line (else every line with a MID node), in order."""
+    crossing = [ln for ln in u_lines if (ln <= tol).any() and (ln >= 1 - tol).any()]
+    if not crossing:
+        crossing = [ln for ln in u_lines if ((ln > tol) & (ln < 1 - tol)).any()]
+    return [w for ln in crossing for w in brute_force_widths(ln, tol)] or [0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_widths_match_brute_force_scan(dim):
+    g = build_grid(dim, 1 / 64 if dim == 1 else 1 / 12, 0.0)
     rng = np.random.default_rng(29)
-    for _ in range(10):
-        u = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0], size=g.n_nodes)
+    # the last levels have MID and LOW nodes but no line crossing LOW to HIGH
+    for levels in [[0.0, 0.2, 0.5, 0.8, 1.0]] * 10 + [[0.0, 0.2, 0.5]] * 3:
+        u = rng.choice(levels, size=g.n_nodes)
         rep = interface_width(g, u, tol=1e-3)
-        assert sorted(rep.widths) == sorted(brute_force_widths(u, 1e-3))
+        if dim == 1:
+            # the single line is scanned whether or not it crosses
+            assert rep.widths == (brute_force_widths(u, 1e-3) or [0])
+        else:
+            # x-lines (rows of the (y, x) array), then y-lines
+            arr = u.reshape(g.interior_shape)
+            assert rep.widths == brute_force_line_scan(list(arr) + list(arr.T), 1e-3)
 
 
 def test_two_dimensional_bands():
@@ -105,3 +121,10 @@ def test_interface_width_shape_checks():
     g = _grid1d(10)
     with pytest.raises(ValueError):
         interface_width(g, np.zeros(3))
+
+
+@pytest.mark.parametrize("tol", [0.5, 0.7, -1.0, float("nan"), float("inf")])
+def test_interface_width_rejects_overlapping_classes(tol):
+    g = _grid1d(10)
+    with pytest.raises(ValueError, match="tol"):
+        interface_width(g, np.full(g.n_nodes, 0.5), tol=tol)

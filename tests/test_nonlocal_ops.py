@@ -21,13 +21,27 @@ def _dense_W(grid, spec):
     )
 
 
-def test_stencil_offsets_and_center_weight():
-    g = build_grid(1, 0.1, 0.25)
-    spec = KernelSpec(1.0, 0.25, 1)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_offsets_and_center_weight(dim):
+    g = build_grid(dim, 0.1, 0.25)
+    spec = KernelSpec(1.0, 0.25, dim)
     st = build_stencil(g, spec)
-    assert list(st.offsets.ravel()) == [-2, -1, 0, 1, 2]
+    # (x, y) offsets inside the radius 2.5 cells, x varying fastest
+    k = range(-2, 3)
+    box = [(ox, oy) for oy in k for ox in k] if dim == 2 else [(o,) for o in k]
+    assert st.offsets.tolist() == [list(o) for o in box if np.dot(o, o) < 2.5**2]
+    # node c + offset sits at coords[c] + offset * h, and its weight is the
+    # dense matrix entry (interior masses are h^dim)
+    coords = g.coords()
+    c = g.interior_ids[g.n_interior // 2]
+    cols = c + st.offsets @ (g.n_axis ** np.arange(dim))
+    assert np.allclose(coords[cols] - coords[c], st.offsets * g.h, rtol=0, atol=1e-12)
+    W = _dense_W(g, spec)
+    assert np.allclose(W[c, cols], st.weights, rtol=1e-13, atol=0)
+    assert np.count_nonzero(W[c]) == len(st.weights)
     gamma0 = spec.epsilon**2 * spec.scaling
-    assert st.footprint[2] == pytest.approx(gamma0 * g.h, rel=1e-14)
+    center = st.footprint[(2,) * dim]
+    assert center == pytest.approx(gamma0 * g.h**dim, rel=1e-14)
 
 
 def test_stencil_requires_layer_and_resolution():
@@ -100,9 +114,11 @@ def test_convolve_matches_dense_oracle(dim, h, delta_cells):
         assert np.abs(convolve(st, u) - W @ u).max() <= 1e-12
 
 
-def test_conv_rows_matches_dense():
-    g = build_grid(1, 1 / 30, 0.12)
-    spec = KernelSpec(0.3, 0.12, 1)
+@pytest.mark.parametrize("dim,h,delta", [(1, 1 / 30, 0.12), (2, 1 / 7, 2.6 / 7)],
+                         ids=["1d", "2d"])
+def test_conv_rows_matches_dense(dim, h, delta):
+    g = build_grid(dim, h, delta)
+    spec = KernelSpec(0.3, delta, dim)
     st = build_stencil(g, spec)
     W = _dense_W(g, spec)
     rows = g.exterior_ids
