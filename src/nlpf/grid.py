@@ -103,8 +103,8 @@ def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if not (0 < h < 1):
-        raise ValueError(f"mesh size must satisfy 0 < h < 1, got {h}")
+    if not (0 < h <= 1):
+        raise ValueError(f"mesh size must satisfy 0 < h <= 1, got {h}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     n_cells = int(round(1.0 / h))

@@ -22,17 +22,18 @@ chemical potential w: on the inactive set u = (w + q)/xi is eliminated
 nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).  The
 discrete xi = c_gamma_h - c_F is one number on the interior, where every
 node sees the full stencil.  The
-``WSolver`` solves it: directly in 1D, where the system is tridiagonal, and
+``WSolver`` solves it: in 1D, where the system is tridiagonal, by a banded
+Cholesky solve (``solveh_banded``) on bands of the fixed part stored once, and
 in 2D by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (bilinear prolongations fixed per grid, Galerkin coarse operators
 rebuilt per sweep because the inactive-set diagonal changes the matrix).
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
-directly in 1D (tridiagonal), and in 2D by unpreconditioned CG warm-started
-from the previous sweep (the matrix is well conditioned, ~13 after Jacobi
-scaling on the ex3 grid).  In both 2D routes a CG that misses its tolerance
-raises: there is no direct-solve fallback.
+directly in 1D (tridiagonal; a sparse LU per sweep), and in 2D by
+unpreconditioned CG warm-started from the previous sweep (the matrix is well
+conditioned, ~13 after Jacobi scaling on the ex3 grid).  In both 2D routes a
+CG that misses its tolerance raises: there is no direct-solve fallback.
 
 The solvers assemble nothing that is fixed over a run: the stiffness K, the
 w-solver (around the w-equation matrix ``w_matrix``), the local obstacle
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg, factorized, spsolve
 
 from .grid import Grid
@@ -276,7 +277,9 @@ class WSolver:
 
     ``A_w`` is ``w_matrix(grid, K, beta, tau)``, fixed over a run; the
     nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
-    the system is tridiagonal and is solved directly.  In 2D it is solved by
+    the system is tridiagonal: the two bands of A_w are stored once, and each
+    solve adds d to the diagonal band and calls ``solveh_banded`` (banded
+    Cholesky).  In 2D it is solved by
     CG to the relative residual ``lin_tol``, preconditioned by one V-cycle
     over levels coarsened per axis (n -> (n + 1) // 2) until at most
     ``_COARSEST_NODES`` nodes remain.  The bilinear prolongations and the
@@ -287,6 +290,9 @@ class WSolver:
     def __init__(self, grid: Grid, A_w: sp.csr_matrix):
         self.A = A_w
         self.dim = grid.dim
+        if grid.dim == 1:
+            # upper form of solveh_banded: row 0 the superdiagonal, row 1 the diagonal
+            self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
         P, coarse = [], [A_w]
         n = grid.n_axis_interior
         while grid.dim == 2 and n * n > _COARSEST_NODES:
@@ -300,9 +306,11 @@ class WSolver:
 
     def solve(self, d: np.ndarray, b: np.ndarray, x0: np.ndarray,
               lin_tol: float) -> np.ndarray:
-        A = (self.A + sp.diags_array(d)).tocsr()
         if self.dim == 1:
-            return spsolve(A.tocsc(), b)
+            bands = self.bands.copy()
+            bands[1] += d
+            return solveh_banded(bands, b)
+        A = (self.A + sp.diags_array(d)).tocsr()
         V = _VCycle(self, A, d)
         return _cg(A, b, x0, lin_tol, "multigrid-preconditioned CG for the w-equation",
                    M=LinearOperator(A.shape, matvec=V, dtype=float))

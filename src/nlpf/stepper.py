@@ -11,7 +11,7 @@ which conserves the discrete enthalpy sum m_j (theta_j - L u_j) exactly.
 
 Each variant's phase update is a step object with one interface,
 ``step(u, theta) -> StepOut``.  ``run`` builds it once per run, together with
-the operators, factorizations and active-set warm start it owns; the time
+the operators, solvers and active-set warm start it owns; the time
 loop does not branch on the variant.
 
   NonlocalCHStep     nonlocal_CH: active-set solve of the coupled (u, w)
@@ -19,8 +19,12 @@ loop does not branch on the variant.
   NonlocalACStep     nonlocal_AC: direct nodal projection, no solve
   LocalObstacleStep  local_obstacle: active-set solve with eps^2 K stiffness
                      (beta = 0)
-  LocalRegularStep   local_regular: one prefactorized semi-implicit solve,
-                     nonlinearity explicit, no constraints
+  LocalRegularStep   local_regular: one semi-implicit solve with a fixed
+                     matrix, nonlinearity explicit, no constraints
+
+The fixed matrices a M + b K (the heat matrix, the local_regular matrix) are
+solved by ``exact_solver``: by DCT-I on a local grid, which diagonalizes them
+exactly, and by a SuperLU factorization on a grid with an interaction layer.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dctn
 from scipy.sparse.linalg import factorized
 
 from .config import RunConfig
@@ -46,7 +52,7 @@ from .physics import (ModelParams, coupling_m, green_solver, objective_Jk,
 
 __all__ = [
     "State", "RunResult", "NonlocalCHStep", "NonlocalACStep",
-    "LocalObstacleStep", "LocalRegularStep", "phase_step", "heat_solver",
+    "LocalObstacleStep", "LocalRegularStep", "phase_step", "exact_solver", "heat_solver",
     "step_temperature", "step_phase_local_regular", "initial_state", "run",
     "AdmissibilityReport", "timestep_admissibility",
 ]
@@ -86,10 +92,36 @@ class RunResult:
         return [int(k) + 1 for k in np.flatnonzero(~self.diagnostics["pdas_converged"])]
 
 
+def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
+    """Solve of (a M + b K) x = r on the interior nodes, for a > 0, b >= 0.
+
+    K is ``assemble_stiffness(grid)`` and M the lumped interior mass.  On a
+    grid without interaction layer, M is the tensor trapezoid with half ends
+    and K the Neumann 3-/5-point stencil, so DCT-I diagonalizes M^{-1} K
+    exactly with eigenvalues sum_d (2/h^2)(1 - cos(pi k_d / (n - 1))) over
+    the n nodes per axis; a solve is two ``dctn`` and a division (DCT-I is
+    its own inverse up to the factor 2(n - 1) per axis).  With a layer the
+    interior mass is not halved at the unit-domain boundary, the transform
+    is not exact, and the matrix is factorized by SuperLU instead.
+    """
+    if grid.layer:
+        M = sp.diags_array(grid.mass_interior).tocsr()
+        return factorized((a * M + b * K).tocsc())
+    n, shape = grid.n_axis_interior, grid.interior_shape
+    lam = (2.0 / grid.h**2) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+    scale = (a + b * reduce(np.add.outer, (lam,) * grid.dim)) * (2 * (n - 1))**grid.dim
+    mass = grid.mass_interior.reshape(shape)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = dctn(r.reshape(shape) / mass, type=1)
+        y /= scale
+        return dctn(y, type=1, overwrite_x=True).ravel()
+    return solve
+
+
 def heat_solver(grid: Grid, K: sp.csr_matrix, D: float, tau: float):
-    """Factorized backward-Euler heat matrix M + tau D K."""
-    M = sp.diags_array(grid.mass_interior).tocsr()
-    return factorized((M + tau * D * K).tocsc())
+    """Solve of the backward-Euler heat matrix M + tau D K (see exact_solver)."""
+    return exact_solver(grid, K, 1.0, tau * D)
 
 
 def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np.ndarray,
@@ -111,7 +143,7 @@ def step_phase_local_regular(solve, grid: Grid, params: ModelParams, tau: float,
 
     Stiffness implicit, potential derivative explicit:
     (mu/tau M + eps^2 K) u = mu/tau M u_prev - M dF(u_prev, m(theta_prev)),
-    with ``solve`` the factorized left-hand side (see LocalRegularStep).
+    with ``solve`` the solve of the left-hand side (see LocalRegularStep).
     Local grid: every node is interior.
     """
     u_prev = np.asarray(u_prev, dtype=float)
@@ -204,13 +236,12 @@ class LocalObstacleStep:
 
 
 class LocalRegularStep:
-    """Semi-implicit smooth-well step with (mu/tau M + eps^2 K) factorized once."""
+    """Semi-implicit smooth-well step; the solve of mu/tau M + eps^2 K is built once."""
 
     def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
                  K: sp.csr_matrix):
         self.grid, self.params, self.tau = grid, params, tau
-        M = sp.diags_array(grid.mass_interior).tocsr()
-        self.solve = factorized(((params.mu / tau) * M + eps**2 * K).tocsc())
+        self.solve = exact_solver(grid, K, params.mu / tau, eps**2)
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
         return StepOut(step_phase_local_regular(
@@ -367,7 +398,7 @@ def run(config: RunConfig) -> RunResult:
 
     states = [state] if 0 in snap_levels else []
 
-    # every operator and factorization of the run, built once
+    # every operator and solver of the run, built once
     K = assemble_stiffness(grid)
     phase = phase_step(config, grid, stencil, K)
     heat = heat_solver(grid, K, params.D, tau)

@@ -236,6 +236,24 @@ def test_criterion_10_heat_equation_control():
     _report(10, f"30 backward-Euler steps, max eigen-decay error = {worst:.2e}")
 
 
+def test_criterion_10_heat_equation_control_2d():
+    g = build_grid(2, 1 / 31, 0.0)  # 32 x 32 nodes
+    p = ModelParams(mu=1.0, L=0.0, D=1.0)
+    tau = 1e-4
+    xy = g.coords()[g.interior_ids]
+    mode = np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1])
+    lam_h = 2 * (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
+    theta, u = mode, np.zeros(g.n_interior)
+    heat = heat_solver(g, assemble_stiffness(g), p.D, tau)
+    worst = 0.0
+    for k in range(1, 31):
+        theta = step_temperature(heat, g, p, theta, u, u)
+        expected = (1.0 + tau * lam_h) ** (-k) * mode
+        worst = max(worst, float(np.abs(theta - expected).max()))
+    assert worst <= 1e-12
+    _report(10, f"2D: 30 backward-Euler steps, max eigen-decay error = {worst:.2e}")
+
+
 def test_criterion_11_localization_monotonicity(ex2_outputs):
     d = ex2_outputs["distances"]
     ordered = [d[delta] for delta in EX2_DELTAS]

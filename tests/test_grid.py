@@ -57,6 +57,14 @@ def test_build_grid_errors():
         build_grid(2, 1e-5, 0.0)  # would exceed the node budget
 
 
+def test_one_cell_grid():
+    g = build_grid(2, 1.0, 0.0)
+    assert (g.n_cells, g.n_nodes, g.h) == (1, 4, 1.0)
+    assert np.array_equal(g.mass_interior, np.full(4, 0.25))
+    with pytest.raises(ValueError, match="h <= 1"):
+        build_grid(1, 1.5, 0.0)
+
+
 def test_stiffness_three_nodes():
     g = build_grid(1, 0.5, 0.0)
     K = assemble_stiffness(g).toarray()

@@ -365,6 +365,17 @@ def test_cli_metrics_rejects_bad_tol_and_single_node_field(args, message, tmp_pa
     assert captured.out == ""
 
 
+def test_cli_metrics_on_one_cell_field(tmp_path, capsys):
+    p = tmp_path / "u.csv"
+    p.write_text("x,value\n0.0,0.3\n1.0,0.4\n")
+    assert cli_main(["metrics", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert "widths: [1]" in captured.out and captured.err == ""
+    # a run still needs h < 1; only the grid of a saved field may be one cell
+    with pytest.raises(ConfigError, match=r"\[grid\] h"):
+        dataclasses.replace(example1_config("nonlocal_CH"), h=1.0).validate()
+
+
 def test_report_emitted_without_result():
     rep = build_report(config=example1_config("nonlocal_CH"), status="error",
                        error="boom")

@@ -397,6 +397,22 @@ def test_w_solver_1d_is_a_direct_solve(monkeypatch):
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
+def _random_band(g):
+    lo, width = np.random.default_rng(g.n_interior).integers(0, g.n_interior, 2)
+    return (np.arange(g.n_interior) >= lo) & (np.arange(g.n_interior) <= lo + width)
+
+
+@pytest.mark.parametrize("inactive", [lambda g: np.zeros(g.n_interior, dtype=bool),
+                                      lambda g: np.ones(g.n_interior, dtype=bool),
+                                      _random_band],
+                         ids=["d=0", "d>0", "random-band"])
+@pytest.mark.parametrize("n_axis", [2, 3, 8, 31, 834])
+def test_w_solver_1d_banded_matches_spsolve(n_axis, inactive):
+    g, solver, d, b, x_ref = _w_system(n_axis, inactive, dim=1, seed=n_axis)
+    x = solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+
+
 def test_w_solver_cg_failure_raises(monkeypatch):
     # no silent fallback: a CG that stops short is an error, not a direct solve
     def failed_cg(A, b, *args, **kwargs):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import factorized
 
 from nlpf import stepper
 from nlpf.config import InitSpec, RunConfig
@@ -53,6 +55,23 @@ def test_temperature_eigen_decay():
         theta = step_temperature(heat, g, p, theta, u, u)
         expected = (1.0 + tau * lam_h) ** (-k) * np.cos(np.pi * x)
         assert np.abs(theta - expected).max() <= 1e-6
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 30])
+def test_exact_solver_matches_factorized_and_conserves_the_sum(dim, n_cells):
+    g = build_grid(dim, 1.0 / n_cells, 0.0)
+    K = assemble_stiffness(g)
+    M = sp.diags_array(g.mass_interior)
+    p, tau, eps = ModelParams(mu=0.0012, L=0.5, D=1.0), 3e-4, 0.04
+    rng = np.random.default_rng(10 * n_cells + dim)
+    for a, b in ((1.0, tau * p.D), (p.mu / tau, eps**2)):
+        A = (a * M + b * K).tocsc()
+        r = rng.standard_normal(g.n_interior)
+        x = stepper.exact_solver(g, K, a, b)(r)
+        ref = factorized(A)(r)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert abs((A @ x - r).sum()) <= 1e-14 * np.abs(r).sum()
 
 
 def test_temperature_enthalpy_identity():
@@ -332,7 +351,7 @@ def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
 
 @pytest.mark.parametrize("variant", ["nonlocal_CH", "local_obstacle", "local_regular"])
 def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
-    built, factorized, lo_matrices = [], [], []
+    built, solvers, factorized, lo_matrices = [], [], [], []
 
     def record(fn):
         def wrapped(*args):
@@ -345,6 +364,9 @@ def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
     monkeypatch.setattr(stepper, "build_grid", record(stepper.build_grid))
     monkeypatch.setattr(stepper, "build_stencil", record(stepper.build_stencil))
     monkeypatch.setattr(stepper, "factorized", lambda A: factorized.append(A) or factorize(A))
+    exact = stepper.exact_solver
+    monkeypatch.setattr(stepper, "exact_solver",
+                        lambda *args: solvers.append(args) or exact(*args))
     lo_matrix = stepper.local_obstacle_matrix
     monkeypatch.setattr(stepper, "local_obstacle_matrix",
                         lambda *args: lo_matrices.append(args) or lo_matrix(*args))
@@ -352,7 +374,9 @@ def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
     assert len(built) == (2 if variant == "nonlocal_CH" else 1)
     for obj, keys in built:
         assert set(vars(obj)) == keys, type(obj).__name__
-    # heat matrix (and the local_regular phase matrix): once per run
-    assert len(factorized) == (2 if variant == "local_regular" else 1)
+    # heat matrix (and the local_regular phase matrix): one solve each per run,
+    # by DCT-I on a local grid, factorized once on the nonlocal grid
+    assert len(solvers) == (2 if variant == "local_regular" else 1)
+    assert len(factorized) == (1 if variant == "nonlocal_CH" else 0)
     # the local obstacle matrix: once per run
     assert len(lo_matrices) == (1 if variant == "local_obstacle" else 0)
