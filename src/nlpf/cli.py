@@ -1,5 +1,9 @@
 """Command-line interface: run, verify, repro, metrics.
 
+``run`` and ``repro`` finish each run through ``repro.run_and_write``, which
+writes report.json on every path; both exit 1 on a raised run and 2 on a
+report whose status is not ``ok``.
+
 Only the standard library is imported at module level so that --threads can
 pin the BLAS/OpenMP pools through environment variables before numpy loads.
 """
@@ -37,9 +41,7 @@ def _resolve_outdir(args_outdir, config_dir, label) -> str:
 
 def cmd_run(args) -> int:
     from .config import ConfigError, parse_config_file
-    from .fields_io import build_report, write_report
-    from .repro import write_snapshots
-    from .stepper import run, timestep_admissibility
+    from .repro import run_and_write
 
     try:
         cfg = parse_config_file(args.config, overrides=args.override)
@@ -51,37 +53,23 @@ def cmd_run(args) -> int:
         return 1
 
     outdir = _resolve_outdir(args.output_dir, cfg.output_dir, cfg.label)
-    os.makedirs(outdir, exist_ok=True)
-    report_path = os.path.join(outdir, "report.json")
     try:
-        result = run(cfg)
-    except Exception as exc:  # report is emitted even on failure paths
-        write_report(report_path, build_report(config=cfg, status="error",
-                                               error=str(exc)))
+        result, report = run_and_write(cfg, outdir, C_I=args.C_I)
+    except Exception as exc:  # run_and_write has written the error report
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    manifest = write_snapshots(result, outdir)
-    report = build_report(result=result, snapshots_manifest=manifest)
-    if cfg.is_nonlocal:
-        adm = timestep_admissibility(cfg, C_I=args.C_I)
-        report["admissibility"] = {
-            "status": adm.status, "bound": adm.bound, "message": adm.message,
-        }
-        if adm.status == "warn":
-            print(f"warning: step-size admissibility: {adm.message}")
-    write_report(report_path, report)
-
+    adm = report.get("admissibility")
+    if adm and adm["status"] == "warn":
+        print(f"warning: step-size admissibility: {adm['message']}")
     summary = report["diagnostics_summary"]
     print(f"run {cfg.label}: {result.n_steps} steps, "
           f"{len(result.states)} snapshots -> {outdir}")
     print(f"  max |complementarity| = {summary['comp_residual_max']}")
     print(f"  max enthalpy drift    = {summary['enthalpy_drift_max']}")
     print(f"  bound violation       = {summary['bound_violation_max']}")
-    bad = report["status"] != "ok" or result.non_converged_steps
-    if bad and not args.allow_warnings:
-        print("invariant failure or non-converged solver steps (see report.json)",
-              file=sys.stderr)
+    if report["status"] != "ok" and not args.allow_warnings:
+        print(f"status {report['status']} (see report.json)", file=sys.stderr)
         return 2
     return 0
 
@@ -107,7 +95,11 @@ def cmd_repro(args) -> int:
 
     driver = REPRO_DRIVERS[args.example]
     outdir = args.output_dir or os.path.join(_default_output_root(), args.example)
-    summary = driver(outdir, log=print)
+    try:
+        summary = driver(outdir, log=print)
+    except Exception as exc:  # the raising run has written its error report
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n_fail = 0
     for name, ok, detail in summary["checks"]:
         status = "PASS" if ok else "FAIL"

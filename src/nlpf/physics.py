@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import factorized
 
 from .grid import Grid
 from .nonlocal_ops import ConvolutionStencil, apply_Bh
@@ -16,7 +14,6 @@ __all__ = [
     "ModelParams",
     "coupling_m",
     "regular_potential_dF",
-    "green_solver",
     "greens_dual_norm",
     "objective_Jk",
 ]
@@ -76,20 +73,13 @@ def regular_potential_dF(u, m_val):
     return float(out) if out.ndim == 0 else out
 
 
-def green_solver(grid: Grid, K: sp.csr_matrix, beta: float):
-    """Factorized (M + beta K) on interior nodes; None for beta = 0 (identity map)."""
-    if beta == 0.0:
-        return None
-    M = sp.diags_array(grid.mass_interior).tocsr()
-    return factorized((M + beta * K).tocsc())
-
-
 def greens_dual_norm(grid: Grid, v: np.ndarray, green_solve) -> float:
     """Squared dual norm of an interior field under the (I - beta Lap) Green map.
 
-    ``green_solve`` comes from ``green_solver``.  beta = 0 (None): plain
-    lumped L2 norm squared.  beta > 0: solve (M + beta K) z = M v and return
-    the lumped inner product of v and z.
+    ``green_solve`` is the solve of M + beta K, as returned by
+    ``stepper.exact_solver(grid, K, 1.0, beta)``: return the lumped inner
+    product of v and z with (M + beta K) z = M v.  None (beta = 0): the
+    plain lumped L2 norm squared.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n_interior,):
@@ -119,7 +109,7 @@ def objective_Jk(
 
     where the first term runs over the extended domain (it vanishes on the
     exterior for flux-closed fields) and the rest over the interior; the
-    dual norm uses ``green_solver(grid, K, params.beta)``.  The solver's
+    dual norm uses ``green_solve`` (see ``greens_dual_norm``).  The solver's
     converged iterate never increases this value relative to the previous
     level; the time loop records that as a descent diagnostic.
     """

@@ -1,17 +1,26 @@
-"""Reproduction drivers for the reference experiments, with threshold checks."""
+"""Reproduction drivers for the reference experiments, and ``run_and_write``.
+
+``run_and_write`` finishes every run: ``nlpf run`` and each driver here go
+through it, so a reproduction run leaves the report ``nlpf run`` would.  A
+driver checks "report status ok" for each of its runs besides its threshold
+checks, and its ``ok`` is the conjunction of them all.
+"""
 
 from __future__ import annotations
 
 import csv
 import os
+from dataclasses import asdict
 
 from . import presets
+from .config import RunConfig
 from .fields_io import build_report, format_values, write_field, write_report, write_vtk
 from .kernel import c_gamma_closed_form
 from .metrics import field_distance, interface_width
-from .stepper import RunResult, run
+from .stepper import RunResult, run, timestep_admissibility
 
-__all__ = ["repro_ex1", "repro_ex2", "repro_ex3", "REPRO_DRIVERS", "write_snapshots"]
+__all__ = ["repro_ex1", "repro_ex2", "repro_ex3", "REPRO_DRIVERS", "run_and_write",
+           "write_snapshots"]
 
 #: Width acceptance windows for ex3 at t = 0.0041, already widened by the
 #: stated tolerances: CH [1,2]+-1, AC [16,18]+-2, local obstacle [18,20]+-2.
@@ -72,42 +81,68 @@ def _write_snapshot(result: RunResult, st, outdir: str) -> dict:
     return files
 
 
-def _finish(result: RunResult, outdir: str) -> dict:
-    manifest = write_snapshots(result, outdir)
-    report = build_report(result=result, snapshots_manifest=manifest)
-    write_report(os.path.join(outdir, "report.json"), report)
-    return report
+def run_and_write(cfg: RunConfig, outdir: str, C_I: float = 0.0) -> tuple[RunResult, dict]:
+    """Run ``cfg``, write its snapshots and report.json into ``outdir``.
+
+    Returns ``(result, report)``.  The report of a nonlocal config carries the
+    advisory step-size check (``timestep_admissibility`` with ``C_I``) as
+    ``admissibility``.  If the run or a write raises, report.json gets
+    ``status: "error"`` and the exception propagates.
+    """
+    path = os.path.join(outdir, "report.json")
+    try:
+        result = run(cfg)
+        manifest = write_snapshots(result, outdir)
+        report = build_report(result=result, snapshots_manifest=manifest)
+        if cfg.is_nonlocal:
+            report["admissibility"] = asdict(timestep_admissibility(cfg, C_I=C_I))
+        write_report(path, report)
+    except Exception as exc:
+        write_report(path, build_report(config=cfg, status="error", error=str(exc)))
+        raise
+    return result, report
 
 
-def _state_at(result: RunResult, t: float):
-    best = min(result.states, key=lambda st: abs(st.t - t))
-    return best
+def _silent(_msg: str) -> None:
+    pass
 
 
-def repro_ex1(outdir: str, log=None) -> dict:
+def _run_all(runs, outdir: str, log) -> tuple:
+    """``run_and_write`` each (key, config) into ``outdir/<label>``.
+
+    Returns the results by key and one "report status ok" check per run.
+    """
+    results, checks = {}, []
+    for key, cfg in runs:
+        log(f"running {cfg.label} ({cfg.dim}D, h = {cfg.h:g}) ...")
+        results[key], report = run_and_write(cfg, os.path.join(outdir, cfg.label))
+        status = report["status"]
+        checks.append((f"{cfg.label} report status ok", status == "ok",
+                       f"status = {status}"))
+    return results, checks
+
+
+def _summary(checks: list, **outputs) -> dict:
+    return {**outputs, "checks": checks, "ok": all(ok for _, ok, _ in checks)}
+
+
+_WIDTH_COLUMNS = ["variant", "t", "width_min_cells", "width_max_cells",
+                  "interior_nodes_min", "interior_nodes_max",
+                  "normal_nodes_min", "normal_nodes_max"]
+
+
+def _width_row(variant: str, t: float, rep) -> tuple:
+    return (variant, t, rep.width_min, rep.width_max, rep.nodes_min, rep.nodes_max,
+            round(rep.normal_min, 2), round(rep.normal_max, 2))
+
+
+def repro_ex1(outdir: str, log=_silent) -> dict:
     """Run ex1 (constrained CH + local obstacle comparison) and check widths."""
-    log = log or (lambda msg: None)
-    os.makedirs(outdir, exist_ok=True)
-    results = {}
-    for variant in ("nonlocal_CH", "local_obstacle"):
-        cfg = presets.example1_config(variant)
-        log(f"ex1: running {variant} ...")
-        res = run(cfg)
-        results[variant] = res
-        _finish(res, os.path.join(outdir, cfg.label))
-
-    checks = []
-    widths = {}
-    rows = []
-    for variant, res in results.items():
-        per_t = {}
-        for st in res.states:
-            rep = interface_width(res.grid, st.u)
-            per_t[st.t] = rep
-            rows.append((variant, st.t, rep.width_min, rep.width_max,
-                         rep.nodes_min, rep.nodes_max,
-                         round(rep.normal_min, 2), round(rep.normal_max, 2)))
-        widths[variant] = per_t
+    results, checks = _run_all(
+        [(v, presets.example1_config(v)) for v in ("nonlocal_CH", "local_obstacle")],
+        outdir, log)
+    widths = {v: {st.t: interface_width(res.grid, st.u) for st in res.states}
+              for v, res in results.items()}
     for t, rep in widths["nonlocal_CH"].items():
         checks.append(
             (f"ex1 CH interface <= 2 grid points at t={t:g}",
@@ -121,98 +156,71 @@ def repro_ex1(outdir: str, log=None) -> dict:
          rep_loc.nodes_max >= 5,
          f"interior nodes = {rep_loc.nodes_max} (run = {rep_loc.width_max} cells)")
     )
-    _write_width_table(os.path.join(outdir, "interface_widths.csv"), rows)
-    return {"results": results, "widths": widths, "checks": checks,
-            "ok": all(ok for _, ok, _ in checks)}
+    _write_csv(os.path.join(outdir, "interface_widths.csv"), _WIDTH_COLUMNS,
+               [_width_row(v, t, rep) for v, per_t in widths.items()
+                for t, rep in per_t.items()])
+    return _summary(checks, results=results, widths=widths)
 
 
-def repro_ex2(outdir: str, log=None) -> dict:
+def repro_ex2(outdir: str, log=_silent) -> dict:
     """Run the delta sweep and check the distance to the local run decreases."""
-    log = log or (lambda msg: None)
-    os.makedirs(outdir, exist_ok=True)
-    log("ex2: running local reference ...")
-    local_cfg = presets.example2_config(variant="local_obstacle")
-    local_res = run(local_cfg)
-    _finish(local_res, os.path.join(outdir, local_cfg.label))
-    u_local = local_res.states[-1].u[local_res.grid.interior_ids]
+    runs = [("local_obstacle", presets.example2_config(variant="local_obstacle"))]
+    runs += [(f"delta={d:g}", presets.example2_config(delta=d)) for d in presets.EX2_DELTAS]
+    results, checks = _run_all(runs, outdir, log)
+    local = results["local_obstacle"]
+    u_local = local.states[-1].u[local.grid.interior_ids]
 
-    distances = {}
-    results = {"local_obstacle": local_res}
-    for delta in presets.EX2_DELTAS:
-        cfg = presets.example2_config(delta=delta)
-        log(f"ex2: running nonlocal delta={delta:g} ...")
-        res = run(cfg)
-        results[f"delta={delta:g}"] = res
-        _finish(res, os.path.join(outdir, cfg.label))
-        u_nl = res.states[-1].u[res.grid.interior_ids]
-        distances[delta] = field_distance(local_res.grid, u_nl, u_local)
-
+    distances, rows = {}, []
+    for d in presets.EX2_DELTAS:
+        res = results[f"delta={d:g}"]
+        distances[d] = field_distance(local.grid, res.states[-1].u[res.grid.interior_ids],
+                                      u_local)
+        xi = c_gamma_closed_form(res.config.kernel_spec()) - res.config.model.c_F
+        rows.append([d, xi, distances[d]])
     ordered = [distances[d] for d in presets.EX2_DELTAS]
-    strictly_decreasing = all(a > b for a, b in zip(ordered, ordered[1:]))
-    checks = [(
+    checks.append((
         "ex2 distance to local decreases as delta shrinks",
-        strictly_decreasing,
+        all(a > b for a, b in zip(ordered, ordered[1:])),
         ", ".join(f"d(delta={d:g}) = {distances[d]:.6g}" for d in presets.EX2_DELTAS),
-    )]
-    with open(os.path.join(outdir, "distances.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["delta", "xi", "distance_to_local"])
-        for d in presets.EX2_DELTAS:
-            cfg = presets.example2_config(delta=d)
-            xi_val = c_gamma_closed_form(cfg.kernel_spec()) - cfg.model.c_F
-            wr.writerow([d, xi_val, distances[d]])
-    return {"results": results, "distances": distances, "checks": checks,
-            "ok": strictly_decreasing}
+    ))
+    _write_csv(os.path.join(outdir, "distances.csv"),
+               ["delta", "xi", "distance_to_local"], rows)
+    return _summary(checks, results=results, distances=distances)
 
 
-def repro_ex3(outdir: str, log=None) -> dict:
+def repro_ex3(outdir: str, log=_silent) -> dict:
     """Run the 2D experiment (all four variants) and check width windows."""
-    log = log or (lambda msg: None)
-    os.makedirs(outdir, exist_ok=True)
-    results = {}
-    widths = {}
-    rows = []
+    variants = ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular")
+    results, checks = _run_all([(v, presets.example3_config(v)) for v in variants],
+                               outdir, log)
     t_check = 0.0041
-    for variant in ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular"):
-        cfg = presets.example3_config(variant)
-        log(f"ex3: running {variant} ({cfg.dim}D, ~{int(round(1 / cfg.h)) + 1}^2 nodes) ...")
-        res = run(cfg)
-        results[variant] = res
-        _finish(res, os.path.join(outdir, cfg.label))
-        st = _state_at(res, t_check)
+    widths, rows = {}, []
+    for variant, res in results.items():
+        st = min(res.states, key=lambda s: abs(s.t - t_check))
         rep = interface_width(res.grid, st.u)
         widths[variant] = (rep.normal_p05, rep.normal_p95)
-        rows.append((variant, st.t, rep.width_min, rep.width_max,
-                     rep.nodes_min, rep.nodes_max,
-                     round(rep.normal_min, 2), round(rep.normal_max, 2)))
+        rows.append(_width_row(variant, st.t, rep))
         log(f"ex3: {variant} interface at t={st.t:g}: normal thickness "
             f"[p5,p95] = {rep.normal_p05:.1f}-{rep.normal_p95:.1f} "
             f"(full range {rep.normal_min:.1f}-{rep.normal_max:.1f}, "
             f"raw runs {rep.nodes_min}-{rep.nodes_max} nodes)")
 
-    checks = []
-    for variant, window in EX3_WIDTH_WINDOWS.items():
+    for variant, (lo, hi) in EX3_WIDTH_WINDOWS.items():
         wmin, wmax = widths[variant]
-        lo, hi = window
-        ok = (wmin >= lo) and (wmax <= hi)
         checks.append(
             (f"ex3 {variant} interface range within [{lo},{hi}] grid points "
-             f"at t={t_check}", ok, f"range = {wmin:.1f}-{wmax:.1f}")
+             f"at t={t_check}", wmin >= lo and wmax <= hi,
+             f"range = {wmin:.1f}-{wmax:.1f}")
         )
-    _write_width_table(os.path.join(outdir, "interface_widths.csv"), rows)
-    return {"results": results, "widths": widths, "checks": checks,
-            "ok": all(ok for _, ok, _ in checks)}
+    _write_csv(os.path.join(outdir, "interface_widths.csv"), _WIDTH_COLUMNS, rows)
+    return _summary(checks, results=results, widths=widths)
 
 
-def _write_width_table(path: str, rows) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["variant", "t", "width_min_cells", "width_max_cells",
-                     "interior_nodes_min", "interior_nodes_max",
-                     "normal_nodes_min", "normal_nodes_max"])
-        for row in rows:
-            wr.writerow(row)
+        wr.writerow(header)
+        wr.writerows(rows)
 
 
 REPRO_DRIVERS = {"ex1": repro_ex1, "ex2": repro_ex2, "ex3": repro_ex3}

@@ -22,8 +22,8 @@ loop does not branch on the variant.
   LocalRegularStep   local_regular: one semi-implicit solve with a fixed
                      matrix, nonlinearity explicit, no constraints
 
-The fixed matrices a M + b K (the heat matrix, the local_regular matrix) are
-solved by ``exact_solver``: by DCT-I on a local grid, which diagonalizes them
+The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
+M + beta K of the energy diagnostics) are solved by ``exact_solver``: by DCT-I on a local grid, which diagonalizes them
 exactly, and by a SuperLU factorization on a grid with an interaction layer.
 """
 
@@ -47,8 +47,7 @@ from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolv
                            exterior_closure)
 from .pdas import (PdasConfig, StepOut, WSolver, local_obstacle_matrix, pdas_step_CH,
                    pdas_step_local_obstacle, verify_complementarity, w_matrix)
-from .physics import (ModelParams, coupling_m, green_solver, objective_Jk,
-                      regular_potential_dF)
+from .physics import ModelParams, coupling_m, objective_Jk, regular_potential_dF
 
 __all__ = [
     "State", "RunResult", "NonlocalCHStep", "NonlocalACStep",
@@ -403,7 +402,7 @@ def run(config: RunConfig) -> RunResult:
     phase = phase_step(config, grid, stencil, K)
     heat = heat_solver(grid, K, params.D, tau)
     if config.records_energy:
-        green = green_solver(grid, K, params.beta)
+        green = exact_solver(grid, K, 1.0, params.beta)
         xi = stencil.c_gamma_h_interior - params.c_F
 
     u, theta = state.u, state.theta

@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -148,3 +150,12 @@ def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):
         assert sum(hasattr(a, "max_iters") for a in args) == 1
         for attr in ("iters", "converged", "restarted", "sets"):
             assert hasattr(out, attr), attr
+
+
+def test_benchmark_selftest_passes():
+    # the traced benchmark run and its bit-identity to the untraced run,
+    # beyond the static entry-point check above
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "nlpf_bench/selftest.py"], cwd=repo,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -415,7 +415,7 @@ def test_cli_run_rejects_nan_init_file(tmp_path):
 
 
 def test_report_fails_invariant_on_nonfinite_diagnostic(tmp_path, monkeypatch):
-    import nlpf.stepper as stepper
+    import nlpf.repro as repro
 
     res = run(parse_config_text(MINI_CFG))
     assert build_report(result=res)["status"] == "ok"
@@ -424,7 +424,7 @@ def test_report_fails_invariant_on_nonfinite_diagnostic(tmp_path, monkeypatch):
     assert report["status"] == "invariant-failure"
     assert report["invariants"]["enthalpy"] is False
     # the same result through `nlpf run` exits 2
-    monkeypatch.setattr(stepper, "run", lambda cfg: res)
+    monkeypatch.setattr(repro, "run", lambda cfg: res)
     cfg_path = tmp_path / "mini.cfg"
     cfg_path.write_text(MINI_CFG)
     assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 2
@@ -555,3 +555,67 @@ def test_vtk_in_1d_is_a_config_error(tmp_path, capsys):
                      "--output-dir", str(out), "--override", "output.formats=csv,vtk"]) == 1
     assert "[output] formats" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _run_with_step_1_unconverged(cfg):
+    res = run(cfg)
+    res.diagnostics["pdas_converged"][0] = False
+    return res
+
+
+def test_repro_fails_on_a_report_that_is_not_ok(tmp_path, monkeypatch, capsys):
+    import nlpf.repro as repro
+
+    monkeypatch.setattr(repro, "run", _run_with_step_1_unconverged)
+    summary = repro.repro_ex1(str(tmp_path / "a"))
+    assert not summary["ok"]
+    failed = [(name, detail) for name, ok, detail in summary["checks"] if not ok]
+    assert failed == [
+        ("ex1_nonlocal_CH report status ok", "status = invariant-failure"),
+        ("ex1_local_obstacle report status ok", "status = invariant-failure"),
+    ]
+    assert cli_main(["repro", "ex1", "--output-dir", str(tmp_path / "b")]) == 2
+    assert "FAIL  ex1_nonlocal_CH report status ok" in capsys.readouterr().out
+
+
+def test_cli_run_write_failure_leaves_an_error_report(tmp_path, monkeypatch, capsys):
+    import nlpf.repro as repro
+
+    def broken_write(result, outdir):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(repro, "write_snapshots", broken_write)
+    out = tmp_path / "o"
+    assert cli_main(["run", str(REPO / "configs" / "ex1_local_obstacle.cfg"),
+                     "--output-dir", str(out)]) == 1
+    assert "error: disk full" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "error" and report["error"] == "disk full"
+
+
+def test_cli_repro_reports_a_raised_run(tmp_path, monkeypatch, capsys):
+    import nlpf.repro as repro
+
+    def broken_run(cfg):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(repro, "run", broken_run)
+    out = tmp_path / "o"
+    assert cli_main(["repro", "ex1", "--output-dir", str(out)]) == 1
+    assert "error: solver blew up" in capsys.readouterr().err
+    report = json.loads((out / "ex1_nonlocal_CH" / "report.json").read_text())
+    assert report["status"] == "error"
+
+
+def test_run_and_repro_write_the_same_report_keys(tmp_path):
+    from nlpf.repro import repro_ex1
+
+    assert cli_main(["run", str(REPO / "configs" / "ex1_nonlocal_CH.cfg"),
+                     "--output-dir", str(tmp_path / "run")]) == 0
+    assert repro_ex1(str(tmp_path / "repro"))["ok"]
+    run_report = json.loads((tmp_path / "run" / "report.json").read_text())
+    repro_report = json.loads(
+        (tmp_path / "repro" / "ex1_nonlocal_CH" / "report.json").read_text())
+    assert "admissibility" in run_report
+    assert set(run_report) == set(repro_report)
+    assert run_report["admissibility"] == repro_report["admissibility"]

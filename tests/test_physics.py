@@ -11,11 +11,11 @@ from nlpf.nonlocal_ops import build_stencil
 from nlpf.physics import (
     ModelParams,
     coupling_m,
-    green_solver,
     greens_dual_norm,
     objective_Jk,
     regular_potential_dF,
 )
+from nlpf.stepper import exact_solver
 from nlpf.verify import dense_conv_matrix
 
 PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=20.0,
@@ -82,13 +82,12 @@ def test_regular_potential_matches_finite_differences():
 
 def test_greens_dual_norm_basics():
     g = build_grid(1, 1 / 32, 0.0)
-    assert green_solver(g, assemble_stiffness(g), 0.0) is None
     zero = np.zeros(g.n_interior)
     assert greens_dual_norm(g, zero, None) == 0.0
     ones = np.ones(g.n_interior)
     assert greens_dual_norm(g, ones, None) == pytest.approx(1.0)
     # constants are in the stiffness null space: beta > 0 gives the same value
-    solve = green_solver(g, assemble_stiffness(g), 0.37)
+    solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.37)
     assert greens_dual_norm(g, ones, solve) == pytest.approx(
         greens_dual_norm(g, ones, None), rel=1e-12
     )
@@ -96,7 +95,7 @@ def test_greens_dual_norm_basics():
 
 def test_greens_dual_norm_contraction():
     g = build_grid(1, 1 / 24, 0.0)
-    solve = green_solver(g, assemble_stiffness(g), 0.5)
+    solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.5)
     rng = np.random.default_rng(8)
     for _ in range(20):
         v = rng.standard_normal(g.n_interior)
