@@ -68,7 +68,9 @@ def cmd_run(args) -> int:
     print(f"  max |complementarity| = {summary['comp_residual_max']}")
     print(f"  max enthalpy drift    = {summary['enthalpy_drift_max']}")
     print(f"  bound violation       = {summary['bound_violation_max']}")
-    if report["status"] != "ok" and not args.allow_warnings:
+    print(f"  max KKT residual      = {summary['kkt_residual_max']}")
+    print(f"  CG iterations         = {summary['cg_iters_total']}")
+    if report["status"] != "ok":
         print(f"status {report['status']} (see report.json)", file=sys.stderr)
         return 2
     return 0
@@ -156,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--override", action="append", default=[],
                     metavar="section.key=value")
     pr.add_argument("--output-dir")
-    pr.add_argument("--allow-warnings", action="store_true")
     pr.add_argument("--C-I", type=float, default=0.0, dest="C_I",
                     help="exterior constant (finite, >= 0) for the advisory "
                     "step-size check of the beta = 0 nonlocal variant")

@@ -180,12 +180,15 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
     # Only the diagnostics this variant records are summarized; np.max keeps
     # NaN, so a non-finite value fails its invariant instead of dropping it.
     obstacle = cfg.is_obstacle
+    active_set = cfg.variant in ("nonlocal_CH", "local_obstacle")
     energy = cfg.records_energy
     bound_excess = np.maximum(np.maximum(-d["bound_min"], d["bound_max"] - 1.0), 0.0)
     summary = {
         "pdas_iters_max": int(d["pdas_iters"].max()),
         "pdas_iters_total": int(d["pdas_iters"].sum()),
         "pdas_restarts_total": int(d["pdas_restarts"].sum()),
+        "cg_iters_total": int(d["cg_iters"].sum()),
+        "kkt_residual_max": float(np.max(d["kkt_residual"])) if active_set else None,
         "non_converged_steps": result.non_converged_steps,
         "comp_residual_max": float(np.max(d["comp_residual"])) if obstacle else None,
         "bound_violation_max": float(np.max(bound_excess)) if obstacle else None,
@@ -202,6 +205,8 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
     if obstacle:
         inv["bounds"] = bool(summary["bound_violation_max"] <= 1e-12)
         inv["complementarity"] = bool(summary["comp_residual_max"] <= 1e-10)
+    if active_set:
+        inv["kkt_residual"] = bool(summary["kkt_residual_max"] <= 1e-9)
     inv["enthalpy"] = bool(summary["enthalpy_drift_max"] <= 1e-10 * scale)
     if energy:
         inv["energy_descent"] = bool(summary["energy_descent_violation_max"] <= 1e-12)

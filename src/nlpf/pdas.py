@@ -111,6 +111,10 @@ class ActiveSets:
     upper: np.ndarray
     lower: np.ndarray
 
+    @property
+    def inactive(self) -> np.ndarray:
+        return ~(self.upper | self.lower)
+
     def same_as(self, other: "ActiveSets") -> bool:
         return bool(
             np.array_equal(self.upper, other.upper)
@@ -127,7 +131,10 @@ class StepOut:
     chemical potential or multiplier.  sets are the final active sets, None
     for the solve-free variants.  iters/converged are the active-set sweep
     count and convergence (0 and True for the solve-free variants);
-    restarted is whether the active-set iteration was restarted cold.
+    restarted is whether the active-set iteration was restarted cold;
+    cg_iters counts the CG iterations of every sweep.  kkt_residual is the
+    largest residual of the accepted iterate's own equations, scaled to a
+    change of u (None for the solve-free variants; NaN propagates).
     """
 
     u: np.ndarray
@@ -137,6 +144,8 @@ class StepOut:
     iters: int = 0
     converged: bool = True
     restarted: bool = False
+    cg_iters: int = 0
+    kkt_residual: float | None = None
 
 
 def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
@@ -145,17 +154,26 @@ def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
     return ActiveSets(upper=u_interior >= 1.0 - tol, lower=u_interior <= tol)
 
 
+def _max_abs(*parts: np.ndarray) -> float:
+    """Largest absolute entry over the arrays (0 if all are empty); NaN propagates."""
+    return float(np.max([np.abs(p).max(initial=0.0) for p in parts]))
+
+
 def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
-                  max_iters: int) -> StepOut:
+                  max_iters: int, residual=None) -> StepOut:
     """Drive the active-set fixed point.
 
-    ``solve_for_sets(upper, lower)`` returns (u_I, u_E, w, lam): u on the
+    ``solve_for_sets(sets)`` returns (u_I, u_E, w, g, cg_iters): u on the
     interior and on the exterior layer (u_E None on a grid without one), w
-    (None where beta = 0) and the multiplier.  If the warm-started iteration
-    does not settle within max_iters (a cold start from an all-pinned state
-    opens a wide inactive band only a couple of nodes per sweep), it is
-    restarted once from the all-inactive estimate, whose first unconstrained
-    solve pins near-final sets immediately; ``restarted`` reports that.
+    (None where beta = 0), the phase-row value g and the CG iterations of the
+    solve.  g is the multiplier on the active nodes and the residual of the
+    phase equation on the inactive ones.  ``residual(u_I, w, g, inactive)``,
+    if given, is the step's KKT residual of the accepted iterate.  If the
+    warm-started iteration does not settle within max_iters (a cold start
+    from an all-pinned state opens a wide inactive band only a couple of
+    nodes per sweep), it is restarted once from the all-inactive estimate,
+    whose first unconstrained solve pins near-final sets immediately;
+    ``restarted`` reports that.
     """
     n = init_sets.upper.shape[0]
     attempts = [init_sets]
@@ -163,13 +181,16 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
         attempts.append(
             ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
         )
-    iters_used = 0
+    iters_used = cg_iters = 0
     converged = False
     for attempt, start in enumerate(attempts):
         sets = ActiveSets(start.upper.copy(), start.lower.copy())
         for _ in range(max_iters):
             iters_used += 1
-            u_I, u_E, w, lam = solve_for_sets(sets.upper, sets.lower)
+            u_I, u_E, w, g, n_cg = solve_for_sets(sets)
+            cg_iters += n_cg
+            inactive = sets.inactive
+            lam = np.where(inactive, 0.0, g)
             new = ActiveSets(
                 upper=lam + c * (u_I - 1.0) > 0.0,
                 lower=lam + c * u_I < 0.0,
@@ -185,7 +206,8 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
         u = np.empty(grid.n_nodes)
         u[grid.interior_ids] = u_I
         u[grid.exterior_ids] = u_E
-    return StepOut(u, w, lam, sets, iters_used, converged, attempt > 0)
+    kkt = None if residual is None else residual(u_I, w, g, inactive)
+    return StepOut(u, w, lam, sets, iters_used, converged, attempt > 0, cg_iters, kkt)
 
 
 def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:
@@ -211,16 +233,23 @@ def local_obstacle_matrix(grid: Grid, K: sp.csr_matrix, params: ModelParams, tau
     return (sp.diags_array((r - params.c_F) * grid.mass_interior) + eps**2 * K).tocsr()
 
 
-def _cg(A, b: np.ndarray, x0: np.ndarray, lin_tol: float, what: str,
-        M=None) -> np.ndarray:
-    """CG to the relative residual lin_tol; raises if it stops short."""
-    x, info = cg(A, b, x0=x0, M=M, rtol=lin_tol, atol=0.0, maxiter=_CG_MAX_ITERS)
+def _cg(A, b: np.ndarray, x0: np.ndarray, rtol: float, what: str,
+        M=None) -> tuple[np.ndarray, int]:
+    """CG to the relative residual rtol: (x, iterations); raises if it stops short."""
+    iters = 0
+
+    def count(_xk):
+        nonlocal iters
+        iters += 1
+
+    x, info = cg(A, b, x0=x0, M=M, rtol=rtol, atol=0.0, maxiter=_CG_MAX_ITERS,
+                 callback=count)
     if info != 0:
         raise RuntimeError(
-            f"{what} did not reach rtol {lin_tol:g} in {_CG_MAX_ITERS} iterations "
+            f"{what} did not reach rtol {rtol:g} in {_CG_MAX_ITERS} iterations "
             f"(info {info})"
         )
-    return x
+    return x, iters
 
 
 def _prolongation_1d(n: int) -> sp.csr_matrix:
@@ -304,16 +333,23 @@ class WSolver:
         self.restrictions = tuple(P_l.T.tocsr() for P_l in P)
         self.coarse_A_w = tuple(coarse[1:])
 
-    def solve(self, d: np.ndarray, b: np.ndarray, x0: np.ndarray,
-              lin_tol: float) -> np.ndarray:
+    def system(self, d: np.ndarray):
+        """The solve of (A_w + diag(d)) w = b: ``solve(b, x0, rtol) -> (w, cg_iters)``.
+
+        In 1D a banded Cholesky solve (x0 and rtol unused, no CG
+        iterations).  In 2D CG from x0 to the relative residual rtol,
+        preconditioned by a V-cycle built here, once: every solve of the
+        returned function shares the matrix and the hierarchy, which are
+        freed with it.
+        """
         if self.dim == 1:
             bands = self.bands.copy()
             bands[1] += d
-            return solveh_banded(bands, b)
+            return lambda b, x0, rtol: (solveh_banded(bands, b), 0)
         A = (self.A + sp.diags_array(d)).tocsr()
-        V = _VCycle(self, A, d)
-        return _cg(A, b, x0, lin_tol, "multigrid-preconditioned CG for the w-equation",
-                   M=LinearOperator(A.shape, matvec=V, dtype=float))
+        M = LinearOperator(A.shape, matvec=_VCycle(self, A, d), dtype=float)
+        return lambda b, x0, rtol: _cg(
+            A, b, x0, rtol, "multigrid-preconditioned CG for the w-equation", M=M)
 
 
 def _check_feasible(u_interior: np.ndarray, slack: float = 1e-9) -> None:
@@ -383,18 +419,17 @@ def pdas_step_CH(
         w_start = w0 if w0 is not None else np.zeros(grid.n_interior)
         warm = {"w": np.asarray(w_start, dtype=float)}
 
-        def solve_for_sets(upper, lower):
-            inactive = ~(upper | lower)
-            ubar = upper.astype(float)
+        def solve_for_sets(sets):
+            inactive = sets.inactive
+            ubar = sets.upper.astype(float)
             rhs = mu * mI * (
                 u_prev_I - np.where(inactive, q / xi, ubar)
             )
-            w = w_solver.solve(np.where(inactive, mu * mI / xi, 0.0), rhs,
-                               warm["w"], config.lin_tol)
+            solve = w_solver.system(np.where(inactive, mu * mI / xi, 0.0))
+            w, n_cg = solve(rhs, warm["w"], config.lin_tol)
             warm["w"] = w
             u_I = np.where(inactive, (w + q) / xi, ubar)
-            lam = np.where(inactive, 0.0, w + q - xi * u_I)
-            return u_I, u_E, w, lam
+            return u_I, u_E, w, w + q - xi * u_I, n_cg
     else:
         # Implicit convolution: one sparse solve of the full coupled system
         # per sweep.  Unknown ordering [u_int, u_ext, w].
@@ -410,9 +445,9 @@ def pdas_step_CH(
         Z_ie = sp.csr_matrix((n_i, n_e))
         Z_ee = sp.csr_matrix((n_e, n_i))
 
-        def solve_for_sets(upper, lower):
-            inactive = ~(upper | lower)
-            ubar = upper.astype(float)
+        def solve_for_sets(sets):
+            inactive = sets.inactive
+            ubar = sets.upper.astype(float)
             # Phase rows: identity on active nodes, operator rows elsewhere.
             D_in = sp.diags_array(inactive.astype(float)).tocsr()
             D_act = sp.diags_array((~inactive).astype(float)).tocsr()
@@ -434,12 +469,14 @@ def pdas_step_CH(
             u_E = x[n_i : n_i + n_e]
             w = x[n_i + n_e :]
             conv_I = W_II @ u_I + W_IE @ u_E
-            lam = np.where(
-                inactive, 0.0, w + conv_I + c_F * m_prev - 0.5 * c_F - xi * u_I
-            )
-            return u_I, u_E, w, lam
+            return u_I, u_E, w, w + conv_I + c_F * m_prev - 0.5 * c_F - xi * u_I, 0
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
+    def residual(u_I, w, g, inactive):
+        # the w-equation and the inactive phase rows, each as a change of u
+        return _max_abs(u_I - u_prev_I + (w_solver.A @ w) / (mu * mI), g[inactive] / xi)
+
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters,
+                         residual)
 
 
 def pdas_step_local_obstacle(
@@ -476,10 +513,10 @@ def pdas_step_local_obstacle(
     b = mI * (params.mu / tau * u_prev_I - 0.5 * c_F + c_F * m_prev)
     warm = {"u": u_prev_I}
 
-    def solve_for_sets(upper, lower):
-        inactive = ~(upper | lower)
-        u_I = upper.astype(float)
-        idx = np.flatnonzero(inactive)
+    def solve_for_sets(sets):
+        u_I = sets.upper.astype(float)
+        idx = np.flatnonzero(sets.inactive)
+        n_cg = 0
         if idx.size:
             # A is SPD, so its principal submatrix is too; u_I is 0 on idx,
             # so A @ u_I carries the pinned values
@@ -487,13 +524,17 @@ def pdas_step_local_obstacle(
             if grid.dim == 1:
                 u_I[idx] = factorized(A_in.tocsc())(rhs)
             else:
-                u_I[idx] = _cg(A_in, rhs, warm["u"][idx], config.lin_tol,
-                               "CG for the reduced local-obstacle system")
+                u_I[idx], n_cg = _cg(A_in, rhs, warm["u"][idx], config.lin_tol,
+                                     "CG for the reduced local-obstacle system")
         warm["u"] = u_I
-        lam = np.where(inactive, 0.0, (b - A @ u_I) / mI)
-        return u_I, None, None, lam
+        return u_I, None, None, (b - A @ u_I) / mI, n_cg
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
+    def residual(u_I, w, g, inactive):
+        # the reduced equation on the inactive set, as a change of u
+        return _max_abs(g[inactive] * (tau / params.mu))
+
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters,
+                         residual)
 
 
 def verify_complementarity(u, lam) -> float:

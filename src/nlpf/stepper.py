@@ -355,8 +355,9 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
 def run(config: RunConfig) -> RunResult:
     """Execute the full time loop and collect snapshots plus diagnostics.
 
-    Records, per step: active-set iterations, convergence and cold restarts;
-    where the phase step returns a multiplier (the obstacle variants) the
+    Records, per step: active-set iterations, convergence, cold restarts and
+    CG iterations; the KKT residual of the active-set variants; where the
+    phase step returns a multiplier (the obstacle variants) the
     complementarity residual and the bound range of u over all nodes; the
     enthalpy drift; and, when ``config.records_energy``, the per-step
     objective at the new and previous iterates and the projection-formula
@@ -385,6 +386,8 @@ def run(config: RunConfig) -> RunResult:
         "pdas_iters": np.zeros(n_steps, dtype=int),
         "pdas_converged": np.ones(n_steps, dtype=bool),
         "pdas_restarts": np.zeros(n_steps, dtype=int),
+        "cg_iters": np.zeros(n_steps, dtype=int),
+        "kkt_residual": np.full(n_steps, np.nan),
         "comp_residual": np.full(n_steps, np.nan),
         "bound_min": np.full(n_steps, np.nan),
         "bound_max": np.full(n_steps, np.nan),
@@ -411,6 +414,9 @@ def run(config: RunConfig) -> RunResult:
         diag["pdas_iters"][k - 1] = out.iters
         diag["pdas_converged"][k - 1] = out.converged
         diag["pdas_restarts"][k - 1] = out.restarted
+        diag["cg_iters"][k - 1] = out.cg_iters
+        if out.kkt_residual is not None:
+            diag["kkt_residual"][k - 1] = out.kkt_residual
         if out.lam is not None:
             diag["comp_residual"][k - 1] = verify_complementarity(out.u[ids], out.lam)
             diag["bound_min"][k - 1] = float(out.u.min())

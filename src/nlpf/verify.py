@@ -231,11 +231,9 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         init_sets = sets_from_bounds(u_prev[ids])
     c_eff = config.c_penalty * (float(denom.max()) + 1.0)
 
-    def solve_for_sets(upper, lower):
-        inactive = ~(upper | lower)
-        u_I = np.where(inactive, g / denom, upper.astype(float))
-        lam = np.where(inactive, 0.0, g - denom * u_I)
-        return u_I, u_E, None, lam
+    def solve_for_sets(sets):
+        u_I = np.where(sets.inactive, g / denom, sets.upper.astype(float))
+        return u_I, u_E, None, g - denom * u_I, 0
 
     return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
 
@@ -317,7 +315,7 @@ def run_all_checks() -> list:
                  0.0)
     b = grid.mass_interior * np.random.default_rng(11).standard_normal(grid.n_interior)
     ref = spsolve((solver.A + sp.diags_array(d)).tocsc(), b)
-    got = solver.solve(d, b, np.zeros(grid.n_interior), PdasConfig().lin_tol)
+    got = solver.system(d)(b, np.zeros(grid.n_interior), PdasConfig().lin_tol)[0]
     checks.append(_check(
         f"2D multigrid-CG w-solve vs sparse direct solve ({grid.n_interior} nodes, "
         f"{len(solver.prolongations) + 1} levels)",

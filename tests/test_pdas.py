@@ -368,7 +368,7 @@ def test_w_solver_2d_matches_spsolve(n_axis, inactive):
     g, solver, d, b, x_ref = _w_system(n_axis, _INACTIVE_SETS[inactive])
     assert len(solver.prolongations) == {9: 0, 10: 0, 17: 1, 28: 1, 33: 2}[n_axis]
     for x0 in (np.zeros(g.n_interior), x_ref + 1e-3):
-        x = solver.solve(d, b, x0, 1e-12)
+        x = solver.system(d)(b, x0, 1e-12)[0]
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
@@ -393,7 +393,8 @@ def test_w_solver_1d_is_a_direct_solve(monkeypatch):
     g, solver, d, b, x_ref = _w_system(
         834, lambda g: np.abs(g.coords()[g.interior_ids, 0] - 0.5) <= 0.1, dim=1)
     assert solver.prolongations == ()
-    x = solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+    x, cg_iters = solver.system(d)(b, np.zeros(g.n_interior), 1e-12)
+    assert cg_iters == 0
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
@@ -409,7 +410,8 @@ def _random_band(g):
 @pytest.mark.parametrize("n_axis", [2, 3, 8, 31, 834])
 def test_w_solver_1d_banded_matches_spsolve(n_axis, inactive):
     g, solver, d, b, x_ref = _w_system(n_axis, inactive, dim=1, seed=n_axis)
-    x = solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+    x, cg_iters = solver.system(d)(b, np.zeros(g.n_interior), 1e-12)
+    assert cg_iters == 0
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
@@ -425,7 +427,7 @@ def test_w_solver_cg_failure_raises(monkeypatch):
     monkeypatch.setattr(pdas, "cg", failed_cg)
     monkeypatch.setattr(pdas, "spsolve", no_spsolve)
     with pytest.raises(RuntimeError, match="did not reach"):
-        solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
+        solver.system(d)(b, np.zeros(g.n_interior), 1e-12)
 
 
 def test_w_solver_frees_its_hierarchy_without_the_cyclic_gc(monkeypatch):
@@ -442,8 +444,11 @@ def test_w_solver_frees_its_hierarchy_without_the_cyclic_gc(monkeypatch):
     g, solver, d, b, _ = _w_system(33, _INACTIVE_SETS["band"])
     gc.disable()
     try:
-        solver.solve(d, b, np.zeros(g.n_interior), 1e-12)
-        assert len(built) == 1
+        solve = solver.system(d)
+        x, _ = solve(b, np.zeros(g.n_interior), 1e-4)  # a loose sweep, then
+        solve(b, x, 1e-12)  # its refinement, on the same hierarchy
+        assert len(built) == 1 and built[0]() is not None
+        del solve
         assert built[0]() is None
     finally:
         gc.enable()
