@@ -12,6 +12,17 @@ until they repeat.  Warm-starting from the previous time level's sets makes
 the iteration converge in one to three sweeps once the interface moves only
 a few cells per step.
 
+PDAS is a semismooth Newton method, and a sweep before the last only has to
+choose the next sets, so the 2D CG sweeps are inexact (an inexact Newton
+forcing term): each is solved to the loose relative residual
+``_SWEEP_RTOL``.  Once the sets repeat, the same system is refined to
+``lin_tol``, CG starting from the loose iterate with the same matrix and
+V-cycle, and the sets are tested again; the step is accepted only if they
+still repeat.  The direct routes (1D, implicit convolution) are exact, solve
+every sweep to round-off and accept the first repeat.  Every step reports
+the residual of its own equations at the accepted iterate (``kkt_residual``)
+and its CG iterations.
+
 Solvers:
   * pdas_step_CH             coupled (u, w) step, beta > 0, explicit or
                              implicit convolution
@@ -26,14 +37,16 @@ node sees the full stencil.  The
 Cholesky solve (``solveh_banded``) on bands of the fixed part stored once, and
 in 2D by conjugate gradients preconditioned with one symmetric multigrid
 V-cycle (bilinear prolongations fixed per grid, Galerkin coarse operators
-rebuilt per sweep because the inactive-set diagonal changes the matrix).
+rebuilt when the sets change, because the inactive-set diagonal changes the
+matrix; a refinement reuses them).
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
 directly in 1D (tridiagonal; a sparse LU per sweep), and in 2D by
 unpreconditioned CG warm-started from the previous sweep (the matrix is well
-conditioned, ~13 after Jacobi scaling on the ex3 grid).  In both 2D routes a
-CG that misses its tolerance raises: there is no direct-solve fallback.
+conditioned, ~13 after Jacobi scaling on the ex3 grid; a refinement reuses
+the extracted submatrix).  In both 2D routes a CG that misses its tolerance
+raises: there is no direct-solve fallback.
 
 The solvers assemble nothing that is fixed over a run: the stiffness K, the
 w-solver (around the w-equation matrix ``w_matrix``), the local obstacle
@@ -70,11 +83,15 @@ __all__ = [
 
 #: 2D w-solve: coarsen until a level has at most this many nodes, then solve
 #: it directly; damping of the Jacobi smoother; CG iteration cap of both 2D
-#: CG solves (the ex3 runs take at most ~15 per w-solve and ~41 per reduced
-#: local-obstacle solve).
+#: CG solves; relative residual of a 2D CG sweep before its sets repeat
+#: (refined to lin_tol after).  On the ex3 runs to t = 0.0041 a loose sweep
+#: takes ~2.5 CG iterations per w-solve (at most 5) and ~4 per reduced
+#: local-obstacle solve (at most 12), a refinement ~10 (12) and ~31 (33);
+#: with every sweep at lin_tol they took ~12 and ~34 (at most ~15 and ~41).
 _COARSEST_NODES = 200
 _JACOBI_DAMPING = 0.8
 _CG_MAX_ITERS = 500
+_SWEEP_RTOL = 1e-4
 
 
 @dataclass
@@ -159,19 +176,48 @@ def _max_abs(*parts: np.ndarray) -> float:
     return float(np.max([np.abs(p).max(initial=0.0) for p in parts]))
 
 
+def _held(build):
+    """``get(sets) = build(sets)``, built again only for a new ``sets`` object.
+
+    A refinement sweep passes its loose sweep's sets again, so it reuses
+    their system (matrix, V-cycle).  The old system is dropped before the
+    next one is built: one is alive at a time, and none outlives the step.
+    """
+    held = {}
+
+    def get(sets):
+        if held.get("sets") is not sets:
+            held.clear()
+            held.update(sets=sets, system=build(sets))
+        return held["system"]
+    return get
+
+
 def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
-                  max_iters: int, residual=None) -> StepOut:
+                  max_iters: int, residual=None, rtol: float = 0.0,
+                  lin_tol: float = 0.0) -> StepOut:
     """Drive the active-set fixed point.
 
-    ``solve_for_sets(sets)`` returns (u_I, u_E, w, g, cg_iters): u on the
-    interior and on the exterior layer (u_E None on a grid without one), w
-    (None where beta = 0), the phase-row value g and the CG iterations of the
-    solve.  g is the multiplier on the active nodes and the residual of the
-    phase equation on the inactive ones.  ``residual(u_I, w, g, inactive)``,
-    if given, is the step's KKT residual of the accepted iterate.  If the
-    warm-started iteration does not settle within max_iters (a cold start
-    from an all-pinned state opens a wide inactive band only a couple of
-    nodes per sweep), it is restarted once from the all-inactive estimate,
+    ``solve_for_sets(sets, rtol)`` solves the sweep's linear system to the
+    relative residual rtol (a direct solve ignores it) and returns (u_I, u_E,
+    w, g, cg_iters): u on the interior and on the exterior layer (u_E None on
+    a grid without one), w (None where beta = 0), the phase-row value g and
+    the CG iterations of the solve.  g is the multiplier on the active nodes
+    and the residual of the phase equation on the inactive ones.
+    ``residual(u_I, w, g, inactive)``, if given, is the step's KKT residual
+    of the accepted iterate.
+
+    Inexact sweeps: a sweep only decides the next sets, so it is solved to
+    the loose rtol.  Once the sets repeat, the same system is refined to
+    lin_tol (``solve_for_sets`` is called with the same ``sets`` object, and
+    may reuse what it built for them) and the sets are tested again: the
+    step is accepted only if they still repeat, else the loose sweeps go on.
+    With rtol == lin_tol (the direct solves) every sweep is exact and the
+    first repeat is accepted.  Refinement solves count as sweeps.
+
+    If the warm-started iteration does not settle within max_iters (a cold
+    start from an all-pinned state opens a wide inactive band only a couple
+    of nodes per sweep), it is restarted once from the all-inactive estimate,
     whose first unconstrained solve pins near-final sets immediately;
     ``restarted`` reports that.
     """
@@ -184,10 +230,10 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
     iters_used = cg_iters = 0
     converged = False
     for attempt, start in enumerate(attempts):
-        sets = ActiveSets(start.upper.copy(), start.lower.copy())
+        sets, tol = ActiveSets(start.upper.copy(), start.lower.copy()), rtol
         for _ in range(max_iters):
             iters_used += 1
-            u_I, u_E, w, g, n_cg = solve_for_sets(sets)
+            u_I, u_E, w, g, n_cg = solve_for_sets(sets, tol)
             cg_iters += n_cg
             inactive = sets.inactive
             lam = np.where(inactive, 0.0, g)
@@ -195,10 +241,13 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
                 upper=lam + c * (u_I - 1.0) > 0.0,
                 lower=lam + c * u_I < 0.0,
             )
-            converged = new.same_as(sets)
-            if converged:
+            if not new.same_as(sets):
+                sets, tol = new, rtol
+            elif tol == lin_tol:
+                converged = True
                 break
-            sets = new
+            else:
+                tol = lin_tol  # refine this system, then test the sets again
         if converged:
             break
     u = u_I
@@ -252,6 +301,15 @@ def _cg(A, b: np.ndarray, x0: np.ndarray, rtol: float, what: str,
     return x, iters
 
 
+def _sweep_rtol(config: PdasConfig, cg_route: bool) -> float:
+    """The solve tolerance of a sweep before its sets repeat.
+
+    Loose on the CG routes; lin_tol on the direct ones, which are exact
+    anyway and so need no refinement.
+    """
+    return max(_SWEEP_RTOL, config.lin_tol) if cg_route else config.lin_tol
+
+
 def _prolongation_1d(n: int) -> sp.csr_matrix:
     """Linear interpolation onto n nodes from the (n + 1) // 2 at even indices.
 
@@ -267,7 +325,7 @@ def _prolongation_1d(n: int) -> sp.csr_matrix:
 
 
 class _VCycle:
-    """One symmetric multigrid V-cycle for A = A_w + diag(d), built per sweep.
+    """One symmetric multigrid V-cycle for A = A_w + diag(d), built per active sets.
 
     Level l + 1 holds the Galerkin product P_l^T A_l P_l.  By linearity that
     is the fixed coarse A_w of the solver plus the product of the diagonal
@@ -275,7 +333,7 @@ class _VCycle:
     is formed here.  One damped-Jacobi sweep before and one after each
     coarse correction, and a Cholesky solve on the coarsest level.  The
     cycle is a loop, not a recursive closure, so the hierarchy is freed as
-    soon as the solve that built it drops it.
+    soon as the system that built it is dropped.
     """
 
     def __init__(self, solver: WSolver, A: sp.csr_matrix, d: np.ndarray):
@@ -308,12 +366,13 @@ class WSolver:
     nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
     the system is tridiagonal: the two bands of A_w are stored once, and each
     solve adds d to the diagonal band and calls ``solveh_banded`` (banded
-    Cholesky).  In 2D it is solved by
-    CG to the relative residual ``lin_tol``, preconditioned by one V-cycle
-    over levels coarsened per axis (n -> (n + 1) // 2) until at most
-    ``_COARSEST_NODES`` nodes remain.  The bilinear prolongations and the
-    coarse products of A_w depend only on the grid and A_w, so they are
-    built here once.  A CG failure raises: there is no fallback.
+    Cholesky).  In 2D it is solved by CG to a given relative residual,
+    preconditioned by one V-cycle over levels coarsened per axis
+    (n -> (n + 1) // 2) until at most ``_COARSEST_NODES`` nodes remain.  The
+    bilinear prolongations and the coarse products of A_w depend only on the
+    grid and A_w, so they are built here once; what depends on d lives in
+    the function ``system(d)`` returns, not here.  A CG failure raises: there
+    is no fallback.
     """
 
     def __init__(self, grid: Grid, A_w: sp.csr_matrix):
@@ -419,14 +478,19 @@ def pdas_step_CH(
         w_start = w0 if w0 is not None else np.zeros(grid.n_interior)
         warm = {"w": np.asarray(w_start, dtype=float)}
 
-        def solve_for_sets(sets):
+        def w_system(sets):
             inactive = sets.inactive
             ubar = sets.upper.astype(float)
             rhs = mu * mI * (
                 u_prev_I - np.where(inactive, q / xi, ubar)
             )
-            solve = w_solver.system(np.where(inactive, mu * mI / xi, 0.0))
-            w, n_cg = solve(rhs, warm["w"], config.lin_tol)
+            return (inactive, ubar, rhs,
+                    w_solver.system(np.where(inactive, mu * mI / xi, 0.0)))
+        system = _held(w_system)
+
+        def solve_for_sets(sets, rtol):
+            inactive, ubar, rhs, solve = system(sets)
+            w, n_cg = solve(rhs, warm["w"], rtol)
             warm["w"] = w
             u_I = np.where(inactive, (w + q) / xi, ubar)
             return u_I, u_E, w, w + q - xi * u_I, n_cg
@@ -445,7 +509,7 @@ def pdas_step_CH(
         Z_ie = sp.csr_matrix((n_i, n_e))
         Z_ee = sp.csr_matrix((n_e, n_i))
 
-        def solve_for_sets(sets):
+        def solve_for_sets(sets, rtol):
             inactive = sets.inactive
             ubar = sets.upper.astype(float)
             # Phase rows: identity on active nodes, operator rows elsewhere.
@@ -475,8 +539,9 @@ def pdas_step_CH(
         # the w-equation and the inactive phase rows, each as a change of u
         return _max_abs(u_I - u_prev_I + (w_solver.A @ w) / (mu * mI), g[inactive] / xi)
 
+    cg_route = grid.dim == 2 and config.convolution_mode == "explicit"
     return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters,
-                         residual)
+                         residual, _sweep_rtol(config, cg_route), config.lin_tol)
 
 
 def pdas_step_local_obstacle(
@@ -493,9 +558,10 @@ def pdas_step_local_obstacle(
 
     The chemical potential is eliminated, and each sweep is one reduced SPD
     solve on the inactive set with ``A = local_obstacle_matrix(grid, K,
-    params, tau, eps)``: sparse direct in 1D, CG to the relative residual
-    ``config.lin_tol`` in 2D, started from the previous sweep's iterate (from
-    u_prev in the first sweep).  A CG failure raises ``RuntimeError``.
+    params, tau, eps)``: sparse direct in 1D; in 2D CG started from the
+    previous sweep's iterate (from u_prev in the first sweep), loose until
+    the sets repeat and then refined to ``config.lin_tol`` (see the module
+    docstring).  A CG failure raises ``RuntimeError``.
     """
     if grid.layer != 0:
         raise ValueError("local steps expect a grid without interaction layer")
@@ -513,19 +579,22 @@ def pdas_step_local_obstacle(
     b = mI * (params.mu / tau * u_prev_I - 0.5 * c_F + c_F * m_prev)
     warm = {"u": u_prev_I}
 
-    def solve_for_sets(sets):
-        u_I = sets.upper.astype(float)
+    def reduced_system(sets):
+        # A is SPD, so its principal submatrix is too; the pinned values
+        # enter the right-hand side through A @ (upper as 0/1)
         idx = np.flatnonzero(sets.inactive)
+        return idx, A[idx][:, idx], (b - A @ sets.upper.astype(float))[idx]
+    system = _held(reduced_system)
+
+    def solve_for_sets(sets, rtol):
+        u_I = sets.upper.astype(float)
+        idx, A_in, rhs = system(sets)
         n_cg = 0
-        if idx.size:
-            # A is SPD, so its principal submatrix is too; u_I is 0 on idx,
-            # so A @ u_I carries the pinned values
-            A_in, rhs = A[idx][:, idx], (b - A @ u_I)[idx]
-            if grid.dim == 1:
-                u_I[idx] = factorized(A_in.tocsc())(rhs)
-            else:
-                u_I[idx], n_cg = _cg(A_in, rhs, warm["u"][idx], config.lin_tol,
-                                     "CG for the reduced local-obstacle system")
+        if idx.size and grid.dim == 1:
+            u_I[idx] = factorized(A_in.tocsc())(rhs)
+        elif idx.size:
+            u_I[idx], n_cg = _cg(A_in, rhs, warm["u"][idx], rtol,
+                                 "CG for the reduced local-obstacle system")
         warm["u"] = u_I
         return u_I, None, None, (b - A @ u_I) / mI, n_cg
 
@@ -534,7 +603,7 @@ def pdas_step_local_obstacle(
         return _max_abs(g[inactive] * (tau / params.mu))
 
     return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters,
-                         residual)
+                         residual, _sweep_rtol(config, grid.dim == 2), config.lin_tol)
 
 
 def verify_complementarity(u, lam) -> float:

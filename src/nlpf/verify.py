@@ -231,7 +231,7 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         init_sets = sets_from_bounds(u_prev[ids])
     c_eff = config.c_penalty * (float(denom.max()) + 1.0)
 
-    def solve_for_sets(sets):
+    def solve_for_sets(sets, rtol):
         u_I = np.where(sets.inactive, g / denom, sets.upper.astype(float))
         return u_I, u_E, None, g - denom * u_I, 0
 

@@ -619,3 +619,50 @@ def test_run_and_repro_write_the_same_report_keys(tmp_path):
     assert "admissibility" in run_report
     assert set(run_report) == set(repro_report)
     assert run_report["admissibility"] == repro_report["admissibility"]
+
+
+def test_report_gates_the_kkt_residual_and_counts_cg_iterations():
+    cfg = example1_config("local_obstacle")
+    res = run(dataclasses.replace(cfg, T_final=5 * cfg.tau, snapshots=()))
+    report = build_report(result=res)
+    summary = report["diagnostics_summary"]
+    assert report["invariants"]["kkt_residual"] and summary["kkt_residual_max"] <= 1e-9
+    assert summary["cg_iters_total"] == 0  # the 1D sweeps are direct solves
+    for bad in (1e-6, np.nan):
+        res.diagnostics["kkt_residual"][2] = bad
+        report = build_report(result=res)
+        assert report["invariants"]["kkt_residual"] is False
+        assert report["status"] == "invariant-failure"
+    assert report["diagnostics_summary"]["kkt_residual_max"] is None  # NaN
+
+    cfg = example3_config("local_obstacle")
+    res = run(dataclasses.replace(cfg, T_final=2 * cfg.tau, snapshots=()))
+    summary = build_report(result=res)["diagnostics_summary"]
+    assert summary["cg_iters_total"] == res.diagnostics["cg_iters"].sum() > 0
+    assert summary["kkt_residual_max"] <= 1e-9
+
+    # the projection step solves nothing: no residual, no gate
+    report = build_report(result=run(parse_config_text(MINI_CFG)))
+    assert report["diagnostics_summary"]["kkt_residual_max"] is None
+    assert "kkt_residual" not in report["invariants"]
+
+
+def test_cli_run_exits_2_on_an_invariant_failure_without_a_waiver(tmp_path, monkeypatch):
+    import nlpf.repro as repro
+
+    def run_with_nan_residual(cfg):
+        res = run(cfg)
+        res.diagnostics["kkt_residual"][0] = np.nan
+        return res
+
+    monkeypatch.setattr(repro, "run", run_with_nan_residual)
+    cfg_path = str(REPO / "configs" / "ex1_local_obstacle.cfg")
+    out = tmp_path / "o"
+    assert cli_main(["run", cfg_path, "--output-dir", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "invariant-failure"
+    assert report["invariants"]["kkt_residual"] is False
+    # no flag turns a failed invariant into exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", cfg_path, "--allow-warnings", "--output-dir", str(out)])
+    assert exc.value.code == 2

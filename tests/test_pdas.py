@@ -1,5 +1,6 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,16 +235,105 @@ def test_local_obstacle_matches_enumeration(data, n_cells, eps, excess):
     assert np.abs(res.lam - lam_ref).max() <= 1e-9
 
 
-def _counting_cg(monkeypatch, calls):
-    """Route pdas.cg through a wrapper that records (A, b, x, info) per call."""
+def _floats(data, size, lo, hi):
+    return np.array(data.draw(st.lists(
+        st.floats(lo, hi, exclude_min=lo < 0, exclude_max=lo < 0),
+        min_size=size, max_size=size)))
+
+
+def _tiny_2d_ch():
+    """3x3 interior nodes with an interaction layer (every node sees the layer)."""
+    g = build_grid(2, 1 / 2, 0.7)
+    spec = KernelSpec(0.15, 0.7, 2)
+    return g, spec, build_stencil(g, spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n_cells=st.integers(2, 5), beta=st.floats(0.005, 0.1),
+       mode=st.sampled_from(["explicit", "implicit"]))
+def test_ch_step_1d_matches_enumeration(data, n_cells, beta, mode):
+    # 3 to 6 interior nodes; the direct 1D routes, both convolution modes
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=beta)
+    g, spec, stn = _setup(n_cells=n_cells)
+    u_prev = _floats(data, g.n_nodes, 0.0, 1.0)
+    m_prev = _floats(data, g.n_interior, -0.45, 0.45)
+    res = _ch(g, stn, params, TAU, u_prev, m_prev, PdasConfig(convolution_mode=mode))
+    W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 1)
+    K = dense_stiffness_1d(g.n_interior, g.h)
+    oracle = enumerate_CH_explicit if mode == "explicit" else enumerate_CH_implicit
+    ref = oracle(g, W, params, TAU, u_prev, m_prev, K)
+    u_ref, w_ref, lam_ref = ref[0], ref[-2], ref[-1]
+    assert res.converged and res.cg_iters == 0
+    assert np.abs(res.u[g.interior_ids] - u_ref).max() <= 1e-9
+    assert np.abs(res.w - w_ref).max() <= 1e-9
+    assert np.abs(res.lam - lam_ref).max() <= 1e-9
+    assert res.kkt_residual <= 1e-9
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_ch_step_2d_loose_sweeps_match_enumeration(data):
+    # a two-level V-cycle on the tiny grid, so the loose CG sweeps stop short
+    # of the refined solve
+    g, spec, stn = _tiny_2d_ch()
+    u_prev = _floats(data, g.n_nodes, 0.0, 1.0)
+    m_prev = _floats(data, g.n_interior, -0.45, 0.45)
+    calls = []
+    cfg = PdasConfig()
+    with mock.patch.object(pdas, "_COARSEST_NODES", 4), \
+            mock.patch.object(pdas, "cg", _recording_cg(calls)):
+        res = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg)
+    assert {rtol for *_, rtol in calls} == {pdas._SWEEP_RTOL, cfg.lin_tol}
+    assert calls[-1][-1] == cfg.lin_tol
+    W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 2)
+    u_ref, w_ref, lam_ref = enumerate_CH_explicit(
+        g, W, CH_PARAMS, TAU, u_prev, m_prev, assemble_stiffness(g).toarray())
+    assert res.converged
+    assert np.abs(res.u[g.interior_ids] - u_ref).max() <= 1e-9
+    assert np.abs(res.w - w_ref).max() <= 1e-9
+    assert np.abs(res.lam - lam_ref).max() <= 1e-9
+    assert res.kkt_residual <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]),
+       target=st.sampled_from(["u_prev", "m_prev", "w0"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_ch_step_on_nonfinite_input_fails_or_stays_sound(data, dim, target, bad):
+    # a NaN or infinity in any input either raises or is not accepted (not
+    # converged, or a KKT residual that fails the report's gate), unless the
+    # accepted u and w are finite and feasible
+    g, spec, stn = _setup(n_cells=5) if dim == 1 else _tiny_2d_ch()
+    inputs = {"u_prev": _floats(data, g.n_nodes, 0.0, 1.0),
+              "m_prev": _floats(data, g.n_interior, -0.45, 0.45),
+              "w0": _floats(data, g.n_interior, -1.0, 1.0)}
+    inputs[target][data.draw(st.integers(0, inputs[target].size - 1))] = bad
+    try:
+        res = _ch(g, stn, CH_PARAMS, TAU, inputs["u_prev"], inputs["m_prev"],
+                  PdasConfig(), w0=inputs["w0"])
+    except (ValueError, RuntimeError):
+        return
+    accepted = res.converged and res.kkt_residual <= 1e-9
+    u_I = res.u[g.interior_ids]
+    sound = (np.isfinite(res.u).all() and np.isfinite(res.w).all()
+             and u_I.min() >= -1e-12 and u_I.max() <= 1.0 + 1e-12)
+    assert not accepted or sound
+
+
+def _recording_cg(calls):
+    """pdas.cg wrapped to record (A, b, x, info, rtol) per call."""
     cg = pdas.cg
 
     def counted(A, b, *args, **kwargs):
         x, info = cg(A, b, *args, **kwargs)
-        calls.append((A, b, x, info))
+        calls.append((A, b, x, info, kwargs["rtol"]))
         return x, info
+    return counted
 
-    monkeypatch.setattr(pdas, "cg", counted)
+
+def _counting_cg(monkeypatch, calls):
+    monkeypatch.setattr(pdas, "cg", _recording_cg(calls))
 
 
 def test_local_obstacle_2d_matches_enumeration(monkeypatch):
@@ -276,16 +366,83 @@ def _band_step_2d():
 
 
 def test_local_obstacle_2d_cg_sweeps_match_direct_solve(monkeypatch):
+    # a loose sweep only chooses the next sets; the refinement of the sets
+    # that repeat is held to the direct solve
     g, params, u_prev, m_prev = _band_step_2d()
     calls = []
     _counting_cg(monkeypatch, calls)
-    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig())
+    cfg = PdasConfig()
+    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, cfg)
     assert res.converged and len(calls) == res.iters
-    assert min(b.size for _, b, _, _ in calls) >= 100
-    for A, b, x, info in calls:
+    assert res.cg_iters > 0
+    assert min(b.size for _, b, _, _, _ in calls) >= 100
+    assert all(info == 0 for *_, info, _ in calls)
+    assert {rtol for *_, rtol in calls} == {pdas._SWEEP_RTOL, cfg.lin_tol}
+    refined = [call for call in calls if call[-1] == cfg.lin_tol]
+    assert refined and calls[-1] is refined[-1]
+    for A, b, x, _, _ in refined:
         x_ref = factorized(A.tocsc())(b)
-        assert info == 0
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def _exact_sweeps():
+    """Every sweep solved to lin_tol, as before the loose sweeps."""
+    return mock.patch.object(pdas, "_SWEEP_RTOL", 0.0)
+
+
+def _band_step_CH_2d():
+    """ex3-like CH step (small xi) on 33x33 interior nodes with an inactive ring."""
+    params = ModelParams(mu=0.0003, L=0.5, D=1.0, beta=0.002, alpha=0.9, rho=10.0)
+    h = 1.0 / 32
+    g = build_grid(2, h, 3 * h)
+    stn = build_stencil(g, KernelSpec(0.012, 3 * h, 2))
+    r = np.hypot(*(g.coords() - 0.5).T)
+    u_prev = np.clip((r - 0.3) / (4 * h) + 0.5, 0.0, 1.0)
+    m_prev = coupling_m(params, np.full(g.n_interior, 0.5))
+    return g, stn, params, u_prev, m_prev
+
+
+def test_ch_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
+    g, stn, params, u_prev, m_prev = _band_step_CH_2d()
+    cfg = PdasConfig()
+    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 1e-4))
+    assert w_solver.prolongations  # a multigrid V-cycle, not one direct solve
+    res = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, cfg, w_solver)
+    with _exact_sweeps():
+        exact = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, cfg, w_solver)
+    assert res.converged and exact.converged
+    assert res.sets.same_as(exact.sets) and res.sets.inactive.sum() >= 100
+    assert res.cg_iters < exact.cg_iters
+    # the accepted w solves the w-system of the final sets to lin_tol
+    ids, mI, mu = g.interior_ids, g.mass_interior, params.mu
+    inactive = res.sets.inactive
+    xi = stn.c_gamma_h_interior - params.c_F
+    q = convolve(stn, u_prev)[ids] + params.c_F * m_prev - 0.5 * params.c_F
+    A = w_solver.A + sp.diags_array(np.where(inactive, mu * mI / xi, 0.0))
+    b = mu * mI * (u_prev[ids] - np.where(inactive, q / xi, res.sets.upper))
+    assert np.linalg.norm(A @ res.w - b) <= cfg.lin_tol * np.linalg.norm(b)
+    assert res.kkt_residual <= 1e-9
+    assert np.abs(res.u - exact.u).max() <= 1e-10
+
+
+def test_local_obstacle_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
+    g, params, u_prev, m_prev = _band_step_2d()
+    cfg = PdasConfig()
+    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, cfg)
+    with _exact_sweeps():
+        exact = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, cfg)
+    assert res.converged and exact.converged
+    assert res.sets.same_as(exact.sets) and res.sets.inactive.sum() >= 100
+    assert res.cg_iters < exact.cg_iters
+    # the accepted u solves the reduced system of the final sets to lin_tol
+    A = local_obstacle_matrix(g, assemble_stiffness(g), params, 1e-4, 0.01)
+    b = g.mass_interior * (params.mu / 1e-4 * u_prev - 0.5 * params.c_F
+                           + params.c_F * m_prev)
+    idx = np.flatnonzero(res.sets.inactive)
+    rhs = (b - A @ res.sets.upper.astype(float))[idx]
+    assert np.linalg.norm((b - A @ res.u)[idx]) <= cfg.lin_tol * np.linalg.norm(rhs)
+    assert res.kkt_residual <= 1e-9
+    assert np.abs(res.u - exact.u).max() <= 1e-10
 
 
 def test_local_obstacle_2d_cg_failure_raises(monkeypatch):
