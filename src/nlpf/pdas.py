@@ -86,8 +86,8 @@ __all__ = [
 #: CG solves; relative residual of a 2D CG sweep before its sets repeat
 #: (refined to lin_tol after).  On the ex3 runs to t = 0.0041 a loose sweep
 #: takes ~2.5 CG iterations per w-solve (at most 5) and ~4 per reduced
-#: local-obstacle solve (at most 12), a refinement ~10 (12) and ~31 (33);
-#: with every sweep at lin_tol they took ~12 and ~34 (at most ~15 and ~41).
+#: local-obstacle solve (at most 12), a refinement ~10 (at most 12) and ~31
+#: (at most 33).
 _COARSEST_NODES = 200
 _JACOBI_DAMPING = 0.8
 _CG_MAX_ITERS = 500
@@ -194,26 +194,23 @@ def _held(build):
 
 
 def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
-                  max_iters: int, residual=None, rtol: float = 0.0,
-                  lin_tol: float = 0.0) -> StepOut:
+                  config: PdasConfig, residual=None, loose: bool = False) -> StepOut:
     """Drive the active-set fixed point.
 
     ``solve_for_sets(sets, rtol)`` solves the sweep's linear system to the
     relative residual rtol (a direct solve ignores it) and returns (u_I, u_E,
     w, g, cg_iters): u on the interior and on the exterior layer (u_E None on
     a grid without one), w (None where beta = 0), the phase-row value g and
-    the CG iterations of the solve.  g is the multiplier on the active nodes
-    and the residual of the phase equation on the inactive ones.
+    the CG iterations.  g is the multiplier on the active nodes and the
+    residual of the phase equation on the inactive ones.
     ``residual(u_I, w, g, inactive)``, if given, is the step's KKT residual
-    of the accepted iterate.
+    at the accepted iterate.
 
-    Inexact sweeps: a sweep only decides the next sets, so it is solved to
-    the loose rtol.  Once the sets repeat, the same system is refined to
-    lin_tol (``solve_for_sets`` is called with the same ``sets`` object, and
-    may reuse what it built for them) and the sets are tested again: the
-    step is accepted only if they still repeat, else the loose sweeps go on.
-    With rtol == lin_tol (the direct solves) every sweep is exact and the
-    first repeat is accepted.  Refinement solves count as sweeps.
+    With ``loose`` (the CG routes) a sweep is solved to ``_SWEEP_RTOL``, and
+    once the sets repeat the same ``sets`` object is solved again to
+    lin_tol, so ``solve_for_sets`` may reuse what it built for it; the sets
+    are then tested again.  Without it every sweep is solved to lin_tol and
+    the first repeat is accepted.  Refinements count as sweeps.
 
     If the warm-started iteration does not settle within max_iters (a cold
     start from an all-pinned state opens a wide inactive band only a couple
@@ -221,6 +218,8 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
     whose first unconstrained solve pins near-final sets immediately;
     ``restarted`` reports that.
     """
+    lin_tol = config.lin_tol
+    rtol = max(_SWEEP_RTOL, lin_tol) if loose else lin_tol
     n = init_sets.upper.shape[0]
     attempts = [init_sets]
     if init_sets.upper.any() or init_sets.lower.any():
@@ -231,7 +230,7 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
     converged = False
     for attempt, start in enumerate(attempts):
         sets, tol = ActiveSets(start.upper.copy(), start.lower.copy()), rtol
-        for _ in range(max_iters):
+        for _ in range(config.max_iters):
             iters_used += 1
             u_I, u_E, w, g, n_cg = solve_for_sets(sets, tol)
             cg_iters += n_cg
@@ -299,15 +298,6 @@ def _cg(A, b: np.ndarray, x0: np.ndarray, rtol: float, what: str,
             f"(info {info})"
         )
     return x, iters
-
-
-def _sweep_rtol(config: PdasConfig, cg_route: bool) -> float:
-    """The solve tolerance of a sweep before its sets repeat.
-
-    Loose on the CG routes; lin_tol on the direct ones, which are exact
-    anyway and so need no refinement.
-    """
-    return max(_SWEEP_RTOL, config.lin_tol) if cg_route else config.lin_tol
 
 
 def _prolongation_1d(n: int) -> sp.csr_matrix:
@@ -539,9 +529,8 @@ def pdas_step_CH(
         # the w-equation and the inactive phase rows, each as a change of u
         return _max_abs(u_I - u_prev_I + (w_solver.A @ w) / (mu * mI), g[inactive] / xi)
 
-    cg_route = grid.dim == 2 and config.convolution_mode == "explicit"
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters,
-                         residual, _sweep_rtol(config, cg_route), config.lin_tol)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config, residual,
+                         loose=grid.dim == 2 and config.convolution_mode == "explicit")
 
 
 def pdas_step_local_obstacle(
@@ -602,8 +591,8 @@ def pdas_step_local_obstacle(
         # the reduced equation on the inactive set, as a change of u
         return _max_abs(g[inactive] * (tau / params.mu))
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters,
-                         residual, _sweep_rtol(config, grid.dim == 2), config.lin_tol)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config, residual,
+                         loose=grid.dim == 2)
 
 
 def verify_complementarity(u, lam) -> float:

@@ -235,7 +235,7 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         u_I = np.where(sets.inactive, g / denom, sets.upper.astype(float))
         return u_I, u_E, None, g - denom * u_I, 0
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config.max_iters)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config)
 
 
 # --------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_local_obstacle_2d_cg_sweeps_match_direct_solve(monkeypatch):
 
 
 def _exact_sweeps():
-    """Every sweep solved to lin_tol, as before the loose sweeps."""
+    """Every sweep solved to lin_tol: the exact-sweep reference."""
     return mock.patch.object(pdas, "_SWEEP_RTOL", 0.0)
 
 
