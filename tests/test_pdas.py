@@ -236,9 +236,7 @@ def test_local_obstacle_matches_enumeration(data, n_cells, eps, excess):
 
 
 def _floats(data, size, lo, hi):
-    return np.array(data.draw(st.lists(
-        st.floats(lo, hi, exclude_min=lo < 0, exclude_max=lo < 0),
-        min_size=size, max_size=size)))
+    return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
 
 
 def _tiny_2d_ch():
