@@ -14,7 +14,7 @@ active-set method.  Sub-modules:
     metrics       interface widths and field distances
     config        run-configuration files
     repro         reference-experiment drivers
-    verify        brute-force oracles and desk-scale self-checks
+    verify        brute-force oracles of the test suite
     cli           command-line entry points
 
 Submodules are imported lazily; ``import nlpf`` stays lightweight.

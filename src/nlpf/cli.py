@@ -1,4 +1,4 @@
-"""Command-line interface: run, verify, repro, metrics.
+"""Command-line interface: run, repro, metrics.
 
 ``run`` and ``repro`` finish each run through ``repro.run_and_write``, which
 writes report.json on every path; both exit 1 on a raised run and 2 on a
@@ -76,22 +76,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_verify(_args) -> int:
-    from .verify import run_all_checks
-
-    checks = run_all_checks()
-    name_w = max(len(c.name) for c in checks)
-    n_fail = 0
-    for c in checks:
-        status = "PASS" if c.ok else "FAIL"
-        n_fail += not c.ok
-        detail = f"  ({c.detail})" if c.detail else ""
-        print(f"{status}  {c.name:<{name_w}}  value={c.value:.3e}  "
-              f"tol={c.tol:.1e}{detail}")
-    print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    return 0 if n_fail == 0 else 1
-
-
 def cmd_repro(args) -> int:
     from .repro import REPRO_DRIVERS
 
@@ -162,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exterior constant (finite, >= 0) for the advisory "
                     "step-size check of the beta = 0 nonlocal variant")
     pr.set_defaults(func=cmd_run)
-
-    pv = sub.add_parser("verify", help="run the desk-scale verification checks")
-    pv.set_defaults(func=cmd_verify)
 
     pp = sub.add_parser("repro", help="reproduce a reference experiment")
     pp.add_argument("example", choices=("ex1", "ex2", "ex3"))

@@ -17,30 +17,18 @@ vanishing interaction radius.  Closed forms:
 
 The interface parameter of the constrained model is xi = c_gamma - c_F.
 Smaller xi gives sharper interfaces; xi = 0 is the sharp-interface threshold.
+The quadrature cross-checks of these constants are test oracles and live in
+``nlpf.verify``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import fixed_quad
 
-__all__ = [
-    "KernelSpec",
-    "kernel_eval",
-    "scaling_constant",
-    "second_moment_check",
-    "c_gamma_closed_form",
-    "c_gamma_quadrature",
-    "xi",
-]
-
-#: Gauss-Legendre order for the radial quadratures (exact for the polynomial
-#: integrands used here).
-GAUSS_ORDER = 60
+__all__ = ["KernelSpec", "kernel_eval", "scaling_constant", "c_gamma_closed_form"]
 
 
 @dataclass(frozen=True)
@@ -96,40 +84,6 @@ def kernel_eval(spec: KernelSpec, r):
     return float(out) if out.ndim == 0 else out
 
 
-def _radial_integral(spec: KernelSpec, moment: int) -> float:
-    """Integral of |z|^moment * gamma(|z|) over R^n by radial quadrature.
-
-    Gauss-Legendre on [0, delta] with the surface weight: 2 in 1D (both
-    signs of z), 2*pi*r in 2D.
-    """
-    surface = 2.0 if spec.dim == 1 else 2.0 * math.pi
-    val, _ = fixed_quad(
-        lambda r: surface * r ** (moment + spec.dim - 1) * kernel_eval(spec, r),
-        0.0,
-        spec.delta,
-        n=GAUSS_ORDER,
-    )
-    return float(val)
-
-
-def second_moment_check(spec: KernelSpec) -> float:
-    """Relative error of the kernel's second moment against 2*n*eps^2.
-
-    A correctly normalized kernel returns <= 1e-8; larger values signal a
-    broken kernel implementation (wrong C(delta) or support handling).
-    """
-    target = 2.0 * spec.dim * spec.epsilon**2
-    got = _radial_integral(spec, moment=2)
-    if not math.isfinite(got):
-        raise ArithmeticError("second-moment quadrature did not converge")
-    return abs(got - target) / target
-
-
-def c_gamma_quadrature(spec: KernelSpec) -> float:
-    """Integral of gamma over R^n by quadrature (cross-check path)."""
-    return _radial_integral(spec, moment=0)
-
-
 def c_gamma_closed_form(spec: KernelSpec) -> float:
     """c_gamma = integral of gamma: 10 eps^2/delta^2 (1D), 12 eps^2/delta^2 (2D)."""
     if spec.dim == 1:
@@ -137,22 +91,3 @@ def c_gamma_closed_form(spec: KernelSpec) -> float:
     if spec.dim == 2:
         return 12.0 * spec.epsilon**2 / spec.delta**2
     raise ValueError(f"unsupported dimension {spec.dim}")
-
-
-def xi(spec: KernelSpec, c_F: float) -> float:
-    """Nonlocal interface parameter xi = c_gamma - c_F.
-
-    Emits a warning when xi < 0: the constrained Cahn-Hilliard analysis
-    assumes xi >= 0, so negative values are outside the analyzed regime
-    (the value is still returned).
-    """
-    if c_F <= 0:
-        raise ValueError(f"c_F must be > 0, got {c_F}")
-    val = c_gamma_closed_form(spec) - c_F
-    if val < 0:
-        warnings.warn(
-            f"xi = c_gamma - c_F = {val:.6g} < 0: outside the analyzed "
-            "regime (uniqueness/projection results need xi >= 0)",
-            stacklevel=2,
-        )
-    return val

@@ -599,10 +599,14 @@ def verify_complementarity(u, lam) -> float:
     """Max complementarity/bound residual of a (u, lambda) pair.
 
     Splits lambda into nonnegative parts and returns the largest of
-    |min(lambda_+, 1-u)|, |min(lambda_-, u)| and the bound violations.
+    |min(lambda_+, 1-u)|, |min(lambda_-, u)| and the bound violations; inf
+    if u or lambda has a non-finite entry (an infinite multiplier at a node
+    on its bound would otherwise give 0).
     """
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    if not (np.isfinite(u).all() and np.isfinite(lam).all()):
+        return math.inf
     lam_p = np.maximum(lam, 0.0)
     lam_m = np.maximum(-lam, 0.0)
     res = 0.0

@@ -78,15 +78,12 @@ def greens_dual_norm(grid: Grid, v: np.ndarray, green_solve) -> float:
 
     ``green_solve`` is the solve of M + beta K, as returned by
     ``stepper.exact_solver(grid, K, 1.0, beta)``: return the lumped inner
-    product of v and z with (M + beta K) z = M v.  None (beta = 0): the
-    plain lumped L2 norm squared.
+    product of v and z with (M + beta K) z = M v.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (grid.n_interior,):
         raise ValueError(f"expected interior field of length {grid.n_interior}")
     mv = grid.mass_interior * v
-    if green_solve is None:
-        return float(np.dot(mv, v))
     return float(np.dot(mv, green_solve(mv)))
 
 

@@ -51,7 +51,7 @@ from .physics import ModelParams, coupling_m, objective_Jk, regular_potential_dF
 
 __all__ = [
     "State", "RunResult", "NonlocalCHStep", "NonlocalACStep",
-    "LocalObstacleStep", "LocalRegularStep", "phase_step", "exact_solver", "heat_solver",
+    "LocalObstacleStep", "LocalRegularStep", "phase_step", "exact_solver",
     "step_temperature", "step_phase_local_regular", "initial_state", "run",
     "AdmissibilityReport", "timestep_admissibility",
 ]
@@ -118,17 +118,13 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     return solve
 
 
-def heat_solver(grid: Grid, K: sp.csr_matrix, D: float, tau: float):
-    """Solve of the backward-Euler heat matrix M + tau D K (see exact_solver)."""
-    return exact_solver(grid, K, 1.0, tau * D)
-
-
 def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np.ndarray,
                      u_new: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
     """Backward-Euler heat step with the latent-heat source L (u^k - u^{k-1}).
 
-    ``heat_solve`` is ``heat_solver(grid, K, params.D, tau)``; u_new/u_prev
-    are full-domain fields, of which only interior values enter.
+    ``heat_solve`` is ``exact_solver(grid, K, 1.0, tau * params.D)``, the solve
+    of M + tau D K; u_new/u_prev are full-domain fields, of which only
+    interior values enter.
     """
     ids = grid.interior_ids
     du = np.asarray(u_new, dtype=float)[ids] - np.asarray(u_prev, dtype=float)[ids]
@@ -403,7 +399,7 @@ def run(config: RunConfig) -> RunResult:
     # every operator and solver of the run, built once
     K = assemble_stiffness(grid)
     phase = phase_step(config, grid, stencil, K)
-    heat = heat_solver(grid, K, params.D, tau)
+    heat = exact_solver(grid, K, 1.0, tau * params.D)
     if config.records_energy:
         green = exact_solver(grid, K, 1.0, params.beta)
         xi = stencil.c_gamma_h_interior - params.c_F

@@ -1,41 +1,68 @@
-"""Oracles and desk-scale self-verification.
+"""Oracles that the test suite checks the solvers against.
 
 The oracles recompute what the solvers compute through independent routes:
-the kernel written out as a polynomial, dense matrices built from
-coordinates instead of stencils, exhaustive 3^N active-set enumeration
-instead of the active-set iteration, and the nonlocal AC projection iterated
-as an active-set loop instead of evaluated in closed form.  Sizes are
-deliberately tiny.  ``run_all_checks`` (the ``verify`` CLI command) and the
-test suite both use them.
+the kernel constants by radial quadrature, the kernel written out as a
+polynomial, dense matrices built from coordinates instead of stencils,
+exhaustive 3^N active-set enumeration instead of the active-set iteration,
+and the nonlocal AC projection iterated as an active-set loop instead of
+evaluated in closed form.  Sizes are deliberately tiny.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.integrate import fixed_quad
 
-from .grid import assemble_stiffness, build_grid
-from .kernel import (KernelSpec, c_gamma_closed_form, c_gamma_quadrature,
-                     second_moment_check, xi)
-from .nonlocal_ops import apply_Bh, build_stencil, conv_rows, convolve, exterior_closure
-from .pdas import (PdasConfig, StepOut, WSolver, _pdas_iterate, local_obstacle_matrix,
-                   pdas_step_CH, pdas_step_local_obstacle, sets_from_bounds, w_matrix)
-from .physics import ModelParams, coupling_m
-from .stepper import NonlocalACStep
+from .kernel import KernelSpec, kernel_eval
+from .nonlocal_ops import convolve, exterior_closure
+from .pdas import StepOut, _pdas_iterate, sets_from_bounds
 
 __all__ = [
-    "Check", "run_all_checks", "gamma_poly", "trapezoid_masses",
+    "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",
     "dense_conv_matrix", "dense_stiffness_1d", "enumerate_CH_explicit",
     "enumerate_CH_implicit", "enumerate_local_obstacle", "pdas_step_AC_nonlocal",
 ]
 
-EX1_KERNEL = KernelSpec(epsilon=0.02, delta=0.1540, dim=1)
-EX3_KERNEL = KernelSpec(epsilon=0.01, delta=0.0826, dim=2)
+#: Gauss-Legendre order for the radial quadratures (exact for the polynomial
+#: integrands used here).
+GAUSS_ORDER = 60
+
+
+def _radial_integral(spec: KernelSpec, moment: int) -> float:
+    """Integral of |z|^moment * gamma(|z|) over R^n by radial quadrature.
+
+    Gauss-Legendre on [0, delta] with the surface weight: 2 in 1D (both
+    signs of z), 2*pi*r in 2D.
+    """
+    surface = 2.0 if spec.dim == 1 else 2.0 * math.pi
+    val, _ = fixed_quad(
+        lambda r: surface * r ** (moment + spec.dim - 1) * kernel_eval(spec, r),
+        0.0,
+        spec.delta,
+        n=GAUSS_ORDER,
+    )
+    return float(val)
+
+
+def second_moment_check(spec: KernelSpec) -> float:
+    """Relative error of the kernel's second moment against 2*n*eps^2.
+
+    A correctly normalized kernel returns <= 1e-8; larger values signal a
+    broken kernel implementation (wrong C(delta) or support handling).
+    """
+    target = 2.0 * spec.dim * spec.epsilon**2
+    got = _radial_integral(spec, moment=2)
+    if not math.isfinite(got):
+        raise ArithmeticError("second-moment quadrature did not converge")
+    return abs(got - target) / target
+
+
+def c_gamma_quadrature(spec: KernelSpec) -> float:
+    """Integral of gamma over R^n by quadrature (cross-check of the closed form)."""
+    return _radial_integral(spec, moment=0)
 
 
 def gamma_poly(r, eps, delta, dim):
@@ -236,142 +263,3 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         return u_I, u_E, None, g - denom * u_I, 0
 
     return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config)
-
-
-# --------------------------------------------------------------------------
-# desk-scale checks
-
-
-@dataclass
-class Check:
-    name: str
-    value: float
-    tol: float
-    ok: bool
-    detail: str = ""
-
-
-def _check(name, value, tol, detail="") -> Check:
-    return Check(name=name, value=float(value), tol=tol, ok=bool(value <= tol),
-                 detail=detail)
-
-
-def _dense_W(grid, spec):
-    return dense_conv_matrix(grid.coords(), grid.lumped_mass, spec.epsilon,
-                             spec.delta, spec.dim)
-
-
-def run_all_checks() -> list:
-    checks = []
-    specs = [
-        EX1_KERNEL,
-        EX3_KERNEL,
-        KernelSpec(epsilon=1.0, delta=1.0, dim=1),
-        KernelSpec(epsilon=0.31, delta=0.07, dim=2),
-    ]
-
-    for spec in specs:
-        closed = c_gamma_closed_form(spec)
-        quad = c_gamma_quadrature(spec)
-        rel = abs(closed - quad) / closed
-        checks.append(_check(
-            f"c_gamma closed-form vs quadrature (eps={spec.epsilon:g}, "
-            f"delta={spec.delta:g}, n={spec.dim})", rel, 1e-8,
-            f"closed = {closed:.10g}, quadrature = {quad:.10g}"))
-        checks.append(_check(
-            f"second moment = 2n eps^2 (eps={spec.epsilon:g}, "
-            f"delta={spec.delta:g}, n={spec.dim})",
-            second_moment_check(spec), 1e-8))
-
-    xi1 = xi(EX1_KERNEL, 1.0 / 6.0)
-    checks.append(_check("xi(ex1 kernel) = 0.002 +- 5e-5", abs(xi1 - 0.002), 5e-5,
-                         f"xi = {xi1:.6g}"))
-    xi3 = xi(EX3_KERNEL, 1.0 / 6.0)
-    checks.append(_check("xi(ex3 kernel) = 0.0093 +- 2e-4", abs(xi3 - 0.0093), 2e-4,
-                         f"xi = {xi3:.6g}"))
-
-    # Stencil consistency and dense-oracle agreement, 1D and 2D.
-    rng = np.random.default_rng(7)
-    for dim, h in ((1, 1.0 / 48), (2, 1.0 / 9)):
-        spec = KernelSpec(epsilon=0.5, delta=3.4 * h, dim=dim)
-        grid = build_grid(dim, h, spec.delta)
-        stencil = build_stencil(grid, spec)
-        cons = max(float(np.abs(apply_Bh(stencil, np.full(grid.n_nodes, c))).max())
-                   for c in (1.0, -0.37, 2.9e3, 1e-7))
-        checks.append(_check(f"FFT convolution exact on constants: B_h c == 0 ({dim}D)",
-                             cons, 0.0, "c = 1, -0.37, 2.9e3, 1e-7"))
-        u = rng.random(grid.n_nodes)
-        err = np.abs(convolve(stencil, u) - _dense_W(grid, spec) @ u).max()
-        checks.append(_check(f"stencil convolution vs dense matrix ({dim}D)",
-                             err, 1e-12))
-
-    # Multigrid-preconditioned CG w-solve vs a sparse direct solve (2D).
-    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
-    tau = 3e-4
-    grid = build_grid(2, 1.0 / 32, 0.0)
-    solver = WSolver(grid, w_matrix(grid, assemble_stiffness(grid), params.beta, tau))
-    r = np.hypot(*(grid.coords() - 0.5).T)
-    d = np.where(np.abs(r - 0.3) <= 1.5 * grid.h, params.mu * grid.mass_interior / 0.0093,
-                 0.0)
-    b = grid.mass_interior * np.random.default_rng(11).standard_normal(grid.n_interior)
-    ref = spsolve((solver.A + sp.diags_array(d)).tocsc(), b)
-    got = solver.system(d)(b, np.zeros(grid.n_interior), PdasConfig().lin_tol)[0]
-    checks.append(_check(
-        f"2D multigrid-CG w-solve vs sparse direct solve ({grid.n_interior} nodes, "
-        f"{len(solver.prolongations) + 1} levels)",
-        np.linalg.norm(got - ref) / np.linalg.norm(ref), 1e-10, "relative error"))
-
-    # 2D local-obstacle step: its CG sweeps vs the last sweep solved directly.
-    lo = ModelParams(mu=0.0003, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=10.0)
-    lo_tau, lo_eps = 1e-4, 0.01
-    A = local_obstacle_matrix(grid, assemble_stiffness(grid), lo, lo_tau, lo_eps)
-    u_prev = np.clip((r - 0.3) / (4 * grid.h) + 0.5, 0.0, 1.0)
-    m_prev = coupling_m(lo, np.full(grid.n_interior, 0.5))
-    res = pdas_step_local_obstacle(grid, lo, lo_tau, A, u_prev, m_prev, PdasConfig())
-    b = grid.mass_interior * (lo.mu / lo_tau * u_prev - 0.5 * lo.c_F + lo.c_F * m_prev)
-    idx = np.flatnonzero(~(res.sets.upper | res.sets.lower))
-    ref = spsolve(A[idx][:, idx].tocsc(),
-                  (b - A @ res.sets.upper.astype(float))[idx])
-    checks.append(_check(
-        f"2D local-obstacle CG sweep vs sparse direct solve ({idx.size} of "
-        f"{grid.n_interior} nodes inactive)",
-        np.linalg.norm(res.u[idx] - ref) / np.linalg.norm(ref), 1e-10, "relative error"))
-
-    # Fast projection path vs active-set route (beta = 0).
-    params0 = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
-    h = 1.0 / 24
-    spec = KernelSpec(epsilon=0.05, delta=3.2 * h, dim=1)
-    grid = build_grid(1, h, spec.delta)
-    stencil = build_stencil(grid, spec)
-    ac = NonlocalACStep(grid, stencil, params0, 3e-4)
-    cfg = PdasConfig()
-    worst = 0.0
-    for _ in range(20):
-        u_prev = np.clip(rng.random(grid.n_nodes), 0.0, 1.0)
-        theta_prev = rng.normal(scale=0.5, size=grid.n_interior) + 1.0
-        res = pdas_step_AC_nonlocal(
-            grid, stencil, params0, 3e-4, u_prev,
-            coupling_m(params0, theta_prev), cfg)
-        worst = max(worst, float(np.abs(ac.step(u_prev, theta_prev).u - res.u).max()))
-    checks.append(_check("AC projection fast path vs active-set route", worst,
-                         1e-10, "20 random steps"))
-
-    # Constrained CH step, both convolution modes, vs exhaustive enumeration.
-    for mode, h in (("explicit", 1.0 / 5), ("implicit", 1.0 / 4)):
-        spec = KernelSpec(epsilon=0.35, delta=2.6 * h, dim=1)
-        grid = build_grid(1, h, spec.delta)
-        stencil = build_stencil(grid, spec)
-        u_prev = np.clip(rng.random(grid.n_nodes), 0.0, 1.0)
-        m_prev = rng.uniform(-0.4, 0.4, grid.n_interior)
-        W = conv_rows(stencil, np.arange(grid.n_nodes)) if mode == "implicit" else None
-        w_solver = WSolver(grid, w_matrix(grid, assemble_stiffness(grid), params.beta, tau))
-        res = pdas_step_CH(grid, stencil, params, tau, u_prev, m_prev,
-                           PdasConfig(convolution_mode=mode), w_solver, W)
-        oracle = enumerate_CH_explicit if mode == "explicit" else enumerate_CH_implicit
-        u_ref = oracle(grid, _dense_W(grid, spec), params, tau, u_prev, m_prev,
-                       dense_stiffness_1d(grid.n_interior, grid.h))[0]
-        err = np.abs(res.u[grid.interior_ids] - u_ref).max()
-        checks.append(_check(
-            f"CH active-set solve ({mode} convolution) vs exhaustive enumeration "
-            f"({grid.n_interior} nodes)", err, 1e-9))
-    return checks

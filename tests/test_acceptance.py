@@ -13,25 +13,21 @@ import numpy as np
 import pytest
 
 from nlpf.grid import assemble_stiffness, build_grid
-from nlpf.kernel import (
-    KernelSpec,
-    c_gamma_closed_form,
-    c_gamma_quadrature,
-    second_moment_check,
-    xi,
-)
+from nlpf.kernel import KernelSpec, c_gamma_closed_form
 from nlpf.nonlocal_ops import build_stencil, convolve
 from nlpf.pdas import (PdasConfig, WSolver, local_obstacle_matrix, pdas_step_CH,
                        pdas_step_local_obstacle, w_matrix)
 from nlpf.physics import ModelParams, coupling_m
 from nlpf.presets import EX2_DELTAS, example1_config
-from nlpf.stepper import NonlocalACStep, heat_solver, run, step_temperature
+from nlpf.stepper import NonlocalACStep, exact_solver, run, step_temperature
 from nlpf.verify import (
+    c_gamma_quadrature,
     dense_conv_matrix,
     dense_stiffness_1d,
     enumerate_CH_explicit,
     enumerate_local_obstacle,
     pdas_step_AC_nonlocal,
+    second_moment_check,
 )
 
 
@@ -47,8 +43,8 @@ def test_criterion_01_kernel_constants():
         closed = c_gamma_closed_form(spec)
         assert abs(closed - c_gamma_quadrature(spec)) / closed <= 1e-8
         assert second_moment_check(spec) <= 1e-8
-    xi1 = xi(ex1, 1.0 / 6.0)
-    xi3 = xi(ex3, 1.0 / 6.0)
+    xi1 = c_gamma_closed_form(ex1) - 1.0 / 6.0
+    xi3 = c_gamma_closed_form(ex3) - 1.0 / 6.0
     assert abs(xi1 - 0.002) <= 5e-5
     assert abs(xi3 - 0.0093) <= 2e-4
     elapsed = time.perf_counter() - t0
@@ -226,7 +222,7 @@ def test_criterion_10_heat_equation_control():
     theta = np.cos(np.pi * x)
     lam_h = (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
     u = np.zeros(g.n_interior)
-    heat = heat_solver(g, assemble_stiffness(g), p.D, tau)
+    heat = exact_solver(g, assemble_stiffness(g), 1.0, tau * p.D)
     worst = 0.0
     for k in range(1, 31):
         theta = step_temperature(heat, g, p, theta, u, u)
@@ -244,7 +240,7 @@ def test_criterion_10_heat_equation_control_2d():
     mode = np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1])
     lam_h = 2 * (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
     theta, u = mode, np.zeros(g.n_interior)
-    heat = heat_solver(g, assemble_stiffness(g), p.D, tau)
+    heat = exact_solver(g, assemble_stiffness(g), 1.0, tau * p.D)
     worst = 0.0
     for k in range(1, 31):
         theta = step_temperature(heat, g, p, theta, u, u)

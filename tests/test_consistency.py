@@ -108,6 +108,31 @@ def test_lazy_package_import():
         nlpf.not_a_module
 
 
+def test_every_public_name_has_a_caller_in_the_package():
+    # a public name of nlpf that only tests use is a test oracle and belongs
+    # in nlpf.verify, whose names are exempt; uses inside nlpf.verify do not
+    # count, since a function called only by an oracle is test-only as well
+    used, exported = set(), {}
+    package = Path(__file__).resolve().parents[1] / "src" / "nlpf"
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "verify":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported[path.stem] = ast.literal_eval(node.value)
+    assert "kernel" in exported and "stepper" in exported
+    unused = {f"{mod}.{name}" for mod, names in exported.items()
+              for name in names if name not in used}
+    assert not unused, sorted(unused)
+
+
 def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):
     # nlpf_bench/spans.py wraps nlpf functions by module attribute name and
     # reads their arguments and results; a renamed entry point or a changed

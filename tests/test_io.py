@@ -384,22 +384,6 @@ def test_report_emitted_without_result():
     assert rep["resolved_config"]["variant"] == "nonlocal_CH"
 
 
-def test_cli_verify_passes():
-    assert cli_main(["verify"]) == 0
-
-
-def test_verify_catches_corrupted_constant(monkeypatch):
-    import nlpf.verify as verify_mod
-
-    monkeypatch.setattr(
-        verify_mod, "c_gamma_closed_form",
-        lambda spec: 11.0 * spec.epsilon**2 / spec.delta**2
-        if spec.dim == 1 else 12.0 * spec.epsilon**2 / spec.delta**2,
-    )
-    checks = verify_mod.run_all_checks()
-    assert any(not c.ok for c in checks)
-
-
 def test_cli_run_rejects_nan_init_file(tmp_path):
     g = build_grid(1, 0.025, 0.1)
     u0 = (g.coords()[g.interior_ids, 0] <= 0.3).astype(float)

@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nlpf.kernel import (
-    KernelSpec,
-    c_gamma_closed_form,
-    c_gamma_quadrature,
-    kernel_eval,
-    scaling_constant,
-    second_moment_check,
-    xi,
-)
+from nlpf.kernel import KernelSpec, c_gamma_closed_form, kernel_eval, scaling_constant
+from nlpf.verify import c_gamma_quadrature, second_moment_check
 
 EX1 = KernelSpec(epsilon=0.02, delta=0.1540, dim=1)
 EX3 = KernelSpec(epsilon=0.01, delta=0.0826, dim=2)
@@ -86,20 +79,9 @@ def test_c_gamma_unit_parameters():
 
 
 def test_xi_reference_values():
-    assert xi(EX1, 1.0 / 6.0) == pytest.approx(0.002, abs=5e-5)
-    assert xi(EX3, 1.0 / 6.0) == pytest.approx(0.0093, abs=2e-4)
-
-
-def test_xi_zero_at_threshold():
-    spec = KernelSpec(1.0, 1.0, 1)
-    assert xi(spec, c_gamma_closed_form(spec)) == 0.0
-
-
-def test_xi_negative_warns():
-    spec = KernelSpec(0.01, 0.9, 1)  # c_gamma tiny
-    with pytest.warns(UserWarning, match="outside the analyzed regime"):
-        val = xi(spec, 1.0 / 6.0)
-    assert val < 0
+    # xi = c_gamma - c_F with c_F = 1/6
+    assert c_gamma_closed_form(EX1) - 1.0 / 6.0 == pytest.approx(0.002, abs=5e-5)
+    assert c_gamma_closed_form(EX3) - 1.0 / 6.0 == pytest.approx(0.0093, abs=2e-4)
 
 
 def test_spec_validation():

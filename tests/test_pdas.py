@@ -495,6 +495,19 @@ def test_verify_complementarity_cases():
     lam = np.array([0.2, 0.0, 0.0])
     # min(lam+, 1-u) at node 0: min(0.2, 0.5) = 0.2; bound violations 0.2/0.1
     assert verify_complementarity(u, lam) == pytest.approx(0.2)
+    # an infinite multiplier at a node on its bound is not complementary
+    assert verify_complementarity([1.0, 0.5], [np.inf, 0.0]) == np.inf
+    assert verify_complementarity([0.5, 0.0], [0.0, -np.inf]) == np.inf
+
+
+def test_infinite_multiplier_fails_complementarity():
+    # m_prev = inf at a pinned corner node gives lambda = inf there
+    g, params, u_prev, m_prev = _band_step_2d()
+    m_prev = m_prev.copy()
+    m_prev[0] = np.inf
+    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig())
+    assert res.sets.upper[0] and res.u[0] == 1.0
+    assert not verify_complementarity(res.u, res.lam) <= 1e-10
 
 
 def _w_system(n_axis, inactive, dim=2, seed=0):

@@ -82,15 +82,13 @@ def test_regular_potential_matches_finite_differences():
 
 def test_greens_dual_norm_basics():
     g = build_grid(1, 1 / 32, 0.0)
-    zero = np.zeros(g.n_interior)
-    assert greens_dual_norm(g, zero, None) == 0.0
-    ones = np.ones(g.n_interior)
-    assert greens_dual_norm(g, ones, None) == pytest.approx(1.0)
-    # constants are in the stiffness null space: beta > 0 gives the same value
     solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.37)
-    assert greens_dual_norm(g, ones, solve) == pytest.approx(
-        greens_dual_norm(g, ones, None), rel=1e-12
-    )
+    assert greens_dual_norm(g, np.zeros(g.n_interior), solve) == 0.0
+    ones = np.ones(g.n_interior)
+    lumped = np.dot(g.mass_interior * ones, ones)
+    assert lumped == pytest.approx(1.0)
+    # constants are in the stiffness null space: beta > 0 gives the lumped L2 value
+    assert greens_dual_norm(g, ones, solve) == pytest.approx(lumped, rel=1e-12)
 
 
 def test_greens_dual_norm_contraction():
@@ -99,7 +97,7 @@ def test_greens_dual_norm_contraction():
     rng = np.random.default_rng(8)
     for _ in range(20):
         v = rng.standard_normal(g.n_interior)
-        assert greens_dual_norm(g, v, solve) <= greens_dual_norm(g, v, None) + 1e-12
+        assert greens_dual_norm(g, v, solve) <= np.dot(g.mass_interior * v, v) + 1e-12
 
 
 def _dense_objective(grid, W, params, tau, u, u_prev, m_prev):
@@ -123,7 +121,8 @@ def test_objective_vanishes_at_rest():
     spec = KernelSpec(0.8, 0.45, 1)
     stn = build_stencil(g, spec)
     zero = np.zeros(g.n_nodes)
-    val = objective_Jk(g, stn, PARAMS, 1e-3, zero, zero, np.zeros(g.n_interior), None)
+    green = exact_solver(g, assemble_stiffness(g), 1.0, PARAMS.beta)
+    val = objective_Jk(g, stn, PARAMS, 1e-3, zero, zero, np.zeros(g.n_interior), green)
     assert val == 0.0
 
 
@@ -138,8 +137,9 @@ def test_objective_difference_matches_dense_hand_computation():
     u2 = rng.random(g.n_nodes)
     m_prev = rng.uniform(-0.4, 0.4, g.n_interior)
     tau = 2e-3
-    got = objective_Jk(g, stn, PARAMS, tau, u1, u_prev, m_prev, None) - objective_Jk(
-        g, stn, PARAMS, tau, u2, u_prev, m_prev, None
+    green = exact_solver(g, assemble_stiffness(g), 1.0, PARAMS.beta)  # beta = 0: M^-1
+    got = objective_Jk(g, stn, PARAMS, tau, u1, u_prev, m_prev, green) - objective_Jk(
+        g, stn, PARAMS, tau, u2, u_prev, m_prev, green
     )
     ref = _dense_objective(g, W, PARAMS, tau, u1, u_prev, m_prev) - _dense_objective(
         g, W, PARAMS, tau, u2, u_prev, m_prev

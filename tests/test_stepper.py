@@ -19,7 +19,7 @@ from nlpf.stepper import (
     LocalRegularStep,
     NonlocalACStep,
     NonlocalCHStep,
-    heat_solver,
+    exact_solver,
     initial_state,
     run,
     step_temperature,
@@ -29,7 +29,7 @@ from nlpf.verify import dense_stiffness_1d, pdas_step_AC_nonlocal
 
 
 def _heat(g, p, tau):
-    return heat_solver(g, assemble_stiffness(g), p.D, tau)
+    return exact_solver(g, assemble_stiffness(g), 1.0, tau * p.D)
 
 
 def test_temperature_equilibrium():
@@ -249,7 +249,7 @@ def test_phase_and_temperature_substeps_commute():
     state = initial_state(cfg, g, stn)
     p = cfg.model
     K = assemble_stiffness(g)
-    heat = heat_solver(g, K, p.D, cfg.tau)
+    heat = exact_solver(g, K, 1.0, cfg.tau * p.D)
     res = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas, K).step(state.u, state.theta)
     theta_after = step_temperature(heat, g, p, state.theta, res.u, state.u)
     # "temperature first": same inputs, evaluated in the other order
