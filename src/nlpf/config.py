@@ -9,10 +9,10 @@ with the RunConfig attribute it sets; required keys are marked *:
     [grid]     dim*, h*
     [time]     tau*, T*, snapshots (comma-separated times)
     [variant]  name* = nonlocal_CH | nonlocal_AC | local_obstacle | local_regular
-    [solver]   convolution_mode, pdas_c, pdas_max_iters, lin_tol
+    [solver]   convolution_mode = explicit | implicit
     [init]     preset = step(x0) | box(a,b) | frame(a,b), or file = path
                (not both); theta0 = const | path
-    [output]   directory, formats (csv[,vtk]; vtk on 2D grids only)
+    [output]   directory, formats = csv[, vtk] (csv required; vtk on 2D grids only)
 
 An absent optional key keeps its dataclass default; a number that is NaN or
 infinite is an error that names its key, also in a RunConfig built in code
@@ -123,6 +123,9 @@ class RunConfig:
             raise ConfigError(f"[kernel] epsilon must be finite and > 0, got {self.epsilon}")
         if not math.isfinite(self.delta):
             raise ConfigError(f"[kernel] delta must be finite, got {self.delta}")
+        if "csv" not in self.formats:
+            raise ConfigError("[output] formats must include csv, which every run writes; "
+                              f"got {', '.join(self.formats) or 'none'}")
         if "vtk" in self.formats and self.dim != 2:
             raise ConfigError("[output] formats: vtk is written for 2D grids only "
                               f"([grid] dim = {self.dim})")
@@ -211,9 +214,6 @@ _FORMAT = {
     ("time", "snapshots"): ("snapshots", _floats, False),
     ("variant", "name"): ("variant", str, True),
     ("solver", "convolution_mode"): ("pdas.convolution_mode", str, False),
-    ("solver", "pdas_c"): ("pdas.c_penalty", _float, False),
-    ("solver", "pdas_max_iters"): ("pdas.max_iters", _int, False),
-    ("solver", "lin_tol"): ("pdas.lin_tol", _float, False),
     ("init", "preset"): (None, None, False),
     ("init", "file"): (None, None, False),
     ("init", "theta0"): (None, None, False),

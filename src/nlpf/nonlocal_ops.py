@@ -51,13 +51,12 @@ _MAX_SPARSE_NNZ = 60_000_000
 class ConvolutionStencil:
     """Precomputed translation-invariant convolution weights for one grid.
 
-    footprint     : gamma values times h^dim on the (2R+1)^dim offset box
     offsets       : (m, dim) integer offsets with nonzero weight
-    weights       : (m,) weights matching ``offsets``
+    weights       : (m,) weights matching ``offsets``: gamma values times h^dim
     mass_ratio    : m_k / h^dim per node (1 except at the outermost nodes)
     fft_shape     : zero-padded grid shape of the FFT, at least
                     n_axis + R per axis so that no output wraps around
-    spectrum      : real FFT of the footprint placed on ``fft_shape`` with
+    spectrum      : real FFT of the weights placed on ``fft_shape`` with
                     wrap-around offsets; real because the kernel is even
     c_gamma_h     : per-node in-domain weight sum (flux-consistent closure);
                     at least gamma(0) m_j > 0 on every node, since each node
@@ -66,8 +65,6 @@ class ConvolutionStencil:
     """
 
     grid: Grid
-    kernel: KernelSpec
-    footprint: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     mass_ratio: np.ndarray = field(repr=False)
@@ -112,8 +109,6 @@ def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
     c_gamma_h[grid.interior_ids] = c_gamma_h_interior
     return ConvolutionStencil(
         grid=grid,
-        kernel=kernel,
-        footprint=footprint,
         offsets=offsets,
         weights=weights,
         mass_ratio=mass_ratio,

@@ -16,7 +16,7 @@ PDAS is a semismooth Newton method, and a sweep before the last only has to
 choose the next sets, so the 2D CG sweeps are inexact (an inexact Newton
 forcing term): each is solved to the loose relative residual
 ``_SWEEP_RTOL``.  Once the sets repeat, the same system is refined to
-``lin_tol``, CG starting from the loose iterate with the same matrix and
+``_LIN_TOL``, CG starting from the loose iterate with the same matrix and
 V-cycle, and the sets are tested again; the step is accepted only if they
 still repeat.  The direct routes (1D, implicit convolution) are exact, solve
 every sweep to round-off and accept the first repeat.  Every step reports
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,40 +84,28 @@ __all__ = [
 
 #: 2D w-solve: coarsen until a level has at most this many nodes, then solve
 #: it directly; damping of the Jacobi smoother; CG iteration cap of both 2D
-#: CG solves; relative residual of a 2D CG sweep before its sets repeat
-#: (refined to lin_tol after).  On the ex3 runs to t = 0.0041 a loose sweep
-#: takes ~2.5 CG iterations per w-solve (at most 5) and ~4 per reduced
-#: local-obstacle solve (at most 12), a refinement ~10 (at most 12) and ~31
-#: (at most 33).
+#: CG solves; relative residual of a 2D CG sweep before its sets repeat, and
+#: of its refinement once they do (the direct routes ignore both).  On the
+#: ex3 runs to t = 0.0041 a loose sweep takes ~2.5 CG iterations per w-solve
+#: (at most 5) and ~4 per reduced local-obstacle solve (at most 12), a
+#: refinement ~10 (at most 12) and ~31 (at most 33).
 _COARSEST_NODES = 200
 _JACOBI_DAMPING = 0.8
 _CG_MAX_ITERS = 500
 _SWEEP_RTOL = 1e-4
+_LIN_TOL = 1e-12
 
 
 @dataclass
 class PdasConfig:
-    """Active-set iteration parameters.
+    """Active-set step parameters: the convolution mode of the CH step."""
 
-    c_penalty: dimensionless multiplier (> 0) of the set-update threshold.
-    Each solver scales the test constant to its natural multiplier magnitude
-    (mu/tau plus the operator's nodal scale); with a constant that is too
-    small relative to the multipliers, pinned nodes can flip directly
-    between the bounds and the iteration 2-cycles.
-    """
-
-    c_penalty: float = 1.0
-    max_iters: int = 50
-    lin_tol: float = 1e-12
+    # warm sweeps before the one cold restart: a constant, not a setting, kept
+    # on the class because nlpf_bench/spans.py reads it off a step's argument
+    max_iters: ClassVar[int] = 50
     convolution_mode: str = "explicit"
 
     def __post_init__(self):
-        if not (math.isfinite(self.c_penalty) and self.c_penalty > 0):
-            raise ValueError(f"c_penalty must be finite and > 0, got {self.c_penalty}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.lin_tol) and self.lin_tol >= 0):
-            raise ValueError(f"lin_tol must be finite and >= 0, got {self.lin_tol}")
         if self.convolution_mode not in ("explicit", "implicit"):
             raise ValueError(f"unknown convolution_mode {self.convolution_mode!r}")
 
@@ -165,10 +154,10 @@ class StepOut:
     kkt_residual: float | None = None
 
 
-def sets_from_bounds(u_interior: np.ndarray, tol: float = 1e-9) -> ActiveSets:
-    """Initial active sets from a field's own bound pattern."""
+def sets_from_bounds(u_interior: np.ndarray) -> ActiveSets:
+    """Initial active sets from a field's own bound pattern (within 1e-9)."""
     u_interior = np.asarray(u_interior, dtype=float)
-    return ActiveSets(upper=u_interior >= 1.0 - tol, lower=u_interior <= tol)
+    return ActiveSets(upper=u_interior >= 1.0 - 1e-9, lower=u_interior <= 1e-9)
 
 
 def _max_abs(*parts: np.ndarray) -> float:
@@ -208,9 +197,10 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
 
     With ``loose`` (the CG routes) a sweep is solved to ``_SWEEP_RTOL``, and
     once the sets repeat the same ``sets`` object is solved again to
-    lin_tol, so ``solve_for_sets`` may reuse what it built for it; the sets
-    are then tested again.  Without it every sweep is solved to lin_tol and
-    the first repeat is accepted.  Refinements count as sweeps.
+    ``_LIN_TOL``, so ``solve_for_sets`` may reuse what it built for it; the
+    sets are then tested again.  Without it every sweep is solved to
+    ``_LIN_TOL`` and the first repeat is accepted.  Refinements count as
+    sweeps.
 
     If the warm-started iteration does not settle within max_iters (a cold
     start from an all-pinned state opens a wide inactive band only a couple
@@ -218,8 +208,7 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
     whose first unconstrained solve pins near-final sets immediately;
     ``restarted`` reports that.
     """
-    lin_tol = config.lin_tol
-    rtol = max(_SWEEP_RTOL, lin_tol) if loose else lin_tol
+    rtol = _SWEEP_RTOL if loose else _LIN_TOL
     n = init_sets.upper.shape[0]
     attempts = [init_sets]
     if init_sets.upper.any() or init_sets.lower.any():
@@ -242,11 +231,11 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
             )
             if not new.same_as(sets):
                 sets, tol = new, rtol
-            elif tol == lin_tol:
+            elif tol == _LIN_TOL:
                 converged = True
                 break
             else:
-                tol = lin_tol  # refine this system, then test the sets again
+                tol = _LIN_TOL  # refine this system, then test the sets again
         if converged:
             break
     u = u_I
@@ -401,11 +390,11 @@ class WSolver:
             A, b, x0, rtol, "multigrid-preconditioned CG for the w-equation", M=M)
 
 
-def _check_feasible(u_interior: np.ndarray, slack: float = 1e-9) -> None:
+def _check_feasible(u_interior: np.ndarray) -> None:
     lo = float(u_interior.min(initial=0.0))
     hi = float(u_interior.max(initial=1.0))
     # written so that NaN (every comparison false) fails as well
-    if not (lo >= -slack and hi <= 1.0 + slack):
+    if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
         raise ValueError(
             f"previous phase field infeasible: range [{lo}, {hi}] outside [0, 1]"
         )
@@ -459,7 +448,7 @@ def pdas_step_CH(
     _check_feasible(u_prev_I)
     if init_sets is None:
         init_sets = sets_from_bounds(u_prev_I)
-    c_eff = config.c_penalty * (mu / tau + stencil.c_gamma_h_interior + 1.0)
+    c = mu / tau + stencil.c_gamma_h_interior + 1.0
 
     if config.convolution_mode == "explicit":
         conv_prev = convolve(stencil, u_prev)
@@ -529,7 +518,7 @@ def pdas_step_CH(
         # the w-equation and the inactive phase rows, each as a change of u
         return _max_abs(u_I - u_prev_I + (w_solver.A @ w) / (mu * mI), g[inactive] / xi)
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config, residual,
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c, config, residual,
                          loose=grid.dim == 2 and config.convolution_mode == "explicit")
 
 
@@ -549,7 +538,7 @@ def pdas_step_local_obstacle(
     solve on the inactive set with ``A = local_obstacle_matrix(grid, K,
     params, tau, eps)``: sparse direct in 1D; in 2D CG started from the
     previous sweep's iterate (from u_prev in the first sweep), loose until
-    the sets repeat and then refined to ``config.lin_tol`` (see the module
+    the sets repeat and then refined to ``_LIN_TOL`` (see the module
     docstring).  A CG failure raises ``RuntimeError``.
     """
     if grid.layer != 0:
@@ -564,7 +553,7 @@ def pdas_step_local_obstacle(
     if init_sets is None:
         init_sets = sets_from_bounds(u_prev_I)
     # the natural multiplier scale mu/tau + c_F + eps^2 max(K_ii / m_i), read off A
-    c_eff = config.c_penalty * (float((A.diagonal() / mI).max()) + 2.0 * c_F + 1.0)
+    c = float((A.diagonal() / mI).max()) + 2.0 * c_F + 1.0
     b = mI * (params.mu / tau * u_prev_I - 0.5 * c_F + c_F * m_prev)
     warm = {"u": u_prev_I}
 
@@ -591,7 +580,7 @@ def pdas_step_local_obstacle(
         # the reduced equation on the inactive set, as a change of u
         return _max_abs(g[inactive] * (tau / params.mu))
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config, residual,
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c, config, residual,
                          loose=grid.dim == 2)
 
 

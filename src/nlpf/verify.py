@@ -256,10 +256,10 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
     g = r * u_prev[ids] + conv_prev[ids] + c_F * np.asarray(m_prev) - 0.5 * c_F
     if init_sets is None:
         init_sets = sets_from_bounds(u_prev[ids])
-    c_eff = config.c_penalty * (float(denom.max()) + 1.0)
+    c = float(denom.max()) + 1.0
 
     def solve_for_sets(sets, rtol):
         u_I = np.where(sets.inactive, g / denom, sets.upper.astype(float))
         return u_I, u_E, None, g - denom * u_I, 0
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c_eff, config)
+    return _pdas_iterate(grid, solve_for_sets, init_sets, c, config)

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlpf import config
 from nlpf.config import InitSpec, RunConfig
 from nlpf.grid import build_grid, assemble_stiffness
 from nlpf.metrics import field_distance
@@ -131,6 +133,45 @@ def test_every_public_name_has_a_caller_in_the_package():
     unused = {f"{mod}.{name}" for mod, names in exported.items()
               for name in names if name not in used}
     assert not unused, sorted(unused)
+
+
+def _documented_keys(lines):
+    """{(section, key): required} of a config-format block.
+
+    Each section is a line ``[section]  key*, key = value | value, ...`` with
+    optional indented continuation lines; ``#`` comments, parenthesized and
+    bracketed text are notes, and ``or`` separates keys like a comma.
+    """
+    text, section = {}, None
+    for line in lines:
+        line = line.partition("#")[0]
+        m = re.match(r"\s*\[(\w+)\]\s+(.*)", line)
+        if m:
+            section = m.group(1)
+            text[section] = m.group(2)
+        else:
+            text[section] += " " + line
+    keys = {}
+    for section, body in text.items():
+        body = re.sub(r"\([^)]*\)|\[[^\]]*\]", "", body)
+        for chunk in re.split(r"[,;]|\bor\b", body):
+            key = chunk.partition("=")[0].strip()
+            if key:
+                keys[section, key.rstrip("*")] = key.endswith("*")
+    return keys
+
+
+@pytest.mark.parametrize("where", ["README.md", "nlpf.config"])
+def test_config_docs_name_exactly_the_format_keys(where):
+    if where == "README.md":
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.partition("```ini\n")[2].partition("```")[0].splitlines()
+    else:
+        doc = config.__doc__.splitlines()
+        start = next(i for i, line in enumerate(doc) if line.strip().startswith("[model]"))
+        block = doc[start:doc.index("", start)]
+    assert _documented_keys(block) == {
+        key: required for key, (_, _, required) in config._FORMAT.items()}
 
 
 def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):

@@ -80,10 +80,15 @@ def test_unknown_sections_and_keys_are_errors(tmp_path):
         parse_config_text(MINI_CFG + "\n[outptu]\ndirectory = x\n")
     with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
         parse_config_text("[DEFAULT]\n" + MINI_CFG)
-    with pytest.raises(ConfigError, match=r"unknown key \[solver\] lin_tolerance"):
-        parse_config_text(MINI_CFG + "\n[solver]\nlin_tolerance = 1e-3\n")
     path = tmp_path / "c.cfg"
     path.write_text(MINI_CFG)
+    # the active-set solver's constants are not keys either
+    for key, value in (("lin_tolerance", "1e-3"), ("pdas_c", "1.0"),
+                       ("pdas_max_iters", "50"), ("lin_tol", "1e-12")):
+        with pytest.raises(ConfigError, match=rf"unknown key \[solver\] {key}$"):
+            parse_config_text(MINI_CFG + f"\n[solver]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"unknown key \[solver\] {key}$"):
+            parse_config_file(str(path), overrides=[f"solver.{key}={value}"])
     with pytest.raises(ConfigError, match=r"unknown key \[time\] taux"):
         parse_config_file(str(path), overrides=["time.taux=1"])
     with pytest.raises(ConfigError, match=r"unknown section \[outptu\]"):
@@ -119,8 +124,7 @@ def test_resolved_config_of_shipped_ex1():
         "kernel": {"epsilon": 0.02, "delta": 0.154},
         "grid": {"dim": 1, "h": 0.0024},
         "time": {"tau": 0.0003, "T": 0.05, "snapshots": [0.0, 0.0013, 0.0163]},
-        "solver": {"convolution_mode": "explicit", "pdas_c": 1.0,
-                   "pdas_max_iters": 50, "lin_tol": 1e-12},
+        "solver": {"convolution_mode": "explicit"},
         "init": {"kind": "step", "params": [0.2], "path": None, "theta0": 0.0},
         "output": {"directory": "ex1_nonlocal_CH", "formats": ["csv"]},
     }
@@ -441,7 +445,7 @@ def test_report_with_nonfinite_diagnostic_is_strict_json(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "model.mu=nan", "model.D=inf", "model.c_F=-inf", "time.tau=nan", "kernel.epsilon=nan",
-    "solver.lin_tol=nan", "time.snapshots=0.0, nan", "init.theta0=nan",
+    "kernel.delta=nan", "time.snapshots=0.0, nan", "init.theta0=nan",
     "init.preset=step(inf)",
 ])
 def test_config_rejects_nonfinite_numbers(override, tmp_path, capsys):
@@ -537,6 +541,24 @@ def test_vtk_in_1d_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert cli_main(["run", str(REPO / "configs" / "ex1_nonlocal_CH.cfg"),
                      "--output-dir", str(out), "--override", "output.formats=csv,vtk"]) == 1
+    assert "[output] formats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("formats", ["vtk", ""])
+def test_formats_without_csv_are_a_config_error(formats, tmp_path, capsys):
+    # every run writes its fields as CSV, so a format list must name csv; a
+    # 2D config, where vtk alone is otherwise valid
+    path = REPO / "configs" / "ex3_nonlocal_CH.cfg"
+    text = path.read_text().replace("formats = csv, vtk", f"formats = {formats}")
+    with pytest.raises(ConfigError, match=r"\[output\] formats must include csv"):
+        parse_config_text(text)
+    cfg = dataclasses.replace(example3_config("nonlocal_CH"), formats=tuple(formats.split()))
+    with pytest.raises(ConfigError, match=r"\[output\] formats must include csv"):
+        cfg.validate()
+    out = tmp_path / "o"
+    assert cli_main(["run", str(path), "--output-dir", str(out),
+                     "--override", f"output.formats={formats}"]) == 1
     assert "[output] formats" in capsys.readouterr().err
     assert not out.exists()
 

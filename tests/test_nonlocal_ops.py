@@ -40,7 +40,7 @@ def test_stencil_offsets_and_center_weight(dim):
     assert np.allclose(W[c, cols], st.weights, rtol=1e-13, atol=0)
     assert np.count_nonzero(W[c]) == len(st.weights)
     gamma0 = spec.epsilon**2 * spec.scaling
-    center = st.footprint[(2,) * dim]
+    center = st.weights[~st.offsets.any(axis=1)].item()
     assert center == pytest.approx(gamma0 * g.h**dim, rel=1e-14)
 
 

@@ -281,8 +281,8 @@ def test_ch_step_2d_loose_sweeps_match_enumeration(data):
     with mock.patch.object(pdas, "_COARSEST_NODES", 4), \
             mock.patch.object(pdas, "cg", _recording_cg(calls)):
         res = _ch(g, stn, CH_PARAMS, TAU, u_prev, m_prev, cfg)
-    assert {rtol for *_, rtol in calls} == {pdas._SWEEP_RTOL, cfg.lin_tol}
-    assert calls[-1][-1] == cfg.lin_tol
+    assert {rtol for *_, rtol in calls} == {pdas._SWEEP_RTOL, pdas._LIN_TOL}
+    assert calls[-1][-1] == pdas._LIN_TOL
     W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 2)
     u_ref, w_ref, lam_ref = enumerate_CH_explicit(
         g, W, CH_PARAMS, TAU, u_prev, m_prev, assemble_stiffness(g).toarray())
@@ -375,8 +375,8 @@ def test_local_obstacle_2d_cg_sweeps_match_direct_solve(monkeypatch):
     assert res.cg_iters > 0
     assert min(b.size for _, b, _, _, _ in calls) >= 100
     assert all(info == 0 for *_, info, _ in calls)
-    assert {rtol for *_, rtol in calls} == {pdas._SWEEP_RTOL, cfg.lin_tol}
-    refined = [call for call in calls if call[-1] == cfg.lin_tol]
+    assert {rtol for *_, rtol in calls} == {pdas._SWEEP_RTOL, pdas._LIN_TOL}
+    refined = [call for call in calls if call[-1] == pdas._LIN_TOL]
     assert refined and calls[-1] is refined[-1]
     for A, b, x, _, _ in refined:
         x_ref = factorized(A.tocsc())(b)
@@ -384,8 +384,8 @@ def test_local_obstacle_2d_cg_sweeps_match_direct_solve(monkeypatch):
 
 
 def _exact_sweeps():
-    """Every sweep solved to lin_tol: the exact-sweep reference."""
-    return mock.patch.object(pdas, "_SWEEP_RTOL", 0.0)
+    """Every sweep solved to _LIN_TOL: the exact-sweep reference."""
+    return mock.patch.object(pdas, "_SWEEP_RTOL", pdas._LIN_TOL)
 
 
 def _band_step_CH_2d():
@@ -411,14 +411,14 @@ def test_ch_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
     assert res.converged and exact.converged
     assert res.sets.same_as(exact.sets) and res.sets.inactive.sum() >= 100
     assert res.cg_iters < exact.cg_iters
-    # the accepted w solves the w-system of the final sets to lin_tol
+    # the accepted w solves the w-system of the final sets to _LIN_TOL
     ids, mI, mu = g.interior_ids, g.mass_interior, params.mu
     inactive = res.sets.inactive
     xi = stn.c_gamma_h_interior - params.c_F
     q = convolve(stn, u_prev)[ids] + params.c_F * m_prev - 0.5 * params.c_F
     A = w_solver.A + sp.diags_array(np.where(inactive, mu * mI / xi, 0.0))
     b = mu * mI * (u_prev[ids] - np.where(inactive, q / xi, res.sets.upper))
-    assert np.linalg.norm(A @ res.w - b) <= cfg.lin_tol * np.linalg.norm(b)
+    assert np.linalg.norm(A @ res.w - b) <= pdas._LIN_TOL * np.linalg.norm(b)
     assert res.kkt_residual <= 1e-9
     assert np.abs(res.u - exact.u).max() <= 1e-10
 
@@ -432,13 +432,13 @@ def test_local_obstacle_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
     assert res.converged and exact.converged
     assert res.sets.same_as(exact.sets) and res.sets.inactive.sum() >= 100
     assert res.cg_iters < exact.cg_iters
-    # the accepted u solves the reduced system of the final sets to lin_tol
+    # the accepted u solves the reduced system of the final sets to _LIN_TOL
     A = local_obstacle_matrix(g, assemble_stiffness(g), params, 1e-4, 0.01)
     b = g.mass_interior * (params.mu / 1e-4 * u_prev - 0.5 * params.c_F
                            + params.c_F * m_prev)
     idx = np.flatnonzero(res.sets.inactive)
     rhs = (b - A @ res.sets.upper.astype(float))[idx]
-    assert np.linalg.norm((b - A @ res.u)[idx]) <= cfg.lin_tol * np.linalg.norm(rhs)
+    assert np.linalg.norm((b - A @ res.u)[idx]) <= pdas._LIN_TOL * np.linalg.norm(rhs)
     assert res.kkt_residual <= 1e-9
     assert np.abs(res.u - exact.u).max() <= 1e-10
 
