@@ -23,8 +23,10 @@ loop does not branch on the variant.
                      matrix, nonlinearity explicit, no constraints
 
 The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
-M + beta K of the energy diagnostics) are solved by ``exact_solver``: by DCT-I on a local grid, which diagonalizes them
-exactly, and by a SuperLU factorization on a grid with an interaction layer.
+M + beta K of the energy diagnostics) are solved exactly by ``exact_solver``:
+in 2D and on a local 1D grid by two DCT-I transforms, with a capacitance
+correction on the boundary ring of a 2D grid with an interaction layer, and
+by a SuperLU factorization (tridiagonal) on a 1D grid with a layer.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dctn
+from scipy.fft import dct, dctn
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import factorized
 
 from .config import RunConfig
 from .fields_io import read_field
-from .grid import Grid, assemble_stiffness, build_grid
+from .grid import Grid, _trapezoid_weights, assemble_stiffness, build_grid
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
                            exterior_closure)
@@ -94,28 +97,90 @@ class RunResult:
 def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     """Solve of (a M + b K) x = r on the interior nodes, for a > 0, b >= 0.
 
-    K is ``assemble_stiffness(grid)`` and M the lumped interior mass.  On a
-    grid without interaction layer, M is the tensor trapezoid with half ends
-    and K the Neumann 3-/5-point stencil, so DCT-I diagonalizes M^{-1} K
-    exactly with eigenvalues sum_d (2/h^2)(1 - cos(pi k_d / (n - 1))) over
-    the n nodes per axis; a solve is two ``dctn`` and a division (DCT-I is
-    its own inverse up to the factor 2(n - 1) per axis).  With a layer the
-    interior mass is not halved at the unit-domain boundary, the transform
-    is not exact, and the matrix is factorized by SuperLU instead.
+    K is ``assemble_stiffness(grid)`` and M the lumped interior mass.  With
+    M0 the tensor trapezoid with half ends and K the Neumann 3-/5-point
+    stencil, DCT-I diagonalizes M0^{-1} K exactly with eigenvalues
+    sum_d (2/h^2)(1 - cos(pi k_d / (n - 1))) over the n nodes per axis; a
+    solve of A0 = a M0 + b K is two ``dctn`` and a division (DCT-I is its
+    own inverse up to the factor 2(n - 1) per axis).  On a grid without
+    interaction layer M = M0.  With a layer the interior mass is not halved
+    at the unit-domain boundary, so M - M0 is a positive diagonal on the
+    boundary ring: in 2D the solve stays two ``dctn``, made exact by a
+    capacitance (Woodbury) correction on the ring (``_RingCorrection``); a
+    1D grid with a layer is tridiagonal and factorized by SuperLU.
     """
-    if grid.layer:
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
+        raise ValueError(f"exact_solver needs finite a > 0 and b >= 0, got a={a}, b={b}")
+    if grid.dim == 1 and grid.layer:
         M = sp.diags_array(grid.mass_interior).tocsr()
         return factorized((a * M + b * K).tocsc())
     n, shape = grid.n_axis_interior, grid.interior_shape
     lam = (2.0 / grid.h**2) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
     scale = (a + b * reduce(np.add.outer, (lam,) * grid.dim)) * (2 * (n - 1))**grid.dim
-    mass = grid.mass_interior.reshape(shape)
+    m0 = reduce(np.multiply.outer, (_trapezoid_weights(n, grid.h),) * grid.dim)
+    ring = _RingCorrection(grid, a, m0, scale) if grid.layer else None
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y = dctn(r.reshape(shape) / mass, type=1)
+        y = dctn(r.reshape(shape) / m0, type=1)
         y /= scale
+        if ring is not None:
+            ring.correct(y)
         return dctn(y, type=1, overwrite_x=True).ravel()
     return solve
+
+
+class _RingCorrection:
+    """Woodbury correction of the 2D DCT-I solve for a mass that differs on the ring.
+
+    A = A0 + P diag(c) P^T with P the injection of the boundary ring B and
+    c = a (m - m0) > 0 there, so A^{-1} = A0^{-1} - A0^{-1} P C^{-1} P^T A0^{-1}
+    with the SPD capacitance C = diag(1/c) + P^T A0^{-1} P.  In 2D arrays
+    A0^{-1} R = G ((F R F^T) / S) G^T, with G the DCT-I matrix, F = G
+    diag(1/m1) and S the ``scale`` of ``exact_solver``.  The ring is read as
+    four sides (rows 0 and n-1, columns 0 and n-1; the columns without the
+    corners), so P^T A0^{-1} P is assembled by separability from n x n
+    products, and a correction costs O(n^2) on top of the two transforms:
+    ``correct`` takes the spectral coefficients Y = (F R F^T) / S and
+    subtracts those of A0^{-1} P C^{-1} P^T A0^{-1} R in place.
+    """
+
+    def __init__(self, grid: Grid, a: float, m0: np.ndarray, scale: np.ndarray):
+        n = grid.n_axis_interior
+        G = dct(np.eye(n), type=1, axis=0)
+        F = G / _trapezoid_weights(n, grid.h)
+        self.G, self.F, self.Sinv = G, F, 1.0 / scale
+        self.g_ends, self.f_ends = G[[0, -1]], F[:, [0, -1]]
+        # the ring as four sides of n values (rows 0, n-1, columns 0, n-1);
+        # the corners are taken from the rows
+        self.sel = np.concatenate([np.arange(2 * n), 2 * n + np.arange(1, n - 1),
+                                   3 * n + np.arange(1, n - 1)])
+        # block (side s, side t) of P^T A0^{-1} P, with g = g_ends[s % 2] and
+        # f = f_ends[:, t % 2]: G diag(S^{-1} (f * g)) F when both sides are
+        # rows or both columns, G diag(f) S^{-1} diag(g) F otherwise
+        H = np.empty((4, n, 4, n))
+        for s in range(4):
+            g = self.g_ends[s % 2]
+            for t in range(4):
+                f = self.f_ends[:, t % 2]
+                if (s < 2) == (t < 2):
+                    H[s, :, t] = (G * (self.Sinv @ (f * g))) @ F
+                else:
+                    H[s, :, t] = (G * f) @ (self.Sinv * g) @ F
+        H = H.reshape(4 * n, 4 * n)[np.ix_(self.sel, self.sel)]
+        c = a * (grid.mass_interior.reshape(m0.shape) - m0)
+        H[np.diag_indices_from(H)] += 1.0 / np.concatenate(
+            [c[0], c[-1], c[:, 0], c[:, -1]])[self.sel]
+        self.cap = cho_factor(H, overwrite_a=True)
+
+    def correct(self, Y: np.ndarray) -> None:
+        n = len(self.G)
+        # ring values of A0^{-1} R = G Y G^T: rows g_e Y G^T, columns G Y g_e^T
+        sides = self.G @ np.hstack([(self.g_ends @ Y).T, Y @ self.g_ends.T])
+        s = np.zeros(4 * n)
+        s[self.sel] = cho_solve(self.cap, sides.T.ravel()[self.sel], check_finite=False)
+        # F (P s) F^T: the rows and the columns of P s give two outer products each
+        Fs = self.F @ s.reshape(4, n).T
+        Y -= (self.f_ends @ Fs[:, :2].T + Fs[:, 2:] @ self.f_ends.T) * self.Sinv
 
 
 def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np.ndarray,

@@ -60,18 +60,32 @@ def test_temperature_eigen_decay():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n_cells", [1, 2, 7, 30])
 def test_exact_solver_matches_factorized_and_conserves_the_sum(dim, n_cells):
-    g = build_grid(dim, 1.0 / n_cells, 0.0)
-    K = assemble_stiffness(g)
-    M = sp.diags_array(g.mass_interior)
+    # delta = 0.1: a grid with a layer, whose interior mass is h^dim on the
+    # boundary ring too (in 2D at n_cells 1 and 2 the ring is all interior
+    # nodes, or all but one)
     p, tau, eps = ModelParams(mu=0.0012, L=0.5, D=1.0), 3e-4, 0.04
     rng = np.random.default_rng(10 * n_cells + dim)
-    for a, b in ((1.0, tau * p.D), (p.mu / tau, eps**2)):
-        A = (a * M + b * K).tocsc()
-        r = rng.standard_normal(g.n_interior)
-        x = stepper.exact_solver(g, K, a, b)(r)
-        ref = factorized(A)(r)
-        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert abs((A @ x - r).sum()) <= 1e-14 * np.abs(r).sum()
+    for delta in (0.0, 0.1):
+        g = build_grid(dim, 1.0 / n_cells, delta)
+        K = assemble_stiffness(g)
+        M = sp.diags_array(g.mass_interior)
+        for a, b in ((1.0, tau * p.D), (p.mu / tau, eps**2), (1.0, 0.0)):
+            A = (a * M + b * K).tocsc()
+            r = rng.standard_normal(g.n_interior)
+            x = stepper.exact_solver(g, K, a, b)(r)
+            ref = factorized(A)(r)
+            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert abs((A @ x - r).sum()) <= 1e-14 * np.abs(r).sum()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1e-3), (math.nan, 1.0),
+                                  (1.0, math.inf), (math.inf, 0.0)])
+def test_exact_solver_rejects_nonpositive_or_nonfinite_coefficients(dim, delta, a, b):
+    g = build_grid(dim, 1 / 8, delta)
+    with pytest.raises(ValueError, match="a > 0 and b >= 0"):
+        exact_solver(g, assemble_stiffness(g), a, b)
 
 
 def test_temperature_enthalpy_identity():
@@ -349,8 +363,11 @@ def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
         run(dataclasses.replace(cfg, init=InitSpec(theta0=str(tmp_path / "theta0.csv"))))
 
 
-@pytest.mark.parametrize("variant", ["nonlocal_CH", "local_obstacle", "local_regular"])
-def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
+@pytest.mark.parametrize("variant, dim", [("nonlocal_CH", 1), ("nonlocal_CH", 2),
+                                          ("local_obstacle", 1), ("local_regular", 1)],
+                         ids=["nonlocal_CH", "nonlocal_CH-2d", "local_obstacle",
+                              "local_regular"])
+def test_run_caches_nothing_on_its_inputs(variant, dim, monkeypatch):
     built, solvers, factorized, lo_matrices = [], [], [], []
 
     def record(fn):
@@ -370,13 +387,17 @@ def test_run_caches_nothing_on_its_inputs(variant, monkeypatch):
     lo_matrix = stepper.local_obstacle_matrix
     monkeypatch.setattr(stepper, "local_obstacle_matrix",
                         lambda *args: lo_matrices.append(args) or lo_matrix(*args))
-    assert run(_variant_config(variant)).n_steps == 10
+    cfg = _variant_config(variant)
+    if dim == 2:
+        cfg = dataclasses.replace(cfg, dim=2, h=1 / 16).validate()
+    assert run(cfg).n_steps == 10
     assert len(built) == (2 if variant == "nonlocal_CH" else 1)
     for obj, keys in built:
         assert set(vars(obj)) == keys, type(obj).__name__
-    # heat matrix (and the local_regular phase matrix): one solve each per run,
-    # by DCT-I on a local grid, factorized once on the nonlocal grid
+    # heat matrix (and the local_regular phase matrix): one solver each per
+    # run; SuperLU factorizes it only on the 1D grid with a layer (in 2D the
+    # DCT-I solve carries the ring correction)
     assert len(solvers) == (2 if variant == "local_regular" else 1)
-    assert len(factorized) == (1 if variant == "nonlocal_CH" else 0)
+    assert len(factorized) == (1 if variant == "nonlocal_CH" and dim == 1 else 0)
     # the local obstacle matrix: once per run
     assert len(lo_matrices) == (1 if variant == "local_obstacle" else 0)
