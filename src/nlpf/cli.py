@@ -164,7 +164,3 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _pin_threads(args.threads)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,7 @@ with the RunConfig attribute it sets; required keys are marked *:
     [solver]   convolution_mode = explicit | implicit
     [init]     preset = step(x0) | box(a,b) | frame(a,b), or file = path
                (not both); theta0 = const | path
-    [output]   directory, formats = csv[, vtk] (csv required; vtk on 2D grids only)
+    [output]   directory (CSV files; a 2D run adds one VTK file per snapshot)
 
 An absent optional key keeps its dataclass default; a number that is NaN or
 infinite is an error that names its key, also in a RunConfig built in code
@@ -79,7 +79,6 @@ class RunConfig:
     pdas: PdasConfig = field(default_factory=PdasConfig)
     init: InitSpec = field(default_factory=InitSpec)
     output_dir: str | None = None
-    formats: tuple = ("csv",)
     label: str = "run"
 
     @property
@@ -123,12 +122,6 @@ class RunConfig:
             raise ConfigError(f"[kernel] epsilon must be finite and > 0, got {self.epsilon}")
         if not math.isfinite(self.delta):
             raise ConfigError(f"[kernel] delta must be finite, got {self.delta}")
-        if "csv" not in self.formats:
-            raise ConfigError("[output] formats must include csv, which every run writes; "
-                              f"got {', '.join(self.formats) or 'none'}")
-        if "vtk" in self.formats and self.dim != 2:
-            raise ConfigError("[output] formats: vtk is written for 2D grids only "
-                              f"([grid] dim = {self.dim})")
         m = self.model
         if self.variant == "nonlocal_CH":
             if m.beta <= 0:
@@ -191,14 +184,6 @@ def _floats(raw: str) -> tuple:
     return tuple(_float(s) for s in raw.split(",")) if raw else ()
 
 
-def _formats(raw: str) -> tuple:
-    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
-    for f in formats:
-        if f not in ("csv", "vtk"):
-            raise ValueError(f"unknown output format {f!r}")
-    return formats
-
-
 #: The config format: (section, key) -> (RunConfig attribute, type, required).
 #: An absent optional key keeps the dataclass default of its attribute.  The
 #: [init] keys have no attribute of their own: _parse_init reads them.
@@ -218,7 +203,6 @@ _FORMAT = {
     ("init", "file"): (None, None, False),
     ("init", "theta0"): (None, None, False),
     ("output", "directory"): ("output_dir", str, False),
-    ("output", "formats"): ("formats", _formats, False),
 }
 _SECTIONS = {section for section, _ in _FORMAT}
 

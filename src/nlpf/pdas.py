@@ -12,6 +12,12 @@ until they repeat.  Warm-starting from the previous time level's sets makes
 the iteration converge in one to three sweeps once the interface moves only
 a few cells per step.
 
+One driver, ``_pdas_iterate``, runs every step: it checks the previous
+level, picks the starting sets, builds each new set's linear system through
+the route's ``system(sets)`` (dropping the previous one first) and solves it
+through the returned ``solve(rtol, last)``, warm-started from the previous
+sweep.  A route only says how to build and solve one system.
+
 PDAS is a semismooth Newton method, and a sweep before the last only has to
 choose the next sets, so the 2D CG sweeps are inexact (an inexact Newton
 forcing term): each is solved to the loose relative residual
@@ -32,13 +38,13 @@ The explicit-convolution CH step reduces to one SPD solve per sweep in the
 chemical potential w: on the inactive set u = (w + q)/xi is eliminated
 nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).  The
 discrete xi = c_gamma_h - c_F is one number on the interior, where every
-node sees the full stencil.  The
-``WSolver`` solves it: in 1D, where the system is tridiagonal, by a banded
-Cholesky solve (``solveh_banded``) on bands of the fixed part stored once, and
-in 2D by conjugate gradients preconditioned with one symmetric multigrid
-V-cycle (bilinear prolongations fixed per grid, Galerkin coarse operators
-rebuilt when the sets change, because the inactive-set diagonal changes the
-matrix; a refinement reuses them).
+node sees the full stencil.  The ``WSolver`` solves it: in 1D, where the
+system is tridiagonal, by a banded Cholesky solve (``solveh_banded``) on
+bands of the fixed part stored once, and in 2D by conjugate gradients
+preconditioned with one symmetric multigrid V-cycle (bilinear prolongations
+fixed per grid, Galerkin coarse operators rebuilt when the sets change,
+because the inactive-set diagonal changes the matrix; a refinement reuses
+them).
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,40 +171,41 @@ def _max_abs(*parts: np.ndarray) -> float:
     return float(np.max([np.abs(p).max(initial=0.0) for p in parts]))
 
 
-def _held(build):
-    """``get(sets) = build(sets)``, built again only for a new ``sets`` object.
+class _Sweep(NamedTuple):
+    """The solution of one sweep's linear system.
 
-    A refinement sweep passes its loose sweep's sets again, so it reuses
-    their system (matrix, V-cycle).  The old system is dropped before the
-    next one is built: one is alive at a time, and none outlives the step.
+    u on the interior and on the exterior layer (u_E None on a grid without
+    one), w (None where beta = 0), the phase-row value g (the multiplier on
+    the active nodes, the residual of the phase equation on the inactive
+    ones) and the CG iterations.
     """
-    held = {}
 
-    def get(sets):
-        if held.get("sets") is not sets:
-            held.clear()
-            held.update(sets=sets, system=build(sets))
-        return held["system"]
-    return get
+    u_I: np.ndarray
+    u_E: np.ndarray | None
+    w: np.ndarray | None
+    g: np.ndarray
+    cg_iters: int
 
 
-def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
-                  config: PdasConfig, residual=None, loose: bool = False) -> StepOut:
-    """Drive the active-set fixed point.
+def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSets | None,
+                  c: float, config: PdasConfig, residual=None,
+                  loose: bool = False) -> StepOut:
+    """Drive the active-set fixed point of one step from the previous level u_prev_I.
 
-    ``solve_for_sets(sets, rtol)`` solves the sweep's linear system to the
-    relative residual rtol (a direct solve ignores it) and returns (u_I, u_E,
-    w, g, cg_iters): u on the interior and on the exterior layer (u_E None on
-    a grid without one), w (None where beta = 0), the phase-row value g and
-    the CG iterations.  g is the multiplier on the active nodes and the
-    residual of the phase equation on the inactive ones.
-    ``residual(u_I, w, g, inactive)``, if given, is the step's KKT residual
-    at the accepted iterate.
+    Checks that u_prev_I is feasible and starts from ``init_sets``, by
+    default its bound pattern.  A route supplies ``system(sets)``, which
+    builds the linear system of one set of active sets and returns
+    ``solve(rtol, last) -> _Sweep``: its solution to the relative residual
+    rtol, warm-started from ``last``, the previous sweep's (None in the
+    first sweep of the step); a direct route ignores both.  ``system`` is
+    called once per new set of active sets, after the previous system has
+    been dropped: one system (matrix, V-cycle) is alive at a time, and none
+    outlives the step.  ``residual(u_I, w, g, inactive)``, if given, is the
+    step's KKT residual at the accepted iterate.
 
     With ``loose`` (the CG routes) a sweep is solved to ``_SWEEP_RTOL``, and
-    once the sets repeat the same ``sets`` object is solved again to
-    ``_LIN_TOL``, so ``solve_for_sets`` may reuse what it built for it; the
-    sets are then tested again.  Without it every sweep is solved to
+    once the sets repeat the same system is solved again to ``_LIN_TOL``
+    and the sets are tested again.  Without it every sweep is solved to
     ``_LIN_TOL`` and the first repeat is accepted.  Refinements count as
     sweeps.
 
@@ -208,29 +215,29 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
     whose first unconstrained solve pins near-final sets immediately;
     ``restarted`` reports that.
     """
+    _check_feasible(u_prev_I)
+    if init_sets is None:
+        init_sets = sets_from_bounds(u_prev_I)
     rtol = _SWEEP_RTOL if loose else _LIN_TOL
-    n = init_sets.upper.shape[0]
-    attempts = [init_sets]
+    n, attempts = u_prev_I.size, [init_sets]
     if init_sets.upper.any() or init_sets.lower.any():
-        attempts.append(
-            ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-        )
+        attempts.append(ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)))
     iters_used = cg_iters = 0
-    converged = False
+    converged, last = False, None
     for attempt, start in enumerate(attempts):
-        sets, tol = ActiveSets(start.upper.copy(), start.lower.copy()), rtol
+        sets, tol, solve = start, rtol, None
         for _ in range(config.max_iters):
             iters_used += 1
-            u_I, u_E, w, g, n_cg = solve_for_sets(sets, tol)
-            cg_iters += n_cg
+            if solve is None:
+                solve = system(sets)
+            last = solve(tol, last)
+            cg_iters += last.cg_iters
             inactive = sets.inactive
-            lam = np.where(inactive, 0.0, g)
-            new = ActiveSets(
-                upper=lam + c * (u_I - 1.0) > 0.0,
-                lower=lam + c * u_I < 0.0,
-            )
+            lam = np.where(inactive, 0.0, last.g)
+            new = ActiveSets(upper=lam + c * (last.u_I - 1.0) > 0.0,
+                             lower=lam + c * last.u_I < 0.0)
             if not new.same_as(sets):
-                sets, tol = new, rtol
+                sets, tol, solve = new, rtol, None
             elif tol == _LIN_TOL:
                 converged = True
                 break
@@ -238,6 +245,7 @@ def _pdas_iterate(grid: Grid, solve_for_sets, init_sets: ActiveSets, c: float,
                 tol = _LIN_TOL  # refine this system, then test the sets again
         if converged:
             break
+    u_I, u_E, w, g, _ = last
     u = u_I
     if u_E is not None:
         u = np.empty(grid.n_nodes)
@@ -423,8 +431,8 @@ def pdas_step_CH(
     with the discrete xi = c_gamma_h - c_F, one number on the interior
     (every interior node sees the full stencil), and the convolution taken
     at the previous level (explicit mode, rows become diagonal in u) or at
-    the current level (implicit mode, one sparse
-    solve of the full (u_int, u_ext, w) system per sweep).  The exterior
+    the current level (implicit mode, one sparse solve per sweep of the full
+    (u_int, u_ext, w) system, assembled once per step).  The exterior
     layer is closed by the zero-flux condition, explicitly or as part of the
     coupled solve respectively.  ``w_solver`` is
     ``WSolver(grid, w_matrix(grid, K, beta, tau))``; implicit mode also needs
@@ -445,80 +453,55 @@ def pdas_step_CH(
     u_prev = np.asarray(u_prev, dtype=float)
     m_prev = np.asarray(m_prev, dtype=float)
     u_prev_I = u_prev[ids]
-    _check_feasible(u_prev_I)
-    if init_sets is None:
-        init_sets = sets_from_bounds(u_prev_I)
     c = mu / tau + stencil.c_gamma_h_interior + 1.0
 
     if config.convolution_mode == "explicit":
         conv_prev = convolve(stencil, u_prev)
         q = conv_prev[ids] + c_F * m_prev - 0.5 * c_F
         u_E = exterior_closure(stencil, conv_prev)
-        w_start = w0 if w0 is not None else np.zeros(grid.n_interior)
-        warm = {"w": np.asarray(w_start, dtype=float)}
+        w_start = np.asarray(np.zeros(grid.n_interior) if w0 is None else w0, dtype=float)
 
-        def w_system(sets):
+        def system(sets):
             inactive = sets.inactive
             ubar = sets.upper.astype(float)
-            rhs = mu * mI * (
-                u_prev_I - np.where(inactive, q / xi, ubar)
-            )
-            return (inactive, ubar, rhs,
-                    w_solver.system(np.where(inactive, mu * mI / xi, 0.0)))
-        system = _held(w_system)
+            rhs = mu * mI * (u_prev_I - np.where(inactive, q / xi, ubar))
+            solve_w = w_solver.system(np.where(inactive, mu * mI / xi, 0.0))
 
-        def solve_for_sets(sets, rtol):
-            inactive, ubar, rhs, solve = system(sets)
-            w, n_cg = solve(rhs, warm["w"], rtol)
-            warm["w"] = w
-            u_I = np.where(inactive, (w + q) / xi, ubar)
-            return u_I, u_E, w, w + q - xi * u_I, n_cg
+            def solve(rtol, last):
+                w, n_cg = solve_w(rhs, w_start if last is None else last.w, rtol)
+                u_I = np.where(inactive, (w + q) / xi, ubar)
+                return _Sweep(u_I, u_E, w, w + q - xi * u_I, n_cg)
+            return solve
     else:
-        # Implicit convolution: one sparse solve of the full coupled system
-        # per sweep.  Unknown ordering [u_int, u_ext, w].
+        # Implicit convolution: one sparse solve of the coupled system per
+        # sweep.  Unknowns [u_int, u_ext, w]; rows: w-equation, phase, exterior
+        # closure.  B has every phase row inactive; a sweep takes from E the
+        # row u_j = ubar_j of each active node j instead.
         ext = grid.exterior_ids
         n_i, n_e = grid.n_interior, ext.size
-        W_II = W[ids][:, ids]
-        W_IE = W[ids][:, ext]
-        W_EI = W[ext][:, ids]
-        M_I = sp.diags_array(mI).tocsr()
-        S_E = sp.diags_array(stencil.c_gamma_h[ext]).tocsr() - W[ext][:, ext]
-        rhs_R2_inactive = c_F * m_prev - 0.5 * c_F
-        I_i = sp.eye_array(n_i, format="csr")
-        Z_ie = sp.csr_matrix((n_i, n_e))
-        Z_ee = sp.csr_matrix((n_e, n_i))
+        W_II, W_IE = W[ids][:, ids], W[ids][:, ext]
+        B = sp.bmat([
+            [mu * sp.diags_array(mI), None, w_solver.A],
+            [xi * sp.eye_array(n_i) - W_II, -W_IE, -sp.eye_array(n_i)],
+            [-W[ext][:, ids], sp.diags_array(stencil.c_gamma_h[ext]) - W[ext][:, ext], None],
+        ], format="csr")
+        E = sp.eye_array(2 * n_i + n_e, k=-n_i, format="csr")
 
-        def solve_for_sets(sets, rtol):
-            inactive = sets.inactive
-            ubar = sets.upper.astype(float)
-            # Phase rows: identity on active nodes, operator rows elsewhere.
-            D_in = sp.diags_array(inactive.astype(float)).tocsr()
-            D_act = sp.diags_array((~inactive).astype(float)).tocsr()
-            R2_uI = D_in @ (xi * I_i - W_II) + D_act
-            R2_uE = D_in @ (-W_IE)
-            R2_w = D_in @ (-I_i)
-            rhs2 = np.where(inactive, rhs_R2_inactive, ubar)
-            A = sp.bmat(
-                [
-                    [mu * M_I, Z_ie, w_solver.A],
-                    [R2_uI, R2_uE, R2_w],
-                    [-W_EI, S_E, Z_ee],
-                ],
-                format="csc",
-            )
-            rhs = np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)])
-            x = spsolve(A, rhs)
-            u_I = x[:n_i]
-            u_E = x[n_i : n_i + n_e]
-            w = x[n_i + n_e :]
+        def system(sets):
+            keep = np.concatenate([np.ones(n_i), sets.inactive, np.ones(n_e)])
+            A = sp.diags_array(keep) @ B + sp.diags_array(1.0 - keep) @ E
+            rhs2 = np.where(sets.inactive, c_F * m_prev - 0.5 * c_F, sets.upper.astype(float))
+            x = spsolve(A.tocsc(), np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)]))
+            u_I, u_E, w = x[:n_i], x[n_i : n_i + n_e], x[n_i + n_e :]
             conv_I = W_II @ u_I + W_IE @ u_E
-            return u_I, u_E, w, w + conv_I + c_F * m_prev - 0.5 * c_F - xi * u_I, 0
+            out = _Sweep(u_I, u_E, w, w + conv_I + c_F * m_prev - 0.5 * c_F - xi * u_I, 0)
+            return lambda rtol, last: out
 
     def residual(u_I, w, g, inactive):
         # the w-equation and the inactive phase rows, each as a change of u
         return _max_abs(u_I - u_prev_I + (w_solver.A @ w) / (mu * mI), g[inactive] / xi)
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c, config, residual,
+    return _pdas_iterate(grid, u_prev_I, system, init_sets, c, config, residual,
                          loose=grid.dim == 2 and config.convolution_mode == "explicit")
 
 
@@ -549,38 +532,32 @@ def pdas_step_local_obstacle(
     u_prev = np.asarray(u_prev, dtype=float)
     m_prev = np.asarray(m_prev, dtype=float)
     u_prev_I = u_prev[ids]
-    _check_feasible(u_prev_I)
-    if init_sets is None:
-        init_sets = sets_from_bounds(u_prev_I)
     # the natural multiplier scale mu/tau + c_F + eps^2 max(K_ii / m_i), read off A
     c = float((A.diagonal() / mI).max()) + 2.0 * c_F + 1.0
     b = mI * (params.mu / tau * u_prev_I - 0.5 * c_F + c_F * m_prev)
-    warm = {"u": u_prev_I}
 
-    def reduced_system(sets):
+    def system(sets):
         # A is SPD, so its principal submatrix is too; the pinned values
         # enter the right-hand side through A @ (upper as 0/1)
         idx = np.flatnonzero(sets.inactive)
-        return idx, A[idx][:, idx], (b - A @ sets.upper.astype(float))[idx]
-    system = _held(reduced_system)
+        A_in, rhs = A[idx][:, idx], (b - A @ sets.upper.astype(float))[idx]
 
-    def solve_for_sets(sets, rtol):
-        u_I = sets.upper.astype(float)
-        idx, A_in, rhs = system(sets)
-        n_cg = 0
-        if idx.size and grid.dim == 1:
-            u_I[idx] = factorized(A_in.tocsc())(rhs)
-        elif idx.size:
-            u_I[idx], n_cg = _cg(A_in, rhs, warm["u"][idx], rtol,
-                                 "CG for the reduced local-obstacle system")
-        warm["u"] = u_I
-        return u_I, None, None, (b - A @ u_I) / mI, n_cg
+        def solve(rtol, last):
+            u_I = sets.upper.astype(float)
+            n_cg = 0
+            if idx.size and grid.dim == 1:
+                u_I[idx] = factorized(A_in.tocsc())(rhs)
+            elif idx.size:
+                u_I[idx], n_cg = _cg(A_in, rhs, (u_prev_I if last is None else last.u_I)[idx],
+                                     rtol, "CG for the reduced local-obstacle system")
+            return _Sweep(u_I, None, None, (b - A @ u_I) / mI, n_cg)
+        return solve
 
     def residual(u_I, w, g, inactive):
         # the reduced equation on the inactive set, as a change of u
         return _max_abs(g[inactive] * (tau / params.mu))
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c, config, residual,
+    return _pdas_iterate(grid, u_prev_I, system, init_sets, c, config, residual,
                          loose=grid.dim == 2)
 
 

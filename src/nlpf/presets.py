@@ -85,7 +85,6 @@ def example3_config(variant: str = "nonlocal_CH") -> RunConfig:
         snapshots=(0.002, 0.0041, 0.008, 0.015),
         pdas=PdasConfig(),
         init=InitSpec(kind="frame", params=(0.1, 0.9), theta0=0.0),
-        formats=("csv", "vtk"),
         label=f"ex3_{variant}",
     )
     return cfg.validate()

@@ -38,10 +38,10 @@ EX3_WIDTH_WINDOWS = {
 def write_snapshots(result: RunResult, outdir: str) -> list:
     """Write theta/u (and w, lam when present) per snapshot; return manifest.
 
-    Every field is a CSV file (write_field); with ``vtk`` among the formats
-    (2D runs only) u and theta also go to one VTK file (write_vtk).  u and
-    theta are formatted once per snapshot and that text serves both files;
-    it is held for one snapshot at a time.  Each manifest entry also carries
+    Every field is a CSV file (write_field); on a 2D grid u and theta also
+    go to one VTK file (write_vtk).  u and theta are formatted once per
+    snapshot and that text serves both files; it is held for one snapshot
+    at a time.  Each manifest entry also carries
     the interface metrics of the snapshot, including the counting
     convention, so saved widths stay comparable across runs.
     """
@@ -74,7 +74,7 @@ def _write_snapshot(result: RunResult, st, outdir: str) -> dict:
         fname = f"{name}_{st.k:06d}.csv"
         write_field(os.path.join(outdir, fname), grid, vals, region=region)
         files[name] = fname
-    if "vtk" in result.config.formats:
+    if grid.dim == 2:
         fname = f"fields_{st.k:06d}.vtk"
         write_vtk(os.path.join(outdir, fname), grid, {"u": u, "theta": theta})
         files["vtk"] = fname

@@ -18,7 +18,7 @@ from scipy.integrate import fixed_quad
 
 from .kernel import KernelSpec, kernel_eval
 from .nonlocal_ops import convolve, exterior_closure
-from .pdas import StepOut, _pdas_iterate, sets_from_bounds
+from .pdas import StepOut, _pdas_iterate, _Sweep
 
 __all__ = [
     "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",
@@ -254,12 +254,11 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
     conv_prev = convolve(stencil, u_prev)
     u_E = exterior_closure(stencil, conv_prev)
     g = r * u_prev[ids] + conv_prev[ids] + c_F * np.asarray(m_prev) - 0.5 * c_F
-    if init_sets is None:
-        init_sets = sets_from_bounds(u_prev[ids])
     c = float(denom.max()) + 1.0
 
-    def solve_for_sets(sets, rtol):
+    def system(sets):
         u_I = np.where(sets.inactive, g / denom, sets.upper.astype(float))
-        return u_I, u_E, None, g - denom * u_I, 0
+        out = _Sweep(u_I, u_E, None, g - denom * u_I, 0)
+        return lambda rtol, last: out
 
-    return _pdas_iterate(grid, solve_for_sets, init_sets, c, config)
+    return _pdas_iterate(grid, u_prev[ids], system, init_sets, c, config)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,11 @@ def test_unknown_sections_and_keys_are_errors(tmp_path):
             parse_config_file(str(path), overrides=[f"solver.{key}={value}"])
     with pytest.raises(ConfigError, match=r"unknown key \[time\] taux"):
         parse_config_file(str(path), overrides=["time.taux=1"])
+    # the grid decides the output files: no key chooses formats
+    with pytest.raises(ConfigError, match=r"unknown key \[output\] formats$"):
+        parse_config_text(MINI_CFG + "\n[output]\nformats = csv\n")
+    with pytest.raises(ConfigError, match=r"unknown key \[output\] formats$"):
+        parse_config_file(str(path), overrides=["output.formats=csv"])
     with pytest.raises(ConfigError, match=r"unknown section \[outptu\]"):
         parse_config_file(str(path), overrides=["outptu.formats=csv"])
 
@@ -126,7 +133,7 @@ def test_resolved_config_of_shipped_ex1():
         "time": {"tau": 0.0003, "T": 0.05, "snapshots": [0.0, 0.0013, 0.0163]},
         "solver": {"convolution_mode": "explicit"},
         "init": {"kind": "step", "params": [0.2], "path": None, "theta0": 0.0},
-        "output": {"directory": "ex1_nonlocal_CH", "formats": ["csv"]},
+        "output": {"directory": "ex1_nonlocal_CH"},
     }
 
 
@@ -252,7 +259,6 @@ def test_snapshot_values_are_formatted_once(tmp_path, monkeypatch):
     cfg = example3_config("nonlocal_CH")
     cfg = dataclasses.replace(cfg, h=1 / 8, epsilon=0.05, delta=0.25, T_final=2 * cfg.tau,
                               snapshots=(cfg.tau, 2 * cfg.tau))
-    assert cfg.formats == ("csv", "vtk")
     res = run(cfg)
     g = res.grid
     assert g.n_axis_interior == 9 and g.layer > 0
@@ -292,10 +298,20 @@ def test_cli_run_writes_report_and_is_deterministic(tmp_path):
         assert report["invariants"]["enthalpy"]
         snap_files = sorted(os.listdir(out))
         assert any(f.startswith("u_") for f in snap_files)
+        assert not any(f.endswith(".vtk") for f in snap_files)  # 1D: CSV only
         outs.append(out)
     for fname in sorted(os.listdir(outs[0])):
         if fname.endswith(".csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_python_m_nlpf_runs_the_cli():
+    # the package runs as a module, also from a checkout without the console script
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "nlpf", "--help"], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: nlpf")
 
 
 def test_cli_run_override_reflected_in_report(tmp_path):
@@ -533,34 +549,6 @@ def test_model_params_reject_nonfinite_numbers(key, value):
     model = example1_config("local_obstacle").model
     with pytest.raises(ValueError, match=rf"^{key} must"):
         dataclasses.replace(model, **{key: value})
-
-
-def test_vtk_in_1d_is_a_config_error(tmp_path, capsys):
-    with pytest.raises(ConfigError, match=r"\[output\] formats"):
-        parse_config_text(MINI_CFG, overrides=["output.formats=csv,vtk"])
-    out = tmp_path / "o"
-    assert cli_main(["run", str(REPO / "configs" / "ex1_nonlocal_CH.cfg"),
-                     "--output-dir", str(out), "--override", "output.formats=csv,vtk"]) == 1
-    assert "[output] formats" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("formats", ["vtk", ""])
-def test_formats_without_csv_are_a_config_error(formats, tmp_path, capsys):
-    # every run writes its fields as CSV, so a format list must name csv; a
-    # 2D config, where vtk alone is otherwise valid
-    path = REPO / "configs" / "ex3_nonlocal_CH.cfg"
-    text = path.read_text().replace("formats = csv, vtk", f"formats = {formats}")
-    with pytest.raises(ConfigError, match=r"\[output\] formats must include csv"):
-        parse_config_text(text)
-    cfg = dataclasses.replace(example3_config("nonlocal_CH"), formats=tuple(formats.split()))
-    with pytest.raises(ConfigError, match=r"\[output\] formats must include csv"):
-        cfg.validate()
-    out = tmp_path / "o"
-    assert cli_main(["run", str(path), "--output-dir", str(out),
-                     "--override", f"output.formats={formats}"]) == 1
-    assert "[output] formats" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def _run_with_step_1_unconverged(cfg):

@@ -620,3 +620,43 @@ def test_w_solver_frees_its_hierarchy_without_the_cyclic_gc(monkeypatch):
         assert built[0]() is None
     finally:
         gc.enable()
+
+
+def test_ch_2d_step_builds_one_hierarchy_per_set_and_frees_each(monkeypatch):
+    # the driver builds a sweep's system once per new set of active sets,
+    # after dropping the previous one, and a refinement reuses it: one
+    # hierarchy is alive at a time, and none outlives the step
+    built, alive_at_build, calls = [], [], []
+
+    class Recorded(pdas._VCycle):
+        def __init__(self, *args):
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(pdas, "_VCycle", Recorded)
+    _counting_cg(monkeypatch, calls)
+    g, stn, params, u_prev, m_prev = _band_step_CH_2d()
+    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 1e-4))
+    gc.disable()
+    try:
+        res = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, PdasConfig(), w_solver)
+        refinements = sum(rtol == pdas._LIN_TOL for *_, rtol in calls)
+        assert res.converged and refinements >= 1 and len(built) >= 2
+        assert len(built) == res.iters - refinements
+        assert alive_at_build == [0] * len(built)
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+
+
+def test_local_obstacle_2d_refinement_reuses_its_sweep_matrix(monkeypatch):
+    g, params, u_prev, m_prev = _band_step_2d()
+    calls = []
+    _counting_cg(monkeypatch, calls)
+    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig())
+    refined = [i for i, (*_, rtol) in enumerate(calls) if rtol == pdas._LIN_TOL]
+    assert res.converged and refined and refined[0] > 0
+    for i in refined:
+        assert calls[i - 1][-1] == pdas._SWEEP_RTOL
+        assert calls[i][0] is calls[i - 1][0]
