@@ -104,7 +104,11 @@ def cmd_metrics(args) -> int:
     from .grid import build_grid
     from .metrics import interface_width
 
-    coords, values = read_field(args.field)
+    try:
+        coords, values = read_field(args.field)
+    except (OSError, ValueError) as exc:  # ValueError: a bad header, row or encoding
+        print(f"error: cannot read field {args.field}: {exc}", file=sys.stderr)
+        return 1
     dim = coords.shape[1]
     keep = np.all((coords >= -1e-9) & (coords <= 1.0 + 1e-9), axis=1)
     coords, values = coords[keep], values[keep]

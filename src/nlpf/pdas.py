@@ -16,7 +16,10 @@ One driver, ``_pdas_iterate``, runs every step: it checks the previous
 level, picks the starting sets, builds each new set's linear system through
 the route's ``system(sets)`` (dropping the previous one first) and solves it
 through the returned ``solve(rtol, last)``, warm-started from the previous
-sweep.  A route only says how to build and solve one system.
+sweep.  A route only says how to build and solve one system.  A step whose
+exact sweeps return to an earlier set of active sets is cycling and ends its
+attempt at once; a step that does not converge names its cause, and the time
+loop stops there.
 
 PDAS is a semismooth Newton method, and a sweep before the last only has to
 choose the next sets, so the 2D CG sweeps are inexact (an inexact Newton
@@ -44,7 +47,11 @@ bands of the fixed part stored once, and in 2D by conjugate gradients
 preconditioned with one symmetric multigrid V-cycle (bilinear prolongations
 fixed per grid, Galerkin coarse operators rebuilt when the sets change,
 because the inactive-set diagonal changes the matrix; a refinement reuses
-them).
+them).  Every 2D operator of that hierarchy is a stencil on a tensor grid,
+5-point on the fine level and 9-point on the coarse ones, and is held in
+DIA form (one array per diagonal, no column indices): the fixed part once
+per run, and per set of active sets a copy of it with the set's diagonal
+added in.
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
@@ -133,6 +140,10 @@ class ActiveSets:
             and np.array_equal(self.lower, other.lower)
         )
 
+    def key(self) -> bytes:
+        """The sets packed into bytes: two sets of one size are equal iff their keys are."""
+        return np.packbits(self.upper).tobytes() + np.packbits(self.lower).tobytes()
+
 
 @dataclass
 class StepOut:
@@ -146,7 +157,10 @@ class StepOut:
     restarted is whether the active-set iteration was restarted cold;
     cg_iters counts the CG iterations of every sweep.  kkt_residual is the
     largest residual of the accepted iterate's own equations, scaled to a
-    change of u (None for the solve-free variants; NaN propagates).
+    change of u (None for the solve-free variants; NaN propagates).  cause
+    says why a step that did not converge stopped (None if it converged),
+    and cycle is the number of sets in the cycle of active sets that ended
+    its last attempt (0 if none did).
     """
 
     u: np.ndarray
@@ -158,6 +172,8 @@ class StepOut:
     restarted: bool = False
     cg_iters: int = 0
     kkt_residual: float | None = None
+    cause: str | None = None
+    cycle: int = 0
 
 
 def sets_from_bounds(u_interior: np.ndarray) -> ActiveSets:
@@ -209,11 +225,18 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     ``_LIN_TOL`` and the first repeat is accepted.  Refinements count as
     sweeps.
 
-    If the warm-started iteration does not settle within max_iters (a cold
-    start from an all-pinned state opens a wide inactive band only a couple
-    of nodes per sweep), it is restarted once from the all-inactive estimate,
-    whose first unconstrained solve pins near-final sets immediately;
-    ``restarted`` reports that.
+    Without ``loose`` an attempt ends without converging when the new sets
+    equal an earlier set of the same attempt other than the current one:
+    an exact sweep's new sets are a function of its sets alone, so the
+    iteration has entered a cycle it cannot leave (``cycle`` counts its
+    sets).  A loose sweep's new sets depend on its warm start too, and the
+    ex3 CH runs do revisit a set and then converge, so the CG routes keep
+    only the sweep limit.  If the warm-started iteration cycles or does not
+    settle within max_iters (a cold start from an all-pinned state opens a
+    wide inactive band only a couple of nodes per sweep), it is restarted
+    once from the all-inactive estimate, whose first unconstrained solve
+    pins near-final sets immediately; ``restarted`` reports that, and
+    ``cause`` names why the last attempt failed.
     """
     _check_feasible(u_prev_I)
     if init_sets is None:
@@ -226,9 +249,12 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     converged, last = False, None
     for attempt, start in enumerate(attempts):
         sets, tol, solve = start, rtol, None
+        seen, cycle = {}, 0  # the key of each set of this attempt -> its position
         for _ in range(config.max_iters):
             iters_used += 1
             if solve is None:
+                if not loose:
+                    seen[sets.key()] = len(seen)
                 solve = system(sets)
             last = solve(tol, last)
             cg_iters += last.cg_iters
@@ -237,6 +263,10 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
             new = ActiveSets(upper=lam + c * (last.u_I - 1.0) > 0.0,
                              lower=lam + c * last.u_I < 0.0)
             if not new.same_as(sets):
+                first = seen.get(new.key()) if seen else None
+                if first is not None:  # back to an earlier set of this attempt
+                    cycle = len(seen) - first
+                    break
                 sets, tol, solve = new, rtol, None
             elif tol == _LIN_TOL:
                 converged = True
@@ -252,7 +282,13 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
         u[grid.interior_ids] = u_I
         u[grid.exterior_ids] = u_E
     kkt = None if residual is None else residual(u_I, w, g, inactive)
-    return StepOut(u, w, lam, sets, iters_used, converged, attempt > 0, cg_iters, kkt)
+    cause = None
+    if cycle:
+        cause = f"the active sets cycle through {cycle} sets"
+    elif not converged:
+        cause = f"the active sets did not repeat within {config.max_iters} sweeps"
+    return StepOut(u, w, lam, sets, iters_used, converged, attempt > 0, cg_iters, kkt,
+                   cause, cycle)
 
 
 def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:
@@ -311,25 +347,59 @@ def _prolongation_1d(n: int) -> sp.csr_matrix:
     return sp.coo_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, nc)).tocsr()
 
 
+def _stencil_dia(S, n: int, corners: bool) -> sp.dia_array:
+    """S, a stencil on the tensor grid of n x n nodes, in DIA form.
+
+    The offsets are those of the 5-point stencil, or of the 9-point one with
+    ``corners``, in ascending order (merged where n < 3), so a DIA product
+    sums each row in the sorted column order of a CSR product.  Entries of
+    the stored diagonals that fall outside the matrix or wrap across a grid
+    row stay zero.
+    """
+    offsets = np.unique([a * n + b for a in (-1, 0, 1) for b in (-1, 0, 1)
+                         if corners or a * b == 0])
+    A = sp.dia_array((np.zeros((offsets.size, n * n)), offsets), shape=(n * n, n * n))
+    _add_into(A, S)
+    return A
+
+
+def _add_into(A: sp.dia_array, S) -> None:
+    """Add the sparse S, whose entries lie on A's diagonals, into A's data in place.
+
+    Entry (i, j) of S lies on the diagonal of offset j - i, which DIA stores
+    in column j.
+    """
+    S = S.tocoo()
+    A.data[np.searchsorted(A.offsets, S.col - S.row), S.col] += S.data
+
+
 class _VCycle:
     """One symmetric multigrid V-cycle for A = A_w + diag(d), built per active sets.
 
     Level l + 1 holds the Galerkin product P_l^T A_l P_l.  By linearity that
-    is the fixed coarse A_w of the solver plus the product of the diagonal
-    alone, which is nonzero only near the inactive band, so only the latter
-    is formed here.  One damped-Jacobi sweep before and one after each
-    coarse correction, and a Cholesky solve on the coarsest level.  The
-    cycle is a loop, not a recursive closure, so the hierarchy is freed as
-    soon as the system that built it is dropped.
+    is the fixed coarse A_w of the solver plus the product D_{l+1} =
+    R_l D_l P_l of the diagonal D_0 = diag(d) alone, which is nonzero only
+    near the inactive band, so only the latter is formed here (in CSR, from
+    the support of d) and added into a copy of the level's DIA data.  Every
+    level is a DIA stencil with ascending offsets (see ``WSolver``); the
+    Jacobi smoother reads its offset-0 row.  One damped-Jacobi sweep before
+    and one after each coarse correction, and a Cholesky solve on the
+    coarsest level.  The cycle is a loop, not a recursive closure, so the
+    hierarchy is freed as soon as the system that built it is dropped.
     """
 
-    def __init__(self, solver: WSolver, A: sp.csr_matrix, d: np.ndarray):
+    def __init__(self, solver: WSolver, A: sp.dia_array, d: np.ndarray):
         self.P, self.R = solver.prolongations, solver.restrictions
         self.A = [A]
-        D = sp.diags_array(d).tocsr()
+        support = d != 0
+        indptr = np.zeros(d.size + 1, dtype=np.int32)
+        np.cumsum(support, out=indptr[1:])
+        D = sp.csr_array((d[support], np.flatnonzero(support).astype(np.int32), indptr),
+                         shape=A.shape)
         for P, R, A_w in zip(self.P, self.R, solver.coarse_A_w):
-            D = (R @ D @ P).tocsr()
-            self.A.append((A_w + D).tocsr())
+            D = R @ D @ P
+            self.A.append(A_w.copy())
+            _add_into(self.A[-1], D)
         self.smooth = [_JACOBI_DAMPING / A_l.diagonal() for A_l in self.A[:-1]]
         self.coarsest = cho_factor(self.A[-1].toarray())
 
@@ -356,28 +426,35 @@ class WSolver:
     Cholesky).  In 2D it is solved by CG to a given relative residual,
     preconditioned by one V-cycle over levels coarsened per axis
     (n -> (n + 1) // 2) until at most ``_COARSEST_NODES`` nodes remain.  The
-    bilinear prolongations and the coarse products of A_w depend only on the
-    grid and A_w, so they are built here once; what depends on d lives in
-    the function ``system(d)`` returns, not here.  A CG failure raises: there
-    is no fallback.
+    bilinear prolongations (with explicit CSR transposes as restrictions)
+    and the coarse products of A_w depend only on the grid and A_w, so they
+    are built here once; what depends on d lives in the function
+    ``system(d)`` returns, not here.  In 2D every operator is a stencil held
+    once in DIA form with ascending offsets: ``A`` is A_w, 5-point, and each
+    of ``coarse_A_w`` is 9-point, the Galerkin product of a 5-point operator
+    under bilinear transfer; no CSR copy is kept.  A CG failure raises:
+    there is no fallback.
     """
 
     def __init__(self, grid: Grid, A_w: sp.csr_matrix):
-        self.A = A_w
         self.dim = grid.dim
+        n = grid.n_axis_interior
         if grid.dim == 1:
+            self.A = A_w
             # upper form of solveh_banded: row 0 the superdiagonal, row 1 the diagonal
             self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
-        P, coarse = [], [A_w]
-        n = grid.n_axis_interior
+        else:
+            self.A = _stencil_dia(A_w, n, corners=False)
+        P, coarse, C = [], [], A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
             P1 = _prolongation_1d(n)
             P.append(sp.kron(P1, P1).tocsr())
-            coarse.append((P[-1].T @ coarse[-1] @ P[-1]).tocsr())
+            C = (P[-1].T @ C @ P[-1]).tocsr()
             n = P1.shape[1]
+            coarse.append(_stencil_dia(C, n, corners=True))
         self.prolongations = tuple(P)
         self.restrictions = tuple(P_l.T.tocsr() for P_l in P)
-        self.coarse_A_w = tuple(coarse[1:])
+        self.coarse_A_w = tuple(coarse)
 
     def system(self, d: np.ndarray):
         """The solve of (A_w + diag(d)) w = b: ``solve(b, x0, rtol) -> (w, cg_iters)``.
@@ -385,14 +462,16 @@ class WSolver:
         In 1D a banded Cholesky solve (x0 and rtol unused, no CG
         iterations).  In 2D CG from x0 to the relative residual rtol,
         preconditioned by a V-cycle built here, once: every solve of the
-        returned function shares the matrix and the hierarchy, which are
-        freed with it.
+        returned function shares the matrix (a copy of A's DIA data with d
+        added to its offset-0 row) and the hierarchy, which are freed with
+        it.
         """
         if self.dim == 1:
             bands = self.bands.copy()
             bands[1] += d
             return lambda b, x0, rtol: (solveh_banded(bands, b), 0)
-        A = (self.A + sp.diags_array(d)).tocsr()
+        A = self.A.copy()
+        A.data[A.offsets.size // 2] += d  # offset 0: the middle of the symmetric offsets
         M = LinearOperator(A.shape, matvec=_VCycle(self, A, d), dtype=float)
         return lambda b, x0, rtol: _cg(
             A, b, x0, rtol, "multigrid-preconditioned CG for the w-equation", M=M)

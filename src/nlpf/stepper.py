@@ -151,22 +151,27 @@ class _RingCorrection:
         self.G, self.F, self.Sinv = G, F, 1.0 / scale
         self.g_ends, self.f_ends = G[[0, -1]], F[:, [0, -1]]
         # the ring as four sides of n values (rows 0, n-1, columns 0, n-1);
-        # the corners are taken from the rows
+        # the corners are taken from the rows, so a column side keeps its
+        # values 1..n-2, and side s fills rows start[s]:start[s + 1] of C
         self.sel = np.concatenate([np.arange(2 * n), 2 * n + np.arange(1, n - 1),
                                    3 * n + np.arange(1, n - 1)])
+        keep = [slice(None)] * 2 + [slice(1, n - 1)] * 2
+        start = np.cumsum([0, n, n, n - 2, n - 2])
         # block (side s, side t) of P^T A0^{-1} P, with g = g_ends[s % 2] and
         # f = f_ends[:, t % 2]: G diag(S^{-1} (f * g)) F when both sides are
-        # rows or both columns, G diag(f) S^{-1} diag(g) F otherwise
-        H = np.empty((4, n, 4, n))
+        # rows or both columns, G diag(f) S^{-1} diag(g) F otherwise.  C is
+        # assembled at its final size, in the Fortran order that lets the
+        # Cholesky factorization overwrite it.
+        H = np.empty((start[-1], start[-1]), order="F")
         for s in range(4):
             g = self.g_ends[s % 2]
             for t in range(4):
                 f = self.f_ends[:, t % 2]
                 if (s < 2) == (t < 2):
-                    H[s, :, t] = (G * (self.Sinv @ (f * g))) @ F
+                    block = (G * (self.Sinv @ (f * g))) @ F
                 else:
-                    H[s, :, t] = (G * f) @ (self.Sinv * g) @ F
-        H = H.reshape(4 * n, 4 * n)[np.ix_(self.sel, self.sel)]
+                    block = (G * f) @ (self.Sinv * g) @ F
+                H[start[s]:start[s + 1], start[t]:start[t + 1]] = block[keep[s], keep[t]]
         c = a * (grid.mass_interior.reshape(m0.shape) - m0)
         H[np.diag_indices_from(H)] += 1.0 / np.concatenate(
             [c[0], c[-1], c[:, 0], c[:, -1]])[self.sel]
@@ -422,7 +427,8 @@ def run(config: RunConfig) -> RunResult:
     complementarity residual and the bound range of u over all nodes; the
     enthalpy drift; and, when ``config.records_energy``, the per-step
     objective at the new and previous iterates and the projection-formula
-    residual.
+    residual.  Raises ``RuntimeError`` naming the step, t and the cause at
+    the first phase step that does not converge.
     """
     t0 = _time.perf_counter()
     config.validate()
@@ -468,10 +474,15 @@ def run(config: RunConfig) -> RunResult:
     if config.records_energy:
         green = exact_solver(grid, K, 1.0, params.beta)
         xi = stencil.c_gamma_h_interior - params.c_F
+    del K  # the time loop uses only what was built from it
 
     u, theta = state.u, state.theta
     for k in range(1, n_steps + 1):
         out = phase.step(u, theta)
+        if not out.converged:
+            raise RuntimeError(
+                f"active-set solve of step {k} (t = {k * tau:g}) did not converge"
+                + (" after a cold restart" if out.restarted else "") + f": {out.cause}")
         diag["pdas_iters"][k - 1] = out.iters
         diag["pdas_converged"][k - 1] = out.converged
         diag["pdas_restarts"][k - 1] = out.restarted

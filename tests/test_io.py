@@ -385,6 +385,21 @@ def test_cli_metrics_rejects_bad_tol_and_single_node_field(args, message, tmp_pa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("x,y,z,value\n0.0,0.0,0.0,0.3\n", "unrecognized field header"),
+], ids=["missing", "bad-header"])
+def test_cli_metrics_on_unreadable_field(content, message, tmp_path, capsys):
+    # one error line and exit 1, as `nlpf run` gives for a bad config path
+    p = tmp_path / "u.csv"
+    if content is not None:
+        p.write_text(content)
+    assert cli_main(["metrics", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_cli_metrics_on_one_cell_field(tmp_path, capsys):
     p = tmp_path / "u.csv"
     p.write_text("x,value\n0.0,0.3\n1.0,0.4\n")

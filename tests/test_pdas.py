@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import factorized, spsolve
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import LinearOperator, factorized, spsolve
 
 import nlpf.pdas as pdas
 
@@ -472,6 +473,47 @@ def test_local_obstacle_1d_is_a_direct_solve(monkeypatch):
     assert np.count_nonzero((res.u > 0.0) & (res.u < 1.0)) > 10  # reduced solves ran
 
 
+def _scripted_system(n, script):
+    """A route whose sweep of sets S yields the sets ``script[S.key()]``."""
+    def system(sets):
+        target = script[sets.key()]
+        u_I = np.where(target.upper, 2.0, np.where(target.lower, -1.0, 0.5))
+        return lambda rtol, last: pdas._Sweep(u_I, None, None, np.zeros(n), 0)
+    return system
+
+
+def _sets(n, upper=(), lower=()):
+    sets = ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    sets.upper[list(upper)], sets.lower[list(lower)] = True, True
+    return sets
+
+
+@pytest.mark.parametrize("loose", [False, True], ids=["exact", "loose"])
+def test_pdas_iterate_ends_an_exact_attempt_that_revisits_a_set(loose):
+    # free -> S1 -> S2 -> S1: a cycle of two sets.  An exact sweep's new sets
+    # are a function of its sets, so the attempt ends at the revisit; a loose
+    # sweep's depend on its warm start too, and only the sweep limit ends it
+    n = 3
+    free, S1, S2 = _sets(n), _sets(n, upper=[0]), _sets(n, lower=[1])
+    script = {free.key(): S1, S1.key(): S2, S2.key(): S1}
+    out = pdas._pdas_iterate(None, np.full(n, 0.5), _scripted_system(n, script), free,
+                             1.0, PdasConfig(), loose=loose)
+    assert not out.converged and not out.restarted  # no cold restart from free
+    if loose:
+        assert out.iters == PdasConfig.max_iters and out.cycle == 0
+        assert out.cause == f"the active sets did not repeat within {out.iters} sweeps"
+    else:
+        assert out.iters == 3 and out.cycle == 2
+        assert out.cause == "the active sets cycle through 2 sets"
+        assert out.sets.same_as(S2)
+    # a set that repeats at once is the fixed point, not a cycle
+    script[S2.key()] = S2
+    out = pdas._pdas_iterate(None, np.full(n, 0.5), _scripted_system(n, script), free,
+                             1.0, PdasConfig(), loose=loose)
+    assert out.converged and out.cause is None and out.cycle == 0
+    assert out.iters == 3 + loose and out.sets.same_as(S2)
+
+
 def test_local_obstacle_rejects_large_tau():
     params = ModelParams(mu=1e-4, L=0.0, D=1.0, beta=0.0)
     g = build_grid(1, 1 / 10, 0.0)
@@ -538,6 +580,89 @@ def test_w_solver_2d_matches_spsolve(n_axis, inactive):
     for x0 in (np.zeros(g.n_interior), x_ref + 1e-3):
         x = solver.system(d)(b, x0, 1e-12)[0]
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def _csr_hierarchy(solver, A_w, d):
+    """The CSR oracle of the w-solve hierarchy: A_0 = A_w + diag(d) and each
+    coarse level the Galerkin product R A_{l-1} P of the CSR level above."""
+    A = [(A_w + sp.diags_array(d)).tocsr()]
+    for P, R in zip(solver.prolongations, solver.restrictions):
+        A.append((R @ A[-1] @ P).tocsr())
+    return A
+
+
+def _csr_vcycle(solver, A):
+    """pdas._VCycle's cycle on the CSR levels A: the reference preconditioner."""
+    P, R = solver.prolongations, solver.restrictions
+    smooth = [pdas._JACOBI_DAMPING / A_l.diagonal() for A_l in A[:-1]]
+    coarsest = cho_factor(A[-1].toarray())
+
+    def apply(r):
+        rhs, pre = [r], []
+        for A_l, S, R_l in zip(A, smooth, R):
+            x = S * rhs[-1]
+            pre.append(x)
+            rhs.append(R_l @ (rhs[-1] - A_l @ x))
+        x = cho_solve(coarsest, rhs[-1])
+        for l in reversed(range(len(P))):
+            x = pre[l] + P[l] @ x
+            x += smooth[l] * (rhs[l] - A[l] @ x)
+        return x
+    return apply
+
+
+def _system_and_vcycle(monkeypatch, solver, d):
+    """solver.system(d) and the _VCycle it built."""
+    built = []
+
+    class Recorded(pdas._VCycle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(pdas, "_VCycle", Recorded)
+    solve = solver.system(d)
+    return solve, built[0]
+
+
+@pytest.mark.parametrize("inactive", sorted(_INACTIVE_SETS))
+@pytest.mark.parametrize("n_axis", [17, 28, 33])
+def test_w_solver_2d_stencil_hierarchy_matches_csr_galerkin(n_axis, inactive, monkeypatch):
+    # every level is a DIA stencil: 5 diagonals on the fine level, 9 below,
+    # offsets ascending; the fine level is exact, a coarse level differs from
+    # the Galerkin product of the level above only in its rounding
+    g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS[inactive])
+    A_w = w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU)
+    assert solver.A.format == "dia" and abs(solver.A - A_w).max() == 0.0
+    _, vcycle = _system_and_vcycle(monkeypatch, solver, d)
+    assert len(vcycle.A) == len(solver.prolongations) + 1
+    for l, A_l in enumerate(vcycle.A):
+        assert A_l.format == "dia" and A_l.offsets.size == (5 if l == 0 else 9)
+        assert np.all(np.diff(A_l.offsets) > 0)
+    fine = (A_w + sp.diags_array(d)).tocsr()
+    assert abs(vcycle.A[0] - fine).max() == 0.0
+    for P, R, above, A_l in zip(solver.prolongations, solver.restrictions,
+                                vcycle.A, vcycle.A[1:]):
+        galerkin = R @ sp.csr_array(above) @ P
+        assert abs(A_l - galerkin).max() <= 1e-15 * abs(galerkin).max()
+
+
+@pytest.mark.parametrize("inactive", sorted(_INACTIVE_SETS))
+@pytest.mark.parametrize("n_axis", [17, 28, 33])
+def test_w_solver_2d_stencil_vcycle_matches_csr_vcycle(n_axis, inactive, monkeypatch):
+    g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS[inactive])
+    solve, vcycle = _system_and_vcycle(monkeypatch, solver, d)
+    A = _csr_hierarchy(solver, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU), d)
+    reference = _csr_vcycle(solver, A)
+    r = np.random.default_rng(n_axis).standard_normal(g.n_interior)
+    assert np.linalg.norm(vcycle(r) - reference(r)) <= 1e-14 * np.linalg.norm(reference(r))
+    # CG takes the same iterations under either preconditioner
+    M = LinearOperator(A[0].shape, matvec=reference, dtype=float)
+    for rtol in (pdas._SWEEP_RTOL, pdas._LIN_TOL):
+        x0 = np.zeros(g.n_interior)
+        _, iters = solve(b, x0, rtol)
+        _, iters_csr = pdas._cg(A[0], b, x0, rtol, "CSR-preconditioned CG", M=M)
+        assert iters == iters_csr
 
 
 @pytest.mark.parametrize("n", [9, 10, 14, 27])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -401,3 +403,61 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, monkeypatch):
     assert len(factorized) == (1 if variant == "nonlocal_CH" and dim == 1 else 0)
     # the local obstacle matrix: once per run
     assert len(lo_matrices) == (1 if variant == "local_obstacle" else 0)
+
+
+def test_run_stops_at_a_cycling_active_set_step(monkeypatch):
+    # xi = 2.5e-4 on the ex1 CH preset: the active sets of step 4 cycle; the
+    # run stops there and names the step, t and the cycle, instead of
+    # advancing an infeasible field into step 5
+    steps = []
+    step_CH = stepper.pdas_step_CH
+    monkeypatch.setattr(stepper, "pdas_step_CH",
+                        lambda *args, **kw: steps.append(step_CH(*args, **kw)) or steps[-1])
+    cfg = example1_config("nonlocal_CH")
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, c_F=0.16841250632484397),
+                              T_final=0.0015, snapshots=())
+    with pytest.raises(RuntimeError,
+                       match=r"step 4 \(t = 0\.0012\) did not converge after a cold "
+                             r"restart: the active sets cycle through 9 sets"):
+        run(cfg)
+    assert [out.converged for out in steps] == [True, True, True, False]
+    assert steps[-1].cycle == 9 and steps[-1].iters < PdasConfig.max_iters
+
+
+@pytest.mark.parametrize("variant, dim", [("nonlocal_CH", 1), ("nonlocal_CH", 2),
+                                          ("local_obstacle", 1), ("local_regular", 1)],
+                         ids=["nonlocal_CH", "nonlocal_CH-2d", "local_obstacle",
+                              "local_regular"])
+def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, monkeypatch):
+    stiffness, alive = [], []
+    assemble = stepper.assemble_stiffness
+
+    def recorded(g):
+        K = assemble(g)
+        stiffness.append(weakref.ref(K))
+        return K
+
+    monkeypatch.setattr(stepper, "assemble_stiffness", recorded)
+    heat_step = stepper.step_temperature
+    monkeypatch.setattr(stepper, "step_temperature", lambda *args: alive.append(
+        stiffness[0]() is not None) or heat_step(*args))
+    cfg = _variant_config(variant)
+    if dim == 2:
+        cfg = dataclasses.replace(cfg, dim=2, h=1 / 16).validate()
+    run(cfg)
+    assert len(stiffness) == 1 and alive == [False] * 10
+
+
+def test_ring_correction_assembles_the_capacitance_at_its_final_size():
+    # the only n^2-sized arrays besides the ring capacitance C are the
+    # transforms and spectra; no (4, n, 4, n) block array and no copy of C
+    g = build_grid(2, 1 / 104, 0.0826)
+    K = assemble_stiffness(g)
+    tracemalloc.start()
+    try:
+        exact_solver(g, K, 1.0, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ring = 4 * g.n_axis_interior - 4
+    assert peak <= 1.8 * ring**2 * 8
