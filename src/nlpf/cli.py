@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "uniform grids)",
     )
     p.add_argument("--threads", type=int, default=1,
-                   help="BLAS/OpenMP thread count (default 1, reproducible)")
+                   help="BLAS/OpenMP thread count, >= 1 (default 1, reproducible)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="execute a simulation from a config file")
@@ -166,5 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:  # before any pool size is exported
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     _pin_threads(args.threads)
     return args.func(args)

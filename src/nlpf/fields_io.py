@@ -188,6 +188,7 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
         "pdas_iters_total": int(d["pdas_iters"].sum()),
         "pdas_restarts_total": int(d["pdas_restarts"].sum()),
         "cg_iters_total": int(d["cg_iters"].sum()),
+        "interface_nodes_max": int(d["interface_nodes"].max()),
         "kkt_residual_max": float(np.max(d["kkt_residual"])) if active_set else None,
         "non_converged_steps": result.non_converged_steps,
         "comp_residual_max": float(np.max(d["comp_residual"])) if obstacle else None,

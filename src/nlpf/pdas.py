@@ -47,11 +47,14 @@ bands of the fixed part stored once, and in 2D by conjugate gradients
 preconditioned with one symmetric multigrid V-cycle (bilinear prolongations
 fixed per grid, Galerkin coarse operators rebuilt when the sets change,
 because the inactive-set diagonal changes the matrix; a refinement reuses
-them).  Every 2D operator of that hierarchy is a stencil on a tensor grid,
-5-point on the fine level and 9-point on the coarse ones, and is held in
-DIA form (one array per diagonal, no column indices): the fixed part once
-per run, and per set of active sets a copy of it with the set's diagonal
-added in.
+them).  Every transfer is the tensor product of a 1D one and is applied per
+axis, as two 1D sparse products on the (n, n) view of a vector; no 2D
+transfer is held.  Every 2D operator of that hierarchy is a stencil on a
+tensor grid, 5-point on the fine level and 9-point on the coarse ones, and
+is held in DIA form (one array per diagonal, no column indices): the fixed
+part once per run, and per set of active sets a copy of it with the set's
+part added in; on a coarse level that part is formed per axis from the
+(n, n) view of the inactive-set diagonal (see ``_VCycle``).
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
@@ -75,7 +78,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solveh_banded
+from scipy.linalg import cho_factor, solveh_banded
+from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import LinearOperator, cg, factorized, spsolve
 
 from .grid import Grid
@@ -352,67 +356,104 @@ def _stencil_dia(S, n: int, corners: bool) -> sp.dia_array:
 
     The offsets are those of the 5-point stencil, or of the 9-point one with
     ``corners``, in ascending order (merged where n < 3), so a DIA product
-    sums each row in the sorted column order of a CSR product.  Entries of
-    the stored diagonals that fall outside the matrix or wrap across a grid
-    row stay zero.
+    sums each row in the sorted column order of a CSR product.  Entry (i, j)
+    of S lies on the diagonal of offset j - i, which DIA stores in column j;
+    entries of the stored diagonals that fall outside the matrix or wrap
+    across a grid row stay zero.
     """
     offsets = np.unique([a * n + b for a in (-1, 0, 1) for b in (-1, 0, 1)
                          if corners or a * b == 0])
-    A = sp.dia_array((np.zeros((offsets.size, n * n)), offsets), shape=(n * n, n * n))
-    _add_into(A, S)
-    return A
-
-
-def _add_into(A: sp.dia_array, S) -> None:
-    """Add the sparse S, whose entries lie on A's diagonals, into A's data in place.
-
-    Entry (i, j) of S lies on the diagonal of offset j - i, which DIA stores
-    in column j.
-    """
+    data = np.zeros((offsets.size, n * n))
     S = S.tocoo()
-    A.data[np.searchsorted(A.offsets, S.col - S.row), S.col] += S.data
+    data[np.searchsorted(offsets, S.col - S.row), S.col] += S.data
+    return sp.dia_array((data, offsets), shape=(n * n, n * n))
+
+
+def _tensor_apply(F, x: np.ndarray) -> np.ndarray:
+    """(F kron F) x by the per-axis factor F: F X F^T on the (n, n) view X of x."""
+    n = F.shape[1]
+    return (F @ (F @ x.reshape(n, n)).T).T.ravel()
+
+
+def _set_weights(Q) -> sp.csr_array:
+    """[W_0^T; W_1^T] of the composite prolongation Q (n x m), in CSR.
+
+    W_s[i, I] = Q[i, I] Q[i, I + s] (W_1 has m - 1 columns), so the coarse
+    operator (Q kron Q)^T diag(d) (Q kron Q) has the diagonals W_s^T D W_t of
+    ``_VCycle``, D the (n, n) view of d.  Q's entries are dyadic, so these
+    products are exact.
+    """
+    Q = Q.toarray()
+    return sp.csr_array(np.vstack([(Q * Q).T, (Q[:, :-1] * Q[:, 1:]).T]))
+
+
+def _diagonal(A: sp.dia_array, m: int, a: int, b: int) -> np.ndarray:
+    """The diagonal of A, a stencil on m x m nodes, of the grid offset (a, b).
+
+    A writable (m, m) view of A's data, indexed by the node of the column:
+    entry [I, J] couples node (I, J) with node (I - a, J - b).  Where m < 3
+    two grid offsets share one diagonal, on disjoint entries.
+    """
+    return A.data[np.searchsorted(A.offsets, a * m + b)].reshape(m, m)
 
 
 class _VCycle:
     """One symmetric multigrid V-cycle for A = A_w + diag(d), built per active sets.
 
-    Level l + 1 holds the Galerkin product P_l^T A_l P_l.  By linearity that
-    is the fixed coarse A_w of the solver plus the product D_{l+1} =
-    R_l D_l P_l of the diagonal D_0 = diag(d) alone, which is nonzero only
-    near the inactive band, so only the latter is formed here (in CSR, from
-    the support of d) and added into a copy of the level's DIA data.  Every
-    level is a DIA stencil with ascending offsets (see ``WSolver``); the
-    Jacobi smoother reads its offset-0 row.  One damped-Jacobi sweep before
-    and one after each coarse correction, and a Cholesky solve on the
-    coarsest level.  The cycle is a loop, not a recursive closure, so the
-    hierarchy is freed as soon as the system that built it is dropped.
+    Transfers act per axis on the (n, n) view of a vector (``_tensor_apply``):
+    P x as P1 X P1^T, R r as P1^T Y P1.  Level l holds the Galerkin operator,
+    the solver's fixed coarse A_w plus Q^T diag(d) Q with Q = Q_l kron Q_l.
+    That part is the 9-point stencil whose diagonal at the grid offset (s, t)
+    is E_{s,t} = W_s^T D W_t, D the (n, n) view of d and W_s as in
+    ``_set_weights``: one product S D S^T gives the four with s, t in {0, 1},
+    symmetry gives E_{-s,-t}, and E_{1,-1} is E_{1,1} shifted by one column.
+    They are added by slices into a copy of the level's DIA data (see
+    ``WSolver``); the Jacobi smoother reads its offset-0 row.  One
+    damped-Jacobi sweep before and one after each coarse correction, and a
+    Cholesky solve (LAPACK potrs) on the coarsest level.  The cycle is a
+    loop, not a recursive closure, so the hierarchy is freed as soon as the
+    system that built it is dropped.
     """
 
     def __init__(self, solver: WSolver, A: sp.dia_array, d: np.ndarray):
-        self.P, self.R = solver.prolongations, solver.restrictions
+        self.transfers = solver.transfers
         self.A = [A]
-        support = d != 0
-        indptr = np.zeros(d.size + 1, dtype=np.int32)
-        np.cumsum(support, out=indptr[1:])
-        D = sp.csr_array((d[support], np.flatnonzero(support).astype(np.int32), indptr),
-                         shape=A.shape)
-        for P, R, A_w in zip(self.P, self.R, solver.coarse_A_w):
-            D = R @ D @ P
-            self.A.append(A_w.copy())
-            _add_into(self.A[-1], D)
+        n = math.isqrt(d.size)
+        D = d.reshape(n, n)
+        for S, A_w in zip(solver.set_weights, solver.coarse_A_w):
+            m = (S.shape[0] + 1) // 2
+            E = (S @ (S @ D).T).T  # S D S^T: block (s, t) is W_s^T D W_t
+            E00, E01, E10, E11 = E[:m, :m], E[:m, m:], E[m:, :m], E[m:, m:]
+            C = A_w.copy()
+            _diagonal(C, m, 0, 0)[:] += E00
+            _diagonal(C, m, 0, 1)[:, 1:] += E01
+            _diagonal(C, m, 0, -1)[:, :-1] += E01
+            _diagonal(C, m, 1, 0)[1:] += E10
+            _diagonal(C, m, -1, 0)[:-1] += E10
+            _diagonal(C, m, 1, 1)[1:, 1:] += E11
+            _diagonal(C, m, -1, -1)[:-1, :-1] += E11
+            _diagonal(C, m, 1, -1)[1:, :-1] += E11
+            _diagonal(C, m, -1, 1)[:-1, 1:] += E11
+            self.A.append(C)
         self.smooth = [_JACOBI_DAMPING / A_l.diagonal() for A_l in self.A[:-1]]
-        self.coarsest = cho_factor(self.A[-1].toarray())
+        self.coarsest = cho_factor(self.A[-1].toarray())[0]  # upper factor
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         rhs, pre = [r], []
-        for A_l, S, R in zip(self.A, self.smooth, self.R):
+        for A_l, S, (_, P1T) in zip(self.A, self.smooth, self.transfers):
             x = S * rhs[-1]
             pre.append(x)
-            rhs.append(R @ (rhs[-1] - A_l @ x))
-        x = cho_solve(self.coarsest, rhs[-1])
-        for l in reversed(range(len(self.P))):
-            x = pre[l] + self.P[l] @ x
-            x += self.smooth[l] * (rhs[l] - self.A[l] @ x)
+            res = A_l @ x
+            np.subtract(rhs[-1], res, out=res)
+            rhs.append(_tensor_apply(P1T, res))
+        x = dpotrs(self.coarsest, rhs[-1])[0]
+        for l in reversed(range(len(self.transfers))):
+            x = _tensor_apply(self.transfers[l][0], x)
+            x += pre[l]
+            res = self.A[l] @ x
+            np.subtract(rhs[l], res, out=res)
+            res *= self.smooth[l]
+            x += res
         return x
 
 
@@ -425,15 +466,17 @@ class WSolver:
     solve adds d to the diagonal band and calls ``solveh_banded`` (banded
     Cholesky).  In 2D it is solved by CG to a given relative residual,
     preconditioned by one V-cycle over levels coarsened per axis
-    (n -> (n + 1) // 2) until at most ``_COARSEST_NODES`` nodes remain.  The
-    bilinear prolongations (with explicit CSR transposes as restrictions)
-    and the coarse products of A_w depend only on the grid and A_w, so they
-    are built here once; what depends on d lives in the function
-    ``system(d)`` returns, not here.  In 2D every operator is a stencil held
-    once in DIA form with ascending offsets: ``A`` is A_w, 5-point, and each
-    of ``coarse_A_w`` is 9-point, the Galerkin product of a 5-point operator
-    under bilinear transfer; no CSR copy is kept.  A CG failure raises:
-    there is no fallback.
+    (n -> (n + 1) // 2) until at most ``_COARSEST_NODES`` nodes remain.
+    What depends only on the grid and A_w is built here once; what depends on
+    d lives in the function ``system(d)`` returns.  Transfers are held per
+    axis: ``transfers`` pairs each level's 1D prolongation P1 with its CSR
+    transpose, and ``set_weights`` holds each coarse level's weights
+    (``_set_weights``) of the composite prolongation from the fine grid.  In
+    2D every operator is a stencil held once in DIA form with ascending
+    offsets: ``A`` is A_w, 5-point, and each of ``coarse_A_w`` is 9-point,
+    the Galerkin product of a 5-point operator under bilinear transfer
+    (formed through a Kronecker transfer that is not kept).  A CG failure
+    raises: there is no fallback.
     """
 
     def __init__(self, grid: Grid, A_w: sp.csr_matrix):
@@ -445,15 +488,19 @@ class WSolver:
             self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
         else:
             self.A = _stencil_dia(A_w, n, corners=False)
-        P, coarse, C = [], [], A_w
+        transfers, weights, coarse = [], [], []
+        Q, C = sp.identity(n, format="csr"), A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
             P1 = _prolongation_1d(n)
-            P.append(sp.kron(P1, P1).tocsr())
-            C = (P[-1].T @ C @ P[-1]).tocsr()
+            transfers.append((P1, P1.T.tocsr()))
+            Q = Q @ P1  # dyadic weights: exact
+            weights.append(_set_weights(Q))
+            P = sp.kron(P1, P1).tocsr()
+            C = (P.T @ C @ P).tocsr()
             n = P1.shape[1]
             coarse.append(_stencil_dia(C, n, corners=True))
-        self.prolongations = tuple(P)
-        self.restrictions = tuple(P_l.T.tocsr() for P_l in P)
+        self.transfers = tuple(transfers)
+        self.set_weights = tuple(weights)
         self.coarse_A_w = tuple(coarse)
 
     def system(self, d: np.ndarray):

@@ -422,13 +422,14 @@ def run(config: RunConfig) -> RunResult:
     """Execute the full time loop and collect snapshots plus diagnostics.
 
     Records, per step: active-set iterations, convergence, cold restarts and
-    CG iterations; the KKT residual of the active-set variants; where the
-    phase step returns a multiplier (the obstacle variants) the
-    complementarity residual and the bound range of u over all nodes; the
-    enthalpy drift; and, when ``config.records_energy``, the per-step
-    objective at the new and previous iterates and the projection-formula
-    residual.  Raises ``RuntimeError`` naming the step, t and the cause at
-    the first phase step that does not converge.
+    CG iterations; the number of interior nodes strictly inside the interface
+    (0 < u < 1); the KKT residual of the active-set variants; where the phase
+    step returns a multiplier (the obstacle variants) the complementarity
+    residual and the bound range of u over all nodes; the enthalpy drift;
+    and, when ``config.records_energy``, the per-step objective at the new
+    and previous iterates and the projection-formula residual.  Raises
+    ``RuntimeError`` naming the step, t and the cause at the first phase
+    step that does not converge.
     """
     t0 = _time.perf_counter()
     config.validate()
@@ -454,6 +455,7 @@ def run(config: RunConfig) -> RunResult:
         "pdas_converged": np.ones(n_steps, dtype=bool),
         "pdas_restarts": np.zeros(n_steps, dtype=int),
         "cg_iters": np.zeros(n_steps, dtype=int),
+        "interface_nodes": np.zeros(n_steps, dtype=int),
         "kkt_residual": np.full(n_steps, np.nan),
         "comp_residual": np.full(n_steps, np.nan),
         "bound_min": np.full(n_steps, np.nan),
@@ -487,10 +489,12 @@ def run(config: RunConfig) -> RunResult:
         diag["pdas_converged"][k - 1] = out.converged
         diag["pdas_restarts"][k - 1] = out.restarted
         diag["cg_iters"][k - 1] = out.cg_iters
+        u_I = out.u[ids]
+        diag["interface_nodes"][k - 1] = np.count_nonzero((u_I > 0.0) & (u_I < 1.0))
         if out.kkt_residual is not None:
             diag["kkt_residual"][k - 1] = out.kkt_residual
         if out.lam is not None:
-            diag["comp_residual"][k - 1] = verify_complementarity(out.u[ids], out.lam)
+            diag["comp_residual"][k - 1] = verify_complementarity(u_I, out.lam)
             diag["bound_min"][k - 1] = float(out.u.min())
             diag["bound_max"][k - 1] = float(out.u.max())
         if config.records_energy:
@@ -504,11 +508,11 @@ def run(config: RunConfig) -> RunResult:
             g = (out.w + convolve(stencil, out.u)[ids] + params.c_F * m_prev
                  - 0.5 * params.c_F)
             diag["proj_residual"][k - 1] = float(
-                np.abs(out.u[ids] - np.clip(g / xi, 0.0, 1.0)).max()
+                np.abs(u_I - np.clip(g / xi, 0.0, 1.0)).max()
             )
 
         theta_new = step_temperature(heat, grid, params, theta, out.u, u)
-        enthalpy = float(np.dot(mI, theta_new - params.L * out.u[ids]))
+        enthalpy = float(np.dot(mI, theta_new - params.L * u_I))
         diag["enthalpy_drift"][k - 1] = abs(enthalpy - enthalpy0)
 
         u, theta = out.u, theta_new

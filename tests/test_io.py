@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlpf import cli
 from nlpf.cli import main as cli_main
 from nlpf.config import (ConfigError, InitSpec, config_as_dict, parse_config_file,
                          parse_config_text)
@@ -312,6 +313,23 @@ def test_python_m_nlpf_runs_the_cli():
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: nlpf")
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_a_thread_count_below_one(threads, monkeypatch, capsys):
+    # one error line and exit 1, before any pool size is exported or a command runs
+    def no_command(args):
+        raise AssertionError("no command may run")
+
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "unset")
+    for name in ("cmd_run", "cmd_repro", "cmd_metrics"):
+        monkeypatch.setattr(cli, name, no_command)
+    assert cli_main(["--threads", threads, "metrics", "x.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
+    assert captured.out == ""
+    assert all(os.environ[var] == "unset" for var in cli._THREAD_VARS)
 
 
 def test_cli_run_override_reflected_in_report(tmp_path):

@@ -405,7 +405,7 @@ def test_ch_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
     g, stn, params, u_prev, m_prev = _band_step_CH_2d()
     cfg = PdasConfig()
     w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 1e-4))
-    assert w_solver.prolongations  # a multigrid V-cycle, not one direct solve
+    assert w_solver.transfers  # a multigrid V-cycle, not one direct solve
     res = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, cfg, w_solver)
     with _exact_sweeps():
         exact = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, cfg, w_solver)
@@ -576,24 +576,35 @@ _INACTIVE_SETS = {
 @pytest.mark.parametrize("n_axis", [9, 10, 17, 28, 33])
 def test_w_solver_2d_matches_spsolve(n_axis, inactive):
     g, solver, d, b, x_ref = _w_system(n_axis, _INACTIVE_SETS[inactive])
-    assert len(solver.prolongations) == {9: 0, 10: 0, 17: 1, 28: 1, 33: 2}[n_axis]
+    assert len(solver.transfers) == {9: 0, 10: 0, 17: 1, 28: 1, 33: 2}[n_axis]
     for x0 in (np.zeros(g.n_interior), x_ref + 1e-3):
         x = solver.system(d)(b, x0, 1e-12)[0]
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
-def _csr_hierarchy(solver, A_w, d):
+def _kron_transfers(n):
+    """The 2D CSR transfers of the w-solve levels of n x n nodes: the
+    prolongations P = P1 kron P1 and the restrictions R = P^T, coarsened as
+    WSolver coarsens, from pdas._prolongation_1d alone."""
+    P = []
+    while n * n > pdas._COARSEST_NODES:
+        P1 = pdas._prolongation_1d(n)
+        P.append(sp.kron(P1, P1).tocsr())
+        n = P1.shape[1]
+    return P, [P_l.T.tocsr() for P_l in P]
+
+
+def _csr_hierarchy(P, R, A_w, d):
     """The CSR oracle of the w-solve hierarchy: A_0 = A_w + diag(d) and each
     coarse level the Galerkin product R A_{l-1} P of the CSR level above."""
     A = [(A_w + sp.diags_array(d)).tocsr()]
-    for P, R in zip(solver.prolongations, solver.restrictions):
-        A.append((R @ A[-1] @ P).tocsr())
+    for P_l, R_l in zip(P, R):
+        A.append((R_l @ A[-1] @ P_l).tocsr())
     return A
 
 
-def _csr_vcycle(solver, A):
+def _csr_vcycle(P, R, A):
     """pdas._VCycle's cycle on the CSR levels A: the reference preconditioner."""
-    P, R = solver.prolongations, solver.restrictions
     smooth = [pdas._JACOBI_DAMPING / A_l.diagonal() for A_l in A[:-1]]
     coarsest = cho_factor(A[-1].toarray())
 
@@ -635,15 +646,15 @@ def test_w_solver_2d_stencil_hierarchy_matches_csr_galerkin(n_axis, inactive, mo
     A_w = w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU)
     assert solver.A.format == "dia" and abs(solver.A - A_w).max() == 0.0
     _, vcycle = _system_and_vcycle(monkeypatch, solver, d)
-    assert len(vcycle.A) == len(solver.prolongations) + 1
+    P, R = _kron_transfers(n_axis)
+    assert len(vcycle.A) == len(P) + 1
     for l, A_l in enumerate(vcycle.A):
         assert A_l.format == "dia" and A_l.offsets.size == (5 if l == 0 else 9)
         assert np.all(np.diff(A_l.offsets) > 0)
     fine = (A_w + sp.diags_array(d)).tocsr()
     assert abs(vcycle.A[0] - fine).max() == 0.0
-    for P, R, above, A_l in zip(solver.prolongations, solver.restrictions,
-                                vcycle.A, vcycle.A[1:]):
-        galerkin = R @ sp.csr_array(above) @ P
+    for P_l, R_l, above, A_l in zip(P, R, vcycle.A, vcycle.A[1:]):
+        galerkin = R_l @ sp.csr_array(above) @ P_l
         assert abs(A_l - galerkin).max() <= 1e-15 * abs(galerkin).max()
 
 
@@ -652,8 +663,9 @@ def test_w_solver_2d_stencil_hierarchy_matches_csr_galerkin(n_axis, inactive, mo
 def test_w_solver_2d_stencil_vcycle_matches_csr_vcycle(n_axis, inactive, monkeypatch):
     g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS[inactive])
     solve, vcycle = _system_and_vcycle(monkeypatch, solver, d)
-    A = _csr_hierarchy(solver, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU), d)
-    reference = _csr_vcycle(solver, A)
+    P, R = _kron_transfers(n_axis)
+    A = _csr_hierarchy(P, R, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU), d)
+    reference = _csr_vcycle(P, R, A)
     r = np.random.default_rng(n_axis).standard_normal(g.n_interior)
     assert np.linalg.norm(vcycle(r) - reference(r)) <= 1e-14 * np.linalg.norm(reference(r))
     # CG takes the same iterations under either preconditioner
@@ -663,6 +675,70 @@ def test_w_solver_2d_stencil_vcycle_matches_csr_vcycle(n_axis, inactive, monkeyp
         _, iters = solve(b, x0, rtol)
         _, iters_csr = pdas._cg(A[0], b, x0, rtol, "CSR-preconditioned CG", M=M)
         assert iters == iters_csr
+
+
+@pytest.mark.parametrize("n_axis", [17, 28, 33, 209])
+def test_w_solver_2d_composite_prolongations_are_exact(n_axis):
+    # Q_l = P1_0 ... P1_{l-1} has dyadic entries, at most two adjacent ones
+    # per row, so the set weights W_s[i, I] = Q_l[i, I] Q_l[i, I + s] that
+    # the solver holds are exact
+    g = build_grid(2, 1.0 / (n_axis - 1), 0.0)
+    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    assert len(solver.set_weights) == len(solver.transfers) > 0
+    Q = np.eye(n_axis)
+    odd = n_axis % 2 == 1  # every axis above this level odd: no copy rule
+    for l, ((P1, P1T), S) in enumerate(zip(solver.transfers, solver.set_weights), 1):
+        assert abs(P1T - P1.T).max() == 0.0
+        Q = Q @ P1.toarray()
+        assert np.array_equal(Q, np.linalg.multi_dot([np.eye(n_axis)] + [
+            P.toarray() for P, _ in solver.transfers[:l]]))
+        for row in Q:
+            cols = np.flatnonzero(row)
+            assert 1 <= cols.size <= 2 and cols[-1] - cols[0] == cols.size - 1
+        m = Q.shape[1]
+        if odd:  # linear functions are interpolated exactly
+            assert np.array_equal(Q @ (2.0**l * np.arange(m)), np.arange(n_axis))
+        odd = odd and m % 2 == 1
+        W = np.vstack([(Q * Q).T, (Q[:, :-1] * Q[:, 1:]).T])
+        assert S.shape == (2 * m - 1, n_axis) and np.array_equal(S.toarray(), W)
+
+
+@pytest.mark.parametrize("n_axis", [17, 28, 33])
+def test_w_solver_2d_per_axis_transfers_match_kronecker(n_axis):
+    g = build_grid(2, 1.0 / (n_axis - 1), 0.0)
+    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    P, R = _kron_transfers(n_axis)
+    assert len(solver.transfers) == len(P)
+    rng = np.random.default_rng(n_axis)
+    for (P1, P1T), P_l, R_l in zip(solver.transfers, P, R):
+        x, r = rng.standard_normal(P_l.shape[1]), rng.standard_normal(P_l.shape[0])
+        for F, v, kron in ((P1, x, P_l), (P1T, r, R_l)):
+            ref = kron @ v
+            assert np.abs(pdas._tensor_apply(F, v) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_axis", [17, 28, 33, 209])
+def test_w_solver_2d_holds_no_kronecker_transfer(n_axis):
+    # the operators are DIA stencils (5 diagonals, 9 on the coarse levels);
+    # every other sparse matrix the solver keeps is per axis
+    g = build_grid(2, 1.0 / (n_axis - 1), 0.0)
+    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+
+    def leaves(value):
+        if isinstance(value, (tuple, list)):
+            for v in value:
+                yield from leaves(v)
+        else:
+            yield value
+
+    held = [v for v in leaves(list(vars(solver).values())) if sp.issparse(v)]
+    stencils = [solver.A, *solver.coarse_A_w]
+    assert len(held) == len(stencils) + 3 * len(solver.transfers)
+    for M in held:
+        if any(M is A for A in stencils):
+            assert M.format == "dia" and M.offsets.size == (5 if M is solver.A else 9)
+        else:
+            assert M.shape[0] <= n_axis, M.shape
 
 
 @pytest.mark.parametrize("n", [9, 10, 14, 27])
@@ -685,7 +761,7 @@ def test_w_solver_1d_is_a_direct_solve(monkeypatch):
     monkeypatch.setattr(pdas, "cg", no_cg)
     g, solver, d, b, x_ref = _w_system(
         834, lambda g: np.abs(g.coords()[g.interior_ids, 0] - 0.5) <= 0.1, dim=1)
-    assert solver.prolongations == ()
+    assert solver.transfers == ()
     x, cg_iters = solver.system(d)(b, np.zeros(g.n_interior), 1e-12)
     assert cg_iters == 0
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)

@@ -10,13 +10,14 @@ from scipy.sparse.linalg import factorized
 
 from nlpf import stepper
 from nlpf.config import InitSpec, RunConfig
-from nlpf.fields_io import write_field
+from nlpf.fields_io import build_report, write_field
 from nlpf.grid import assemble_stiffness, build_grid
+from nlpf.metrics import interface_width
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil
 from nlpf.pdas import PdasConfig, WSolver, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams, coupling_m, regular_potential_dF
-from nlpf.presets import example1_config
+from nlpf.presets import example1_config, example3_config
 from nlpf.stepper import (
     LocalRegularStep,
     NonlocalACStep,
@@ -218,6 +219,42 @@ def test_run_produces_snapshots_and_diagnostics():
     assert np.nanmin(d["bound_min"]) >= -1e-12
     assert np.nanmax(d["bound_max"]) <= 1 + 1e-12
     assert d["enthalpy_drift"].max() <= 1e-10 * d["enthalpy_scale"]
+
+
+def test_run_counts_the_interface_nodes_of_every_step():
+    # the raw count of interior nodes with 0 < u < 1 on each of the 167 steps
+    # of the ex1 CH preset; interface_width, whose classes put u <= 1e-3 in
+    # the low phase, counts 2 at step 60, where the third node holds 7.2e-4
+    cfg = example1_config("nonlocal_CH")
+    res = run(cfg)
+    nodes = res.diagnostics["interface_nodes"]
+    assert dict(zip(*np.unique(nodes, return_counts=True))) == {1: 10, 2: 150, 3: 7}
+    assert (np.flatnonzero(nodes == 3) + 1).tolist() == [60, 61, 62, 63, 64, 65, 110]
+    assert build_report(result=res)["diagnostics_summary"]["interface_nodes_max"] == 3
+    step60 = run(dataclasses.replace(cfg, T_final=60 * cfg.tau, snapshots=(60 * cfg.tau,)))
+    u = step60.states[-1].u
+    u_I = u[step60.grid.interior_ids]
+    assert step60.diagnostics["interface_nodes"][-1] == np.count_nonzero(
+        (u_I > 0.0) & (u_I < 1.0)) == 3
+    assert interface_width(step60.grid, u).nodes_max == 2
+
+
+#: Per-step active-set sweeps and CG iterations of the first 8 steps of the ex3
+#: presets (no shift), as the Kronecker-transfer multigrid gave them.  A change
+#: that moves the 2D CG path must edit these and say so.
+_EX3_SWEEP_PATH = {
+    "nonlocal_CH": ([8, 4, 4, 4, 4, 4, 4, 4], [27, 19, 19, 19, 19, 18, 15, 15]),
+    "local_obstacle": ([10, 4, 4, 3, 4, 3, 4, 4], [80, 51, 45, 42, 44, 41, 41, 43]),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_EX3_SWEEP_PATH))
+def test_ex3_2d_sweep_path_is_pinned(variant):
+    cfg = example3_config(variant)
+    res = run(dataclasses.replace(cfg, T_final=8 * cfg.tau, snapshots=()))
+    sweeps, cg_iters = _EX3_SWEEP_PATH[variant]
+    assert res.diagnostics["pdas_iters"].tolist() == sweeps
+    assert res.diagnostics["cg_iters"].tolist() == cg_iters
 
 
 def test_run_snapshot_rounding_and_t_mismatch():
