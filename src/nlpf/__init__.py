@@ -14,7 +14,6 @@ active-set method.  Sub-modules:
     metrics       interface widths and field distances
     config        run-configuration files
     repro         reference-experiment drivers
-    verify        brute-force oracles of the test suite
     cli           command-line entry points
 
 Submodules are imported lazily; ``import nlpf`` stays lightweight.
@@ -36,7 +35,6 @@ _SUBMODULES = (
     "presets",
     "repro",
     "fields_io",
-    "verify",
     "cli",
 )
 

@@ -18,7 +18,7 @@ vanishing interaction radius.  Closed forms:
 The interface parameter of the constrained model is xi = c_gamma - c_F.
 Smaller xi gives sharper interfaces; xi = 0 is the sharp-interface threshold.
 The quadrature cross-checks of these constants are test oracles and live in
-``nlpf.verify``.
+the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations

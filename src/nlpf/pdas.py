@@ -42,8 +42,8 @@ chemical potential w: on the inactive set u = (w + q)/xi is eliminated
 nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).  The
 discrete xi = c_gamma_h - c_F is one number on the interior, where every
 node sees the full stencil.  The ``WSolver`` solves it: in 1D, where the
-system is tridiagonal, by a banded Cholesky solve (``solveh_banded``) on
-bands of the fixed part stored once, and in 2D by conjugate gradients
+system is tridiagonal, by banded Cholesky (``factorized``) of bands stored
+once plus the sweep's diagonal, and in 2D by conjugate gradients
 preconditioned with one symmetric multigrid V-cycle (bilinear prolongations
 fixed per grid, Galerkin coarse operators rebuilt when the sets change,
 because the inactive-set diagonal changes the matrix; a refinement reuses
@@ -58,7 +58,7 @@ part added in; on a coarse level that part is formed per axis from the
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
-directly in 1D (tridiagonal; a sparse LU per sweep), and in 2D by
+by ``factorized`` in 1D (tridiagonal in the compressed order), and in 2D by
 unpreconditioned CG warm-started from the previous sweep (the matrix is well
 conditioned, ~13 after Jacobi scaling on the ex3 grid; a refinement reuses
 the extracted submatrix).  In both 2D routes a CG that misses its tolerance
@@ -78,9 +78,9 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, solveh_banded
+from scipy.linalg import cho_factor, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dpotrs
-from scipy.sparse.linalg import LinearOperator, cg, factorized, spsolve
+from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from .grid import Grid
 from .nonlocal_ops import ConvolutionStencil, convolve, exterior_closure
@@ -91,6 +91,7 @@ __all__ = [
     "PdasConfig",
     "StepOut",
     "WSolver",
+    "factorized",
     "pdas_step_CH",
     "pdas_step_local_obstacle",
     "verify_complementarity",
@@ -318,6 +319,16 @@ def local_obstacle_matrix(grid: Grid, K: sp.csr_matrix, params: ModelParams, tau
     return (sp.diags_array((r - params.c_F) * grid.mass_interior) + eps**2 * K).tocsr()
 
 
+def factorized(bands: np.ndarray):
+    """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky (pbtrf).
+
+    ``bands`` is [superdiagonal (first entry unused); diagonal].  An A that
+    is not positive definite raises ``LinAlgError``: there is no fallback.
+    """
+    c = cholesky_banded(bands)
+    return lambda b: cho_solve_banded((c, False), b)
+
+
 def _cg(A, b: np.ndarray, x0: np.ndarray, rtol: float, what: str,
         M=None) -> tuple[np.ndarray, int]:
     """CG to the relative residual rtol: (x, iterations); raises if it stops short."""
@@ -463,8 +474,8 @@ class WSolver:
     ``A_w`` is ``w_matrix(grid, K, beta, tau)``, fixed over a run; the
     nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
     the system is tridiagonal: the two bands of A_w are stored once, and each
-    solve adds d to the diagonal band and calls ``solveh_banded`` (banded
-    Cholesky).  In 2D it is solved by CG to a given relative residual,
+    system adds d to the diagonal band and factors the sum once
+    (``factorized``).  In 2D it is solved by CG to a given relative residual,
     preconditioned by one V-cycle over levels coarsened per axis
     (n -> (n + 1) // 2) until at most ``_COARSEST_NODES`` nodes remain.
     What depends only on the grid and A_w is built here once; what depends on
@@ -484,7 +495,7 @@ class WSolver:
         n = grid.n_axis_interior
         if grid.dim == 1:
             self.A = A_w
-            # upper form of solveh_banded: row 0 the superdiagonal, row 1 the diagonal
+            # the upper banded form of ``factorized``
             self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
         else:
             self.A = _stencil_dia(A_w, n, corners=False)
@@ -506,17 +517,16 @@ class WSolver:
     def system(self, d: np.ndarray):
         """The solve of (A_w + diag(d)) w = b: ``solve(b, x0, rtol) -> (w, cg_iters)``.
 
-        In 1D a banded Cholesky solve (x0 and rtol unused, no CG
-        iterations).  In 2D CG from x0 to the relative residual rtol,
+        In 1D a banded Cholesky solve, factored here (x0 and rtol unused, no
+        CG iterations).  In 2D CG from x0 to the relative residual rtol,
         preconditioned by a V-cycle built here, once: every solve of the
         returned function shares the matrix (a copy of A's DIA data with d
         added to its offset-0 row) and the hierarchy, which are freed with
         it.
         """
         if self.dim == 1:
-            bands = self.bands.copy()
-            bands[1] += d
-            return lambda b, x0, rtol: (solveh_banded(bands, b), 0)
+            solve = factorized(self.bands + [np.zeros_like(d), d])
+            return lambda b, x0, rtol: (solve(b), 0)
         A = self.A.copy()
         A.data[A.offsets.size // 2] += d  # offset 0: the middle of the symmetric offsets
         M = LinearOperator(A.shape, matvec=_VCycle(self, A, d), dtype=float)
@@ -645,7 +655,7 @@ def pdas_step_local_obstacle(
 
     The chemical potential is eliminated, and each sweep is one reduced SPD
     solve on the inactive set with ``A = local_obstacle_matrix(grid, K,
-    params, tau, eps)``: sparse direct in 1D; in 2D CG started from the
+    params, tau, eps)``: banded Cholesky in 1D; in 2D CG started from the
     previous sweep's iterate (from u_prev in the first sweep), loose until
     the sets repeat and then refined to ``_LIN_TOL`` (see the module
     docstring).  A CG failure raises ``RuntimeError``.
@@ -666,13 +676,18 @@ def pdas_step_local_obstacle(
         # A is SPD, so its principal submatrix is too; the pinned values
         # enter the right-hand side through A @ (upper as 0/1)
         idx = np.flatnonzero(sets.inactive)
-        A_in, rhs = A[idx][:, idx], (b - A @ sets.upper.astype(float))[idx]
+        rhs = (b - A @ sets.upper.astype(float))[idx]
+        if grid.dim == 2:
+            A_in = A[idx][:, idx]
+        elif idx.size:  # the bands of A without the couplings across pinned nodes
+            sup = np.where(np.diff(idx) == 1, A.diagonal(1)[idx[:-1]], 0.0)
+            solve_in = factorized(np.vstack([np.r_[0.0, sup], A.diagonal()[idx]]))
 
         def solve(rtol, last):
             u_I = sets.upper.astype(float)
             n_cg = 0
             if idx.size and grid.dim == 1:
-                u_I[idx] = factorized(A_in.tocsc())(rhs)
+                u_I[idx] = solve_in(rhs)
             elif idx.size:
                 u_I[idx], n_cg = _cg(A_in, rhs, (u_prev_I if last is None else last.u_I)[idx],
                                      rtol, "CG for the reduced local-obstacle system")

@@ -26,7 +26,7 @@ The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
 M + beta K of the energy diagnostics) are solved exactly by ``exact_solver``:
 in 2D and on a local 1D grid by two DCT-I transforms, with a capacitance
 correction on the boundary ring of a 2D grid with an interaction layer, and
-by a SuperLU factorization (tridiagonal) on a 1D grid with a layer.
+by banded Cholesky (``pdas.factorized``) on a 1D grid with a layer.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dct, dctn
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import factorized
 
 from .config import RunConfig
 from .fields_io import read_field
@@ -48,8 +47,8 @@ from .grid import Grid, _trapezoid_weights, assemble_stiffness, build_grid
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
                            exterior_closure)
-from .pdas import (PdasConfig, StepOut, WSolver, local_obstacle_matrix, pdas_step_CH,
-                   pdas_step_local_obstacle, verify_complementarity, w_matrix)
+from .pdas import (PdasConfig, StepOut, WSolver, factorized, local_obstacle_matrix,
+                   pdas_step_CH, pdas_step_local_obstacle, verify_complementarity, w_matrix)
 from .physics import ModelParams, coupling_m, objective_Jk, regular_potential_dF
 
 __all__ = [
@@ -107,13 +106,13 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     at the unit-domain boundary, so M - M0 is a positive diagonal on the
     boundary ring: in 2D the solve stays two ``dctn``, made exact by a
     capacitance (Woodbury) correction on the ring (``_RingCorrection``); a
-    1D grid with a layer is tridiagonal and factorized by SuperLU.
+    1D grid with a layer is tridiagonal and factored by banded Cholesky.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
         raise ValueError(f"exact_solver needs finite a > 0 and b >= 0, got a={a}, b={b}")
     if grid.dim == 1 and grid.layer:
-        M = sp.diags_array(grid.mass_interior).tocsr()
-        return factorized((a * M + b * K).tocsc())
+        return factorized(np.vstack([np.r_[0.0, b * K.diagonal(1)],
+                                     a * grid.mass_interior + b * K.diagonal()]))
     n, shape = grid.n_axis_interior, grid.interior_shape
     lam = (2.0 / grid.h**2) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
     scale = (a + b * reduce(np.add.outer, (lam,) * grid.dim)) * (2 * (n - 1))**grid.dim

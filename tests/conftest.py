@@ -1,4 +1,12 @@
-import pytest
+import os
+
+# One BLAS/OpenMP thread, as `nlpf --threads 1` runs: the pools read these
+# variables once, when numpy is first imported, which happens after this.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,9 @@ import math
 import numpy as np
 from scipy.integrate import fixed_quad
 
-from .kernel import KernelSpec, kernel_eval
-from .nonlocal_ops import convolve, exterior_closure
-from .pdas import StepOut, _pdas_iterate, _Sweep
+from nlpf.kernel import KernelSpec, kernel_eval
+from nlpf.nonlocal_ops import convolve, exterior_closure
+from nlpf.pdas import StepOut, _pdas_iterate, _Sweep
 
 __all__ = [
     "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",

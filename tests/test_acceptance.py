@@ -20,7 +20,7 @@ from nlpf.pdas import (PdasConfig, WSolver, local_obstacle_matrix, pdas_step_CH,
 from nlpf.physics import ModelParams, coupling_m
 from nlpf.presets import EX2_DELTAS, example1_config
 from nlpf.stepper import NonlocalACStep, exact_solver, run, step_temperature
-from nlpf.verify import (
+from oracles import (
     c_gamma_quadrature,
     dense_conv_matrix,
     dense_stiffness_1d,

@@ -17,7 +17,7 @@ from nlpf import config
 from nlpf.config import InitSpec, RunConfig
 from nlpf.grid import build_grid, assemble_stiffness
 from nlpf.metrics import field_distance
-from nlpf import stepper
+from nlpf import pdas, stepper
 from nlpf.pdas import PdasConfig
 from nlpf.physics import ModelParams
 from nlpf.presets import example1_config
@@ -112,13 +112,10 @@ def test_lazy_package_import():
 
 def test_every_public_name_has_a_caller_in_the_package():
     # a public name of nlpf that only tests use is a test oracle and belongs
-    # in nlpf.verify, whose names are exempt; uses inside nlpf.verify do not
-    # count, since a function called only by an oracle is test-only as well
+    # in tests/oracles.py
     used, exported = set(), {}
     package = Path(__file__).resolve().parents[1] / "src" / "nlpf"
     for path in sorted(package.glob("*.py")):
-        if path.stem == "verify":
-            continue
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -216,6 +213,32 @@ def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):
         assert sum(hasattr(a, "max_iters") for a in args) == 1
         for attr in ("iters", "converged", "restarted", "sets"):
             assert hasattr(out, attr), attr
+
+
+@pytest.mark.parametrize("variant", ["nonlocal_CH", "local_obstacle"])
+def test_benchmark_tracer_sees_every_1d_sweep_factorization(variant, monkeypatch):
+    # nlpf_bench/spans.py times the 1D direct solves through pdas.factorized:
+    # a 1D CH sweep factors its w-system there, and a local-obstacle sweep
+    # its reduced system unless no node is inactive
+    factored, inactive = [], []
+    factorize, iterate = pdas.factorized, pdas._pdas_iterate
+    monkeypatch.setattr(pdas, "factorized", lambda bands: factored.append(bands) or
+                        factorize(bands))
+
+    def recording(grid, u_prev_I, system, *args, **kwargs):
+        def recorded(sets):
+            inactive.append(bool(sets.inactive.any()))
+            return system(sets)
+        return iterate(grid, u_prev_I, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(pdas, "_pdas_iterate", recording)
+    cfg = example1_config(variant)
+    res = run(dataclasses.replace(cfg, T_final=3 * cfg.tau, snapshots=()))
+    assert len(inactive) == res.diagnostics["pdas_iters"].sum()  # a system per sweep
+    if variant == "nonlocal_CH":
+        assert len(factored) == len(inactive)
+    else:
+        assert len(factored) == sum(inactive) < len(inactive)
 
 
 def test_benchmark_selftest_passes():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlpf.kernel import KernelSpec, c_gamma_closed_form, kernel_eval, scaling_constant
-from nlpf.verify import c_gamma_quadrature, second_moment_check
+from oracles import c_gamma_quadrature, second_moment_check
 
 EX1 = KernelSpec(epsilon=0.02, delta=0.1540, dim=1)
 EX3 = KernelSpec(epsilon=0.01, delta=0.0826, dim=2)

@@ -12,7 +12,7 @@ from nlpf.nonlocal_ops import (
 )
 from nlpf.pdas import PdasConfig, WSolver, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams
-from nlpf.verify import dense_conv_matrix, trapezoid_masses
+from oracles import dense_conv_matrix, trapezoid_masses
 
 
 def _dense_W(grid, spec):

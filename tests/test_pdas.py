@@ -27,7 +27,7 @@ from nlpf.pdas import (
     w_matrix,
 )
 from nlpf.physics import ModelParams, coupling_m
-from nlpf.verify import (
+from oracles import (
     dense_conv_matrix,
     dense_stiffness_1d,
     enumerate_CH_explicit,
@@ -471,6 +471,53 @@ def test_local_obstacle_1d_is_a_direct_solve(monkeypatch):
     res = _lo(g, params, TAU, 0.02, u_prev, m_prev, PdasConfig())
     assert res.converged
     assert np.count_nonzero((res.u > 0.0) & (res.u < 1.0)) > 10  # reduced solves ran
+
+
+def _local_obstacle_route_1d(monkeypatch, n_cells):
+    """``system(sets)`` of a 1D local-obstacle step, with its A (dense) and b."""
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
+    g = build_grid(1, 1 / n_cells, 0.0)
+    A = local_obstacle_matrix(g, assemble_stiffness(g), params, TAU, 0.3)
+    rng = np.random.default_rng(n_cells)
+    u_prev, m_prev = rng.random(g.n_interior), rng.uniform(-0.45, 0.45, g.n_interior)
+    routes = []
+    monkeypatch.setattr(pdas, "_pdas_iterate",
+                        lambda grid, u_I, system, *args, **kwargs: routes.append(system))
+    pdas_step_local_obstacle(g, params, TAU, A, u_prev, m_prev, PdasConfig())
+    b = g.mass_interior * (params.mu / TAU * u_prev - 0.5 * params.c_F
+                           + params.c_F * m_prev)
+    return routes[0], A.toarray(), b, g.mass_interior
+
+
+@pytest.mark.parametrize("pattern", ["..uu.l...ul..", "u...........l", "uuuuuu.llllll",
+                                     "." * 13, "uuulllluuullu"],
+                         ids=["gaps", "ends-pinned", "one-inactive", "all-inactive",
+                              "none-inactive"])
+def test_local_obstacle_1d_sweep_matches_dense_principal_solve(pattern, monkeypatch):
+    # the banded sweep against a dense solve of A[idx][:, idx], on sets given
+    # as u (pinned at 1), l (pinned at 0) and . (inactive) per node
+    system, A, b, mI = _local_obstacle_route_1d(monkeypatch, len(pattern) - 1)
+    factored = []
+    factorize = pdas.factorized
+    monkeypatch.setattr(pdas, "factorized", lambda bands: factored.append(bands) or
+                        factorize(bands))
+    upper = np.array([c == "u" for c in pattern])
+    lower = np.array([c == "l" for c in pattern])
+    sweep = system(ActiveSets(upper, lower))(pdas._LIN_TOL, None)
+    idx = np.flatnonzero(~(upper | lower))
+    u_ref = upper.astype(float)
+    if idx.size:
+        u_ref[idx] = np.linalg.solve(A[np.ix_(idx, idx)], (b - A @ u_ref)[idx])
+    assert len(factored) == (1 if idx.size else 0) and sweep.cg_iters == 0
+    assert np.array_equal(sweep.u_I[upper | lower], upper[upper | lower])
+    assert np.abs(sweep.u_I - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
+    assert np.abs(sweep.g - (b - A @ sweep.u_I) / mI).max() <= 1e-13 * np.abs(b / mI).max()
+
+
+def test_factorized_rejects_a_band_that_is_not_positive_definite():
+    # [[1, 2], [2, 1]] has the eigenvalue -1: an error, with no fallback
+    with pytest.raises(np.linalg.LinAlgError):
+        pdas.factorized(np.array([[0.0, 2.0], [1.0, 1.0]]))
 
 
 def _scripted_system(n, script):

@@ -16,7 +16,7 @@ from nlpf.physics import (
     regular_potential_dF,
 )
 from nlpf.stepper import exact_solver
-from nlpf.verify import dense_conv_matrix
+from oracles import dense_conv_matrix
 
 PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=20.0,
                      theta_e=1.0)

@@ -28,7 +28,7 @@ from nlpf.stepper import (
     step_temperature,
     timestep_admissibility,
 )
-from nlpf.verify import dense_stiffness_1d, pdas_step_AC_nonlocal
+from oracles import dense_stiffness_1d, pdas_step_AC_nonlocal
 
 
 def _heat(g, p, tau):
@@ -434,7 +434,7 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, monkeypatch):
     for obj, keys in built:
         assert set(vars(obj)) == keys, type(obj).__name__
     # heat matrix (and the local_regular phase matrix): one solver each per
-    # run; SuperLU factorizes it only on the 1D grid with a layer (in 2D the
+    # run; it is factorized only on the 1D grid with a layer (in 2D the
     # DCT-I solve carries the ring correction)
     assert len(solvers) == (2 if variant == "local_regular" else 1)
     assert len(factorized) == (1 if variant == "nonlocal_CH" and dim == 1 else 0)
