@@ -186,7 +186,6 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
     summary = {
         "pdas_iters_max": int(d["pdas_iters"].max()),
         "pdas_iters_total": int(d["pdas_iters"].sum()),
-        "pdas_restarts_total": int(d["pdas_restarts"].sum()),
         "cg_iters_total": int(d["cg_iters"].sum()),
         "interface_nodes_max": int(d["interface_nodes"].max()),
         "kkt_residual_max": float(np.max(d["kkt_residual"])) if active_set else None,

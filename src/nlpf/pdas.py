@@ -10,16 +10,18 @@ the standard test
 
 until they repeat.  Warm-starting from the previous time level's sets makes
 the iteration converge in one to three sweeps once the interface moves only
-a few cells per step.
+a few cells per step; a step without previous sets (the first of a run)
+starts with every node inactive.
 
-One driver, ``_pdas_iterate``, runs every step: it checks the previous
-level, picks the starting sets, builds each new set's linear system through
-the route's ``system(sets)`` (dropping the previous one first) and solves it
-through the returned ``solve(rtol, last)``, warm-started from the previous
-sweep.  A route only says how to build and solve one system.  A step whose
-exact sweeps return to an earlier set of active sets is cycling and ends its
-attempt at once; a step that does not converge names its cause, and the time
-loop stops there.
+One driver, ``_pdas_iterate``, runs every step as one attempt of at most
+``PdasConfig.max_iters`` sweeps: it checks the previous level, picks the
+starting sets, builds each new set's linear system through the route's
+``system(sets)`` (dropping the previous one first) and solves it through the
+returned ``solve(rtol, last)``, warm-started from the previous sweep.  A
+route only says how to build and solve one system.  A step whose exact
+sweeps return to an earlier set of active sets is cycling and ends at once;
+a step that does not converge names its cause, and the time loop stops
+there.
 
 PDAS is a semismooth Newton method, and a sweep before the last only has to
 choose the next sets, so the 2D CG sweeps are inexact (an inexact Newton
@@ -95,7 +97,6 @@ __all__ = [
     "pdas_step_CH",
     "pdas_step_local_obstacle",
     "verify_complementarity",
-    "sets_from_bounds",
     "w_matrix",
     "local_obstacle_matrix",
 ]
@@ -105,7 +106,7 @@ __all__ = [
 #: CG solves; relative residual of a 2D CG sweep before its sets repeat, and
 #: of its refinement once they do (the direct routes ignore both).  On the
 #: ex3 runs to t = 0.0041 a loose sweep takes ~2.5 CG iterations per w-solve
-#: (at most 5) and ~4 per reduced local-obstacle solve (at most 12), a
+#: (at most 4) and ~4 per reduced local-obstacle solve (at most 16), a
 #: refinement ~10 (at most 12) and ~31 (at most 33).
 _COARSEST_NODES = 200
 _JACOBI_DAMPING = 0.8
@@ -118,8 +119,8 @@ _LIN_TOL = 1e-12
 class PdasConfig:
     """Active-set step parameters: the convolution mode of the CH step."""
 
-    # warm sweeps before the one cold restart: a constant, not a setting, kept
-    # on the class because nlpf_bench/spans.py reads it off a step's argument
+    # the sweeps of one step: a constant, not a setting, kept on the class
+    # because nlpf_bench/spans.py reads it off a step's argument
     max_iters: ClassVar[int] = 50
     convolution_mode: str = "explicit"
 
@@ -159,13 +160,12 @@ class StepOut:
     chemical potential or multiplier.  sets are the final active sets, None
     for the solve-free variants.  iters/converged are the active-set sweep
     count and convergence (0 and True for the solve-free variants);
-    restarted is whether the active-set iteration was restarted cold;
     cg_iters counts the CG iterations of every sweep.  kkt_residual is the
     largest residual of the accepted iterate's own equations, scaled to a
     change of u (None for the solve-free variants; NaN propagates).  cause
     says why a step that did not converge stopped (None if it converged),
     and cycle is the number of sets in the cycle of active sets that ended
-    its last attempt (0 if none did).
+    the step (0 if none did).
     """
 
     u: np.ndarray
@@ -174,17 +174,10 @@ class StepOut:
     sets: ActiveSets | None = None
     iters: int = 0
     converged: bool = True
-    restarted: bool = False
     cg_iters: int = 0
     kkt_residual: float | None = None
     cause: str | None = None
     cycle: int = 0
-
-
-def sets_from_bounds(u_interior: np.ndarray) -> ActiveSets:
-    """Initial active sets from a field's own bound pattern (within 1e-9)."""
-    u_interior = np.asarray(u_interior, dtype=float)
-    return ActiveSets(upper=u_interior >= 1.0 - 1e-9, lower=u_interior <= 1e-9)
 
 
 def _max_abs(*parts: np.ndarray) -> float:
@@ -213,16 +206,19 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
                   loose: bool = False) -> StepOut:
     """Drive the active-set fixed point of one step from the previous level u_prev_I.
 
-    Checks that u_prev_I is feasible and starts from ``init_sets``, by
-    default its bound pattern.  A route supplies ``system(sets)``, which
-    builds the linear system of one set of active sets and returns
-    ``solve(rtol, last) -> _Sweep``: its solution to the relative residual
-    rtol, warm-started from ``last``, the previous sweep's (None in the
-    first sweep of the step); a direct route ignores both.  ``system`` is
-    called once per new set of active sets, after the previous system has
-    been dropped: one system (matrix, V-cycle) is alive at a time, and none
-    outlives the step.  ``residual(u_I, w, g, inactive)``, if given, is the
-    step's KKT residual at the accepted iterate.
+    Checks that u_prev_I is feasible and runs one attempt of at most
+    ``config.max_iters`` sweeps from ``init_sets`` (the previous step's
+    sets), or from the all-inactive estimate when there are none, whose
+    first unconstrained solve pins near-final sets at once.  A route
+    supplies ``system(sets)``, which builds the linear system of one set of
+    active sets and returns ``solve(rtol, last) -> _Sweep``: its solution to
+    the relative residual rtol, warm-started from ``last``, the previous
+    sweep's (None in the first sweep of the step); a direct route ignores
+    both.  ``system`` is called once per new set of active sets, after the
+    previous system has been dropped: one system (matrix, V-cycle) is alive
+    at a time, and none outlives the step.  ``residual(u_I, w, g,
+    inactive)``, if given, is the step's KKT residual at the accepted
+    iterate.
 
     With ``loose`` (the CG routes) a sweep is solved to ``_SWEEP_RTOL``, and
     once the sets repeat the same system is solved again to ``_LIN_TOL``
@@ -230,56 +226,45 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     ``_LIN_TOL`` and the first repeat is accepted.  Refinements count as
     sweeps.
 
-    Without ``loose`` an attempt ends without converging when the new sets
-    equal an earlier set of the same attempt other than the current one:
-    an exact sweep's new sets are a function of its sets alone, so the
-    iteration has entered a cycle it cannot leave (``cycle`` counts its
-    sets).  A loose sweep's new sets depend on its warm start too, and the
-    ex3 CH runs do revisit a set and then converge, so the CG routes keep
-    only the sweep limit.  If the warm-started iteration cycles or does not
-    settle within max_iters (a cold start from an all-pinned state opens a
-    wide inactive band only a couple of nodes per sweep), it is restarted
-    once from the all-inactive estimate, whose first unconstrained solve
-    pins near-final sets immediately; ``restarted`` reports that, and
-    ``cause`` names why the last attempt failed.
+    Without ``loose`` the attempt ends without converging when the new sets
+    equal an earlier set other than the current one: an exact sweep's new
+    sets are a function of its sets alone, so the iteration has entered a
+    cycle it cannot leave (``cycle`` counts its sets).  A loose sweep's new
+    sets depend on its warm start too, and the ex3 CH runs do revisit a set
+    and then converge, so the CG routes keep only the sweep limit.  ``cause``
+    names why a step did not converge.
     """
     _check_feasible(u_prev_I)
-    if init_sets is None:
-        init_sets = sets_from_bounds(u_prev_I)
+    sets = init_sets
+    if sets is None:
+        n = u_prev_I.size
+        sets = ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
     rtol = _SWEEP_RTOL if loose else _LIN_TOL
-    n, attempts = u_prev_I.size, [init_sets]
-    if init_sets.upper.any() or init_sets.lower.any():
-        attempts.append(ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)))
-    iters_used = cg_iters = 0
-    converged, last = False, None
-    for attempt, start in enumerate(attempts):
-        sets, tol, solve = start, rtol, None
-        seen, cycle = {}, 0  # the key of each set of this attempt -> its position
-        for _ in range(config.max_iters):
-            iters_used += 1
-            if solve is None:
-                if not loose:
-                    seen[sets.key()] = len(seen)
-                solve = system(sets)
-            last = solve(tol, last)
-            cg_iters += last.cg_iters
-            inactive = sets.inactive
-            lam = np.where(inactive, 0.0, last.g)
-            new = ActiveSets(upper=lam + c * (last.u_I - 1.0) > 0.0,
-                             lower=lam + c * last.u_I < 0.0)
-            if not new.same_as(sets):
-                first = seen.get(new.key()) if seen else None
-                if first is not None:  # back to an earlier set of this attempt
-                    cycle = len(seen) - first
-                    break
-                sets, tol, solve = new, rtol, None
-            elif tol == _LIN_TOL:
-                converged = True
+    tol, solve, last = rtol, None, None
+    converged, cg_iters = False, 0
+    seen, cycle = {}, 0  # the key of each set of the step -> its position
+    for iters in range(1, config.max_iters + 1):
+        if solve is None:
+            if not loose:
+                seen[sets.key()] = len(seen)
+            solve = system(sets)
+        last = solve(tol, last)
+        cg_iters += last.cg_iters
+        inactive = sets.inactive
+        lam = np.where(inactive, 0.0, last.g)
+        new = ActiveSets(upper=lam + c * (last.u_I - 1.0) > 0.0,
+                         lower=lam + c * last.u_I < 0.0)
+        if not new.same_as(sets):
+            first = seen.get(new.key()) if seen else None
+            if first is not None:  # back to an earlier set
+                cycle = len(seen) - first
                 break
-            else:
-                tol = _LIN_TOL  # refine this system, then test the sets again
-        if converged:
+            sets, tol, solve = new, rtol, None
+        elif tol == _LIN_TOL:
+            converged = True
             break
+        else:
+            tol = _LIN_TOL  # refine this system, then test the sets again
     u_I, u_E, w, g, _ = last
     u = u_I
     if u_E is not None:
@@ -292,8 +277,7 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
         cause = f"the active sets cycle through {cycle} sets"
     elif not converged:
         cause = f"the active sets did not repeat within {config.max_iters} sweeps"
-    return StepOut(u, w, lam, sets, iters_used, converged, attempt > 0, cg_iters, kkt,
-                   cause, cycle)
+    return StepOut(u, w, lam, sets, iters, converged, cg_iters, kkt, cause, cycle)
 
 
 def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:

@@ -24,9 +24,9 @@ loop does not branch on the variant.
 
 The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
 M + beta K of the energy diagnostics) are solved exactly by ``exact_solver``:
-in 2D and on a local 1D grid by two DCT-I transforms, with a capacitance
-correction on the boundary ring of a 2D grid with an interaction layer, and
-by banded Cholesky (``pdas.factorized``) on a 1D grid with a layer.
+in 1D by banded Cholesky (``pdas.factorized``), and in 2D by two DCT-I
+transforms, with a capacitance correction on the boundary ring of a grid with
+an interaction layer.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,27 +95,28 @@ class RunResult:
 def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     """Solve of (a M + b K) x = r on the interior nodes, for a > 0, b >= 0.
 
-    K is ``assemble_stiffness(grid)`` and M the lumped interior mass.  With
-    M0 the tensor trapezoid with half ends and K the Neumann 3-/5-point
+    K is ``assemble_stiffness(grid)`` and M the lumped interior mass.  In 1D
+    the matrix is tridiagonal and factored once by banded Cholesky.  In 2D,
+    with M0 the tensor trapezoid with half ends and K the Neumann 5-point
     stencil, DCT-I diagonalizes M0^{-1} K exactly with eigenvalues
-    sum_d (2/h^2)(1 - cos(pi k_d / (n - 1))) over the n nodes per axis; a
-    solve of A0 = a M0 + b K is two ``dctn`` and a division (DCT-I is its
-    own inverse up to the factor 2(n - 1) per axis).  On a grid without
-    interaction layer M = M0.  With a layer the interior mass is not halved
-    at the unit-domain boundary, so M - M0 is a positive diagonal on the
-    boundary ring: in 2D the solve stays two ``dctn``, made exact by a
-    capacitance (Woodbury) correction on the ring (``_RingCorrection``); a
-    1D grid with a layer is tridiagonal and factored by banded Cholesky.
+    (2/h^2)(2 - cos(pi k / (n - 1)) - cos(pi l / (n - 1))) over the n nodes
+    per axis; a solve of A0 = a M0 + b K is two ``dctn`` and a division
+    (DCT-I is its own inverse up to the factor 2(n - 1) per axis).  On a
+    grid without interaction layer M = M0.  With a layer the interior mass
+    is not halved at the unit-domain boundary, so M - M0 is a positive
+    diagonal on the boundary ring, and a capacitance (Woodbury) correction
+    on the ring makes the two-``dctn`` solve exact (``_RingCorrection``).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
         raise ValueError(f"exact_solver needs finite a > 0 and b >= 0, got a={a}, b={b}")
-    if grid.dim == 1 and grid.layer:
+    if grid.dim == 1:
         return factorized(np.vstack([np.r_[0.0, b * K.diagonal(1)],
                                      a * grid.mass_interior + b * K.diagonal()]))
     n, shape = grid.n_axis_interior, grid.interior_shape
     lam = (2.0 / grid.h**2) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
-    scale = (a + b * reduce(np.add.outer, (lam,) * grid.dim)) * (2 * (n - 1))**grid.dim
-    m0 = reduce(np.multiply.outer, (_trapezoid_weights(n, grid.h),) * grid.dim)
+    scale = (a + b * np.add.outer(lam, lam)) * (2 * (n - 1))**2
+    weights = _trapezoid_weights(n, grid.h)
+    m0 = np.multiply.outer(weights, weights)
     ring = _RingCorrection(grid, a, m0, scale) if grid.layer else None
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -420,9 +420,9 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
 def run(config: RunConfig) -> RunResult:
     """Execute the full time loop and collect snapshots plus diagnostics.
 
-    Records, per step: active-set iterations, convergence, cold restarts and
-    CG iterations; the number of interior nodes strictly inside the interface
-    (0 < u < 1); the KKT residual of the active-set variants; where the phase
+    Records, per step: active-set iterations, convergence and CG iterations;
+    the number of interior nodes strictly inside the interface (0 < u < 1);
+    the KKT residual of the active-set variants; where the phase
     step returns a multiplier (the obstacle variants) the complementarity
     residual and the bound range of u over all nodes; the enthalpy drift;
     and, when ``config.records_energy``, the per-step objective at the new
@@ -452,7 +452,6 @@ def run(config: RunConfig) -> RunResult:
     diag = {
         "pdas_iters": np.zeros(n_steps, dtype=int),
         "pdas_converged": np.ones(n_steps, dtype=bool),
-        "pdas_restarts": np.zeros(n_steps, dtype=int),
         "cg_iters": np.zeros(n_steps, dtype=int),
         "interface_nodes": np.zeros(n_steps, dtype=int),
         "kkt_residual": np.full(n_steps, np.nan),
@@ -482,11 +481,10 @@ def run(config: RunConfig) -> RunResult:
         out = phase.step(u, theta)
         if not out.converged:
             raise RuntimeError(
-                f"active-set solve of step {k} (t = {k * tau:g}) did not converge"
-                + (" after a cold restart" if out.restarted else "") + f": {out.cause}")
+                f"active-set solve of step {k} (t = {k * tau:g}) did not converge: "
+                f"{out.cause}")
         diag["pdas_iters"][k - 1] = out.iters
         diag["pdas_converged"][k - 1] = out.converged
-        diag["pdas_restarts"][k - 1] = out.restarted
         diag["cg_iters"][k - 1] = out.cg_iters
         u_I = out.u[ids]
         diag["interface_nodes"][k - 1] = np.count_nonzero((u_I > 0.0) & (u_I < 1.0))

@@ -5,7 +5,9 @@ the kernel constants by radial quadrature, the kernel written out as a
 polynomial, dense matrices built from coordinates instead of stencils,
 exhaustive 3^N active-set enumeration instead of the active-set iteration,
 and the nonlocal AC projection iterated as an active-set loop instead of
-evaluated in closed form.  Sizes are deliberately tiny.
+evaluated in closed form.  Sizes are deliberately tiny.  ``sets_from_bounds``
+gives tests a starting estimate of the active sets other than the solvers'
+all-inactive one: a field's own bound pattern.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from scipy.integrate import fixed_quad
 
 from nlpf.kernel import KernelSpec, kernel_eval
 from nlpf.nonlocal_ops import convolve, exterior_closure
-from nlpf.pdas import StepOut, _pdas_iterate, _Sweep
+from nlpf.pdas import ActiveSets, StepOut, _pdas_iterate, _Sweep
 
 __all__ = [
     "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",
     "dense_conv_matrix", "dense_stiffness_1d", "enumerate_CH_explicit",
     "enumerate_CH_implicit", "enumerate_local_obstacle", "pdas_step_AC_nonlocal",
+    "sets_from_bounds",
 ]
 
 #: Gauss-Legendre order for the radial quadratures (exact for the polynomial
@@ -262,3 +265,9 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         return lambda rtol, last: out
 
     return _pdas_iterate(grid, u_prev[ids], system, init_sets, c, config)
+
+
+def sets_from_bounds(u_interior: np.ndarray) -> ActiveSets:
+    """Active sets from a field's own bound pattern (within 1e-9)."""
+    u_interior = np.asarray(u_interior, dtype=float)
+    return ActiveSets(upper=u_interior >= 1.0 - 1e-9, lower=u_interior <= 1e-9)

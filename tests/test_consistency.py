@@ -211,7 +211,7 @@ def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):
         "pdas_step_CH": 3, "pdas_step_local_obstacle": 3}
     for args, out in (call for c in calls.values() for call in c):
         assert sum(hasattr(a, "max_iters") for a in args) == 1
-        for attr in ("iters", "converged", "restarted", "sets"):
+        for attr in ("iters", "converged", "sets"):
             assert hasattr(out, attr), attr
 
 
@@ -219,7 +219,8 @@ def test_benchmark_tracer_patches_existing_entry_points(monkeypatch):
 def test_benchmark_tracer_sees_every_1d_sweep_factorization(variant, monkeypatch):
     # nlpf_bench/spans.py times the 1D direct solves through pdas.factorized:
     # a 1D CH sweep factors its w-system there, and a local-obstacle sweep
-    # its reduced system unless no node is inactive
+    # its reduced system unless no node is inactive (these three steps have
+    # inactive nodes in every sweep; test_pdas pins the empty case)
     factored, inactive = [], []
     factorize, iterate = pdas.factorized, pdas._pdas_iterate
     monkeypatch.setattr(pdas, "factorized", lambda bands: factored.append(bands) or
@@ -238,7 +239,7 @@ def test_benchmark_tracer_sees_every_1d_sweep_factorization(variant, monkeypatch
     if variant == "nonlocal_CH":
         assert len(factored) == len(inactive)
     else:
-        assert len(factored) == sum(inactive) < len(inactive)
+        assert len(factored) == sum(inactive)
 
 
 def test_benchmark_selftest_passes():

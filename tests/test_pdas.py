@@ -22,7 +22,6 @@ from nlpf.pdas import (
     local_obstacle_matrix,
     pdas_step_CH,
     pdas_step_local_obstacle,
-    sets_from_bounds,
     verify_complementarity,
     w_matrix,
 )
@@ -34,6 +33,7 @@ from oracles import (
     enumerate_CH_implicit,
     enumerate_local_obstacle,
     pdas_step_AC_nonlocal,
+    sets_from_bounds,
 )
 
 CH_PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
@@ -48,10 +48,10 @@ def _ch(g, stn, params, tau, u_prev, m_prev, cfg, **kw):
     return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, w_solver, W, **kw)
 
 
-def _lo(g, params, tau, eps, u_prev, m_prev, cfg):
+def _lo(g, params, tau, eps, u_prev, m_prev, cfg, **kw):
     """pdas_step_local_obstacle with its matrix built as the time loop builds it."""
     A = local_obstacle_matrix(g, assemble_stiffness(g), params, tau, eps)
-    return pdas_step_local_obstacle(g, params, tau, A, u_prev, m_prev, cfg)
+    return pdas_step_local_obstacle(g, params, tau, A, u_prev, m_prev, cfg, **kw)
 
 
 def _setup(n_cells=9, delta_cells=2.6, dim=1, eps=0.35):
@@ -234,6 +234,30 @@ def test_local_obstacle_matches_enumeration(data, n_cells, eps, excess):
     assert res.converged
     assert np.abs(res.u - u_ref).max() <= 1e-9
     assert np.abs(res.lam - lam_ref).max() <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+       n_cells=st.integers(3, 8), eps=st.floats(0.005, 0.05))
+def test_local_obstacle_start_reaches_same_fixed_point(seed, dim, n_cells, eps):
+    # from the all-inactive estimate (None), from the bound pattern and from
+    # the converged sets: the same sets and u; 1D solves exactly, 2D by CG
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
+    g = build_grid(dim, 1 / (n_cells * (6 if dim == 1 else 1)), 0.0)
+    rng = np.random.default_rng(seed)
+    u_prev = np.where(rng.random(g.n_nodes) < 0.7, rng.random(g.n_nodes) < 0.5,
+                      rng.random(g.n_nodes))
+    m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
+    cfg = PdasConfig()
+    cold = _lo(g, params, TAU, eps, u_prev, m_prev, cfg)
+    assert cold.converged
+    for init in (sets_from_bounds(u_prev[g.interior_ids]), cold.sets):
+        res = _lo(g, params, TAU, eps, u_prev, m_prev, cfg, init_sets=init)
+        assert res.converged and res.sets.same_as(cold.sets)
+        assert np.abs(res.u - cold.u).max() <= 1e-10
+        assert np.abs(res.lam - cold.lam).max() <= 1e-10 * np.abs(cold.lam).max(initial=1.0)
+    if dim == 1:
+        assert res.iters == 1  # the converged sets repeat at once
 
 
 def _floats(data, size, lo, hi):
@@ -545,7 +569,7 @@ def test_pdas_iterate_ends_an_exact_attempt_that_revisits_a_set(loose):
     script = {free.key(): S1, S1.key(): S2, S2.key(): S1}
     out = pdas._pdas_iterate(None, np.full(n, 0.5), _scripted_system(n, script), free,
                              1.0, PdasConfig(), loose=loose)
-    assert not out.converged and not out.restarted  # no cold restart from free
+    assert not out.converged
     if loose:
         assert out.iters == PdasConfig.max_iters and out.cycle == 0
         assert out.cause == f"the active sets did not repeat within {out.iters} sweeps"
@@ -590,11 +614,15 @@ def test_verify_complementarity_cases():
 
 
 def test_infinite_multiplier_fails_complementarity():
-    # m_prev = inf at a pinned corner node gives lambda = inf there
+    # m_prev = inf at a pinned corner node gives lambda = inf there; the
+    # step starts from the bound pattern, which pins that node (from the
+    # all-inactive estimate the infinite right-hand side reaches CG, which
+    # raises)
     g, params, u_prev, m_prev = _band_step_2d()
     m_prev = m_prev.copy()
     m_prev[0] = np.inf
-    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig())
+    res = _lo(g, params, 1e-4, 0.01, u_prev, m_prev, PdasConfig(),
+              init_sets=sets_from_bounds(u_prev[g.interior_ids]))
     assert res.sets.upper[0] and res.u[0] == 1.0
     assert not verify_complementarity(res.u, res.lam) <= 1e-10
 
