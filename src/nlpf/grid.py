@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Grid", "build_grid", "assemble_stiffness"]
+__all__ = ["Grid", "build_grid", "assemble_stiffness", "trapezoid_weights"]
 
 #: Refuse to allocate grids above this node count (guards against typos in h).
 MAX_NODES = 20_000_000
@@ -35,7 +35,8 @@ class Grid:
 
     h is the (snapped) mesh size, n_cells the cell count per axis of the unit
     domain, layer the interaction-layer width in nodes per side.  Frozen:
-    operators built on a grid belong to the caller, not to the grid.
+    operators built on a grid belong to the caller, not to the grid.  Fields
+    given on every node or on the interior are restricted by ``interior``.
     """
 
     dim: int
@@ -77,6 +78,16 @@ class Grid:
     def mass_interior(self) -> np.ndarray:
         return self.lumped_mass[self.interior_ids]
 
+    def interior(self, values, what: str) -> np.ndarray:
+        """The field ``what`` on the interior nodes, given on them or on every node."""
+        v = np.asarray(values, dtype=float)
+        if v.shape == (self.n_nodes,):
+            v = v[self.interior_ids]
+        if v.shape != (self.n_interior,):
+            raise ValueError(f"{what} has shape {v.shape}; expected ({self.n_interior},) "
+                             f"(interior) or ({self.n_nodes},) (all nodes)")
+        return v
+
     def axis_coords(self) -> np.ndarray:
         """Coordinates along one axis of the extended domain."""
         return (np.arange(self.n_axis) - self.layer) * self.h
@@ -87,7 +98,7 @@ class Grid:
         return np.column_stack([a.ravel() for a in axes[::-1]])
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
     """1D trapezoidal weights of n nodes spaced h: h, halved at both ends."""
     w = np.full(n, h)
     w[0] *= 0.5
@@ -121,7 +132,7 @@ def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
     on_axis_interior[layer : layer + n_cells + 1] = True
     interior_mask = reduce(np.logical_and.outer, (on_axis_interior,) * dim).ravel()
     # Tensor trapezoidal weights of the extended domain.
-    mass = reduce(np.multiply.outer, (_trapezoid_weights(n_axis, h_snapped),) * dim).ravel()
+    mass = reduce(np.multiply.outer, (trapezoid_weights(n_axis, h_snapped),) * dim).ravel()
 
     ids = np.arange(n_axis**dim)
     return Grid(
@@ -155,5 +166,5 @@ def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
     K1 = _stiffness_1d(n, grid.h)
     if grid.dim == 1:
         return K1
-    M1 = sp.diags_array(_trapezoid_weights(n, grid.h)).tocsr()
+    M1 = sp.diags_array(trapezoid_weights(n, grid.h)).tocsr()
     return (sp.kron(M1, K1) + sp.kron(K1, M1)).tocsr()

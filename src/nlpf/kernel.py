@@ -15,6 +15,9 @@ vanishing interaction radius.  Closed forms:
     c_gamma  = integral of gamma     = 10 eps^2/delta^2   (n = 1)
                                      = 12 eps^2/delta^2   (n = 2)
 
+``KernelSpec.scaling`` owns C(delta), ``c_gamma_closed_form`` c_gamma;
+``KernelSpec`` checks the dimension and the radius once, when it is built.
+
 The interface parameter of the constrained model is xi = c_gamma - c_F.
 Smaller xi gives sharper interfaces; xi = 0 is the sharp-interface threshold.
 The quadrature cross-checks of these constants are test oracles and live in
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "kernel_eval", "scaling_constant", "c_gamma_closed_form"]
+__all__ = ["KernelSpec", "kernel_eval", "c_gamma_closed_form"]
 
 
 @dataclass(frozen=True)
@@ -54,22 +57,10 @@ class KernelSpec:
 
     @property
     def scaling(self) -> float:
-        """C(delta) for this spec."""
-        return scaling_constant(self.dim, self.delta)
-
-
-def scaling_constant(dim: int, delta: float) -> float:
-    """Normalization C(delta) giving second moment 2*n*eps^2.
-
-    Raises ValueError for unsupported dimensions.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if dim == 1:
-        return 15.0 / (2.0 * delta**3)
-    if dim == 2:
-        return 24.0 / (math.pi * delta**4)
-    raise ValueError(f"unsupported dimension {dim}")
+        """C(delta), giving the kernel the second moment 2*n*eps^2."""
+        if self.dim == 1:
+            return 15.0 / (2.0 * self.delta**3)
+        return 24.0 / (math.pi * self.delta**4)
 
 
 def kernel_eval(spec: KernelSpec, r):
@@ -86,8 +77,4 @@ def kernel_eval(spec: KernelSpec, r):
 
 def c_gamma_closed_form(spec: KernelSpec) -> float:
     """c_gamma = integral of gamma: 10 eps^2/delta^2 (1D), 12 eps^2/delta^2 (2D)."""
-    if spec.dim == 1:
-        return 10.0 * spec.epsilon**2 / spec.delta**2
-    if spec.dim == 2:
-        return 12.0 * spec.epsilon**2 / spec.delta**2
-    raise ValueError(f"unsupported dimension {spec.dim}")
+    return (10.0 if spec.dim == 1 else 12.0) * spec.epsilon**2 / spec.delta**2

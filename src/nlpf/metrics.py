@@ -140,11 +140,7 @@ def interface_width(grid: Grid, u: np.ndarray, tol: float = DEFAULT_TOL) -> Inte
     """
     if not 0.0 <= tol < 0.5:
         raise ValueError(f"tol must satisfy 0 <= tol < 0.5, got {tol}")
-    u = np.asarray(u, dtype=float)
-    if u.shape == (grid.n_nodes,):
-        u = u[grid.interior_ids]
-    if u.shape != (grid.n_interior,):
-        raise ValueError(f"expected interior field of length {grid.n_interior}")
+    u = grid.interior(u, "field")
 
     mI = grid.mass_interior
     vol = float(mI.sum())
@@ -187,16 +183,5 @@ def field_distance(grid: Grid, u_a: np.ndarray, u_b: np.ndarray) -> float:
     Fields may be interior-length or full-length on this grid; the weights
     are the supplied grid's interior trapezoidal masses.
     """
-    vals = []
-    for v in (u_a, u_b):
-        v = np.asarray(v, dtype=float)
-        if v.shape == (grid.n_nodes,):
-            v = v[grid.interior_ids]
-        if v.shape != (grid.n_interior,):
-            raise ValueError(
-                f"field of shape {v.shape} does not match grid with "
-                f"{grid.n_interior} interior nodes"
-            )
-        vals.append(v)
-    d = vals[0] - vals[1]
+    d = grid.interior(u_a, "first field") - grid.interior(u_b, "second field")
     return float(np.sqrt(np.dot(grid.mass_interior * d, d)))

@@ -68,8 +68,8 @@ raises: there is no direct-solve fallback.
 
 The solvers assemble nothing that is fixed over a run: the stiffness K, the
 w-solver (around the w-equation matrix ``w_matrix``), the local obstacle
-matrix and, for implicit convolution, the convolution rows are passed in by
-the caller (the time loop builds them once per run).
+matrix and, for implicit convolution, the coupled matrix ``coupled_matrix``
+are passed in by the caller (the time loop builds them once per run).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from .grid import Grid
-from .nonlocal_ops import ConvolutionStencil, convolve, exterior_closure
+from .nonlocal_ops import ConvolutionStencil, conv_rows, convolve, exterior_closure
 from .physics import ModelParams
 
 __all__ = [
@@ -93,6 +93,7 @@ __all__ = [
     "PdasConfig",
     "StepOut",
     "WSolver",
+    "coupled_matrix",
     "factorized",
     "pdas_step_CH",
     "pdas_step_local_obstacle",
@@ -303,6 +304,27 @@ def local_obstacle_matrix(grid: Grid, K: sp.csr_matrix, params: ModelParams, tau
     return (sp.diags_array((r - params.c_F) * grid.mass_interior) + eps**2 * K).tocsr()
 
 
+def coupled_matrix(grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
+                   w_solver: WSolver) -> sp.csr_array:
+    """The implicit-convolution CH matrix over [u_int, u_ext, w], every phase row inactive.
+
+    Rows: the w-equation mu M u_int + A_w w, the phase rows
+    xi u_int - (gamma (*) u)_int - w, and the exterior closure
+    c_gamma_h u_ext - (gamma (*) u)_ext, with A_w ``w_solver.A`` and the
+    convolution rows of every node (``conv_rows``).  Fixed over a run.
+    """
+    W = conv_rows(stencil, np.arange(grid.n_nodes))
+    ids, ext = grid.interior_ids, grid.exterior_ids
+    n_i = grid.n_interior
+    xi = stencil.c_gamma_h_interior - params.c_F
+    W_I, W_E = W[ids], W[ext]
+    return sp.bmat([
+        [params.mu * sp.diags_array(grid.mass_interior), None, w_solver.A],
+        [xi * sp.eye_array(n_i) - W_I[:, ids], -W_I[:, ext], -sp.eye_array(n_i)],
+        [-W_E[:, ids], sp.diags_array(stencil.c_gamma_h[ext]) - W_E[:, ext], None],
+    ], format="csr")
+
+
 def factorized(bands: np.ndarray):
     """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky (pbtrf).
 
@@ -344,24 +366,6 @@ def _prolongation_1d(n: int) -> sp.csr_matrix:
     rows = np.concatenate([j, j])
     cols = np.concatenate([j // 2, np.minimum((j + 1) // 2, nc - 1)])
     return sp.coo_matrix((np.full(2 * n, 0.5), (rows, cols)), shape=(n, nc)).tocsr()
-
-
-def _stencil_dia(S, n: int, corners: bool) -> sp.dia_array:
-    """S, a stencil on the tensor grid of n x n nodes, in DIA form.
-
-    The offsets are those of the 5-point stencil, or of the 9-point one with
-    ``corners``, in ascending order (merged where n < 3), so a DIA product
-    sums each row in the sorted column order of a CSR product.  Entry (i, j)
-    of S lies on the diagonal of offset j - i, which DIA stores in column j;
-    entries of the stored diagonals that fall outside the matrix or wrap
-    across a grid row stay zero.
-    """
-    offsets = np.unique([a * n + b for a in (-1, 0, 1) for b in (-1, 0, 1)
-                         if corners or a * b == 0])
-    data = np.zeros((offsets.size, n * n))
-    S = S.tocoo()
-    data[np.searchsorted(offsets, S.col - S.row), S.col] += S.data
-    return sp.dia_array((data, offsets), shape=(n * n, n * n))
 
 
 def _tensor_apply(F, x: np.ndarray) -> np.ndarray:
@@ -467,11 +471,11 @@ class WSolver:
     axis: ``transfers`` pairs each level's 1D prolongation P1 with its CSR
     transpose, and ``set_weights`` holds each coarse level's weights
     (``_set_weights``) of the composite prolongation from the fine grid.  In
-    2D every operator is a stencil held once in DIA form with ascending
-    offsets: ``A`` is A_w, 5-point, and each of ``coarse_A_w`` is 9-point,
-    the Galerkin product of a 5-point operator under bilinear transfer
-    (formed through a Kronecker transfer that is not kept).  A CG failure
-    raises: there is no fallback.
+    2D every operator is a stencil held once in DIA form (``sp.dia_array``,
+    whose offsets are those of the stored entries, ascending): ``A`` is A_w,
+    5-point, and each of ``coarse_A_w`` is 9-point, the Galerkin product of
+    a 5-point operator under bilinear transfer (formed through a Kronecker
+    transfer that is not kept).  A CG failure raises: there is no fallback.
     """
 
     def __init__(self, grid: Grid, A_w: sp.csr_matrix):
@@ -482,7 +486,7 @@ class WSolver:
             # the upper banded form of ``factorized``
             self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
         else:
-            self.A = _stencil_dia(A_w, n, corners=False)
+            self.A = sp.dia_array(A_w)
         transfers, weights, coarse = [], [], []
         Q, C = sp.identity(n, format="csr"), A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
@@ -493,7 +497,7 @@ class WSolver:
             P = sp.kron(P1, P1).tocsr()
             C = (P.T @ C @ P).tocsr()
             n = P1.shape[1]
-            coarse.append(_stencil_dia(C, n, corners=True))
+            coarse.append(sp.dia_array(C))
         self.transfers = tuple(transfers)
         self.set_weights = tuple(weights)
         self.coarse_A_w = tuple(coarse)
@@ -537,7 +541,7 @@ def pdas_step_CH(
     m_prev: np.ndarray,
     config: PdasConfig,
     w_solver: WSolver,
-    W: sp.csr_matrix | None = None,
+    B: sp.csr_array | None = None,
     init_sets: ActiveSets | None = None,
     w0: np.ndarray | None = None,
 ) -> StepOut:
@@ -552,11 +556,11 @@ def pdas_step_CH(
     (every interior node sees the full stencil), and the convolution taken
     at the previous level (explicit mode, rows become diagonal in u) or at
     the current level (implicit mode, one sparse solve per sweep of the full
-    (u_int, u_ext, w) system, assembled once per step).  The exterior
-    layer is closed by the zero-flux condition, explicitly or as part of the
-    coupled solve respectively.  ``w_solver`` is
-    ``WSolver(grid, w_matrix(grid, K, beta, tau))``; implicit mode also needs
-    ``W = conv_rows(stencil, all nodes)``.
+    (u_int, u_ext, w) system).  The exterior layer is closed by the zero-flux
+    condition, explicitly or as part of the coupled solve respectively.
+    ``w_solver`` is ``WSolver(grid, w_matrix(grid, K, beta, tau))``; implicit
+    mode also needs ``B = coupled_matrix(grid, stencil, params, w_solver)``,
+    of which a sweep replaces the phase rows of the active nodes.
     """
     if params.beta <= 0:
         raise ValueError("pdas_step_CH requires beta > 0")
@@ -594,27 +598,20 @@ def pdas_step_CH(
             return solve
     else:
         # Implicit convolution: one sparse solve of the coupled system per
-        # sweep.  Unknowns [u_int, u_ext, w]; rows: w-equation, phase, exterior
-        # closure.  B has every phase row inactive; a sweep takes from E the
-        # row u_j = ubar_j of each active node j instead.
-        ext = grid.exterior_ids
-        n_i, n_e = grid.n_interior, ext.size
-        W_II, W_IE = W[ids][:, ids], W[ids][:, ext]
-        B = sp.bmat([
-            [mu * sp.diags_array(mI), None, w_solver.A],
-            [xi * sp.eye_array(n_i) - W_II, -W_IE, -sp.eye_array(n_i)],
-            [-W[ext][:, ids], sp.diags_array(stencil.c_gamma_h[ext]) - W[ext][:, ext], None],
-        ], format="csr")
+        # sweep.  B (``coupled_matrix``) has every phase row inactive; a sweep
+        # takes from E the row u_j = ubar_j of each active node j instead.
+        n_i = grid.n_interior
+        n_e = grid.exterior_ids.size
         E = sp.eye_array(2 * n_i + n_e, k=-n_i, format="csr")
+        r = c_F * m_prev - 0.5 * c_F
 
         def system(sets):
             keep = np.concatenate([np.ones(n_i), sets.inactive, np.ones(n_e)])
             A = sp.diags_array(keep) @ B + sp.diags_array(1.0 - keep) @ E
-            rhs2 = np.where(sets.inactive, c_F * m_prev - 0.5 * c_F, sets.upper.astype(float))
+            rhs2 = np.where(sets.inactive, r, sets.upper.astype(float))
             x = spsolve(A.tocsc(), np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)]))
-            u_I, u_E, w = x[:n_i], x[n_i : n_i + n_e], x[n_i + n_e :]
-            conv_I = W_II @ u_I + W_IE @ u_E
-            out = _Sweep(u_I, u_E, w, w + conv_I + c_F * m_prev - 0.5 * c_F - xi * u_I, 0)
+            out = _Sweep(x[:n_i], x[n_i : n_i + n_e], x[n_i + n_e :],
+                         r - (B @ x)[n_i : 2 * n_i], 0)
             return lambda rtol, last: out
 
     def residual(u_I, w, g, inactive):

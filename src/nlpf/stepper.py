@@ -42,12 +42,12 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .config import RunConfig
 from .fields_io import read_field
-from .grid import Grid, _trapezoid_weights, assemble_stiffness, build_grid
+from .grid import Grid, assemble_stiffness, build_grid, trapezoid_weights
 from .kernel import c_gamma_closed_form
-from .nonlocal_ops import (ConvolutionStencil, build_stencil, conv_rows, convolve,
-                           exterior_closure)
-from .pdas import (PdasConfig, StepOut, WSolver, factorized, local_obstacle_matrix,
-                   pdas_step_CH, pdas_step_local_obstacle, verify_complementarity, w_matrix)
+from .nonlocal_ops import ConvolutionStencil, build_stencil, convolve, exterior_closure
+from .pdas import (PdasConfig, StepOut, WSolver, coupled_matrix, factorized,
+                   local_obstacle_matrix, pdas_step_CH, pdas_step_local_obstacle,
+                   verify_complementarity, w_matrix)
 from .physics import ModelParams, coupling_m, objective_Jk, regular_potential_dF
 
 __all__ = [
@@ -115,7 +115,7 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     n, shape = grid.n_axis_interior, grid.interior_shape
     lam = (2.0 / grid.h**2) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
     scale = (a + b * np.add.outer(lam, lam)) * (2 * (n - 1))**2
-    weights = _trapezoid_weights(n, grid.h)
+    weights = trapezoid_weights(n, grid.h)
     m0 = np.multiply.outer(weights, weights)
     ring = _RingCorrection(grid, a, m0, scale) if grid.layer else None
 
@@ -146,7 +146,7 @@ class _RingCorrection:
     def __init__(self, grid: Grid, a: float, m0: np.ndarray, scale: np.ndarray):
         n = grid.n_axis_interior
         G = dct(np.eye(n), type=1, axis=0)
-        F = G / _trapezoid_weights(n, grid.h)
+        F = G / trapezoid_weights(n, grid.h)
         self.G, self.F, self.Sinv = G, F, 1.0 / scale
         self.g_ends, self.f_ends = G[[0, -1]], F[:, [0, -1]]
         # the ring as four sides of n values (rows 0, n-1, columns 0, n-1);
@@ -222,8 +222,8 @@ class NonlocalCHStep:
     """Constrained Cahn-Hilliard step (beta > 0), warm-started between steps.
 
     Owns the w-solver around tau (M + beta K) and, for implicit convolution,
-    the convolution rows; carries the previous step's active sets and w into
-    the next solve.
+    the coupled matrix (``coupled_matrix``), both built once; carries the
+    previous step's active sets and w into the next solve.
     """
 
     def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
@@ -231,14 +231,14 @@ class NonlocalCHStep:
         self.grid, self.stencil, self.params, self.tau = grid, stencil, params, tau
         self.config = config
         self.w_solver = WSolver(grid, w_matrix(grid, K, params.beta, tau))
-        self.W = (conv_rows(stencil, np.arange(grid.n_nodes))
+        self.B = (coupled_matrix(grid, stencil, params, self.w_solver)
                   if config.convolution_mode == "implicit" else None)
         self.sets = self.w = None
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
         out = pdas_step_CH(
             self.grid, self.stencil, self.params, self.tau, u,
-            coupling_m(self.params, theta), self.config, self.w_solver, self.W,
+            coupling_m(self.params, theta), self.config, self.w_solver, self.B,
             init_sets=self.sets, w0=self.w,
         )
         self.sets, self.w = out.sets, out.w
@@ -369,16 +369,7 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
     coords = grid.coords()
     init = config.init
     if init.kind == "file":
-        _, vals = read_field(init.path)
-        if vals.size == grid.n_interior:
-            u_I = vals
-        elif vals.size == grid.n_nodes:
-            u_I = vals[ids]
-        else:
-            raise ValueError(
-                f"initial field has {vals.size} values; expected "
-                f"{grid.n_interior} (interior) or {grid.n_nodes} (all nodes)"
-            )
+        u_I = grid.interior(read_field(init.path)[1], "initial field")
         lo, hi = float(u_I.min()), float(u_I.max())  # NaN propagates into both
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"initial field {init.path} has non-finite values")

@@ -132,6 +132,21 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert not unused, sorted(unused)
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name two modules share is public: it goes in __all__, where the
+    # caller rule above sees it
+    package = Path(__file__).resolve().parents[1] / "src" / "nlpf"
+    paths, private = sorted(package.glob("*.py")), set()
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "nlpf"):
+                private |= {f"{path.stem}: {node.module}.{a.name}" for a in node.names
+                            if a.name.startswith("_")}
+    assert not private, sorted(private)
+
+
 def _documented_keys(lines):
     """{(section, key): required} of a config-format block.
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nlpf.kernel import KernelSpec, c_gamma_closed_form, kernel_eval, scaling_constant
+from nlpf.kernel import KernelSpec, c_gamma_closed_form, kernel_eval
 from oracles import c_gamma_quadrature, second_moment_check
 
 EX1 = KernelSpec(epsilon=0.02, delta=0.1540, dim=1)
@@ -31,13 +31,10 @@ def test_kernel_eval_half_radius():
 
 
 def test_scaling_constant_values():
-    assert scaling_constant(1, 0.1) == pytest.approx(7500.0, rel=1e-14)
-    assert scaling_constant(1, 1.0) == pytest.approx(7.5, rel=1e-14)
-    assert scaling_constant(2, 1.0) == pytest.approx(24.0 / math.pi, rel=1e-14)
-    with pytest.raises(ValueError):
-        scaling_constant(3, 1.0)
-    with pytest.raises(ValueError):
-        scaling_constant(1, -0.5)
+    # dim 3 and delta <= 0 are rejected by KernelSpec (test_spec_validation)
+    assert KernelSpec(1.0, 0.1, 1).scaling == pytest.approx(7500.0, rel=1e-14)
+    assert KernelSpec(1.0, 1.0, 1).scaling == pytest.approx(7.5, rel=1e-14)
+    assert KernelSpec(1.0, 1.0, 2).scaling == pytest.approx(24.0 / math.pi, rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,16 @@ def test_field_distance_cases():
         field_distance(g6, a[:4], b)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interface_width_of_a_field_without_interface(dim):
+    # all LOW: no line crosses an interface or holds a MID node
+    g = build_grid(dim, 1 / 10, 0.0)
+    rep = interface_width(g, np.zeros(g.n_interior))
+    assert rep.widths == [0] and rep.interior_nodes == [0]
+    assert rep.fraction_low == 1.0 and rep.fraction_high == 0.0
+    assert (rep.normal_min, rep.normal_max, rep.normal_p05, rep.normal_p95) == (0.0,) * 4
+
+
 def test_interface_width_shape_checks():
     g = _grid1d(10)
     with pytest.raises(ValueError):

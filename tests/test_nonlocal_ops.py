@@ -10,7 +10,7 @@ from nlpf.nonlocal_ops import (
     convolve,
     exterior_closure,
 )
-from nlpf.pdas import PdasConfig, WSolver, pdas_step_CH, w_matrix
+from nlpf.pdas import PdasConfig, WSolver, coupled_matrix, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams
 from oracles import dense_conv_matrix, trapezoid_masses
 
@@ -216,10 +216,10 @@ def test_exterior_flux_implicit_matches_dense_solve():
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
     rng = np.random.default_rng(14)
     u_prev = rng.random(g.n_nodes)
+    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 3e-4))
     res = pdas_step_CH(g, st, params, 3e-4, u_prev, np.zeros(g.n_interior),
-                       PdasConfig(convolution_mode="implicit"),
-                       WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 3e-4)),
-                       conv_rows(st, np.arange(g.n_nodes)))
+                       PdasConfig(convolution_mode="implicit"), w_solver,
+                       coupled_matrix(g, st, params, w_solver))
     W = _dense_W(g, spec)
     c_h = W @ np.ones(g.n_nodes)
     ext, ids = g.exterior_ids, g.interior_ids

@@ -14,11 +14,12 @@ import nlpf.pdas as pdas
 
 from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.kernel import KernelSpec
-from nlpf.nonlocal_ops import build_stencil, conv_rows, convolve
+from nlpf.nonlocal_ops import build_stencil, convolve
 from nlpf.pdas import (
     ActiveSets,
     PdasConfig,
     WSolver,
+    coupled_matrix,
     local_obstacle_matrix,
     pdas_step_CH,
     pdas_step_local_obstacle,
@@ -42,10 +43,10 @@ TAU = 3e-4
 
 def _ch(g, stn, params, tau, u_prev, m_prev, cfg, **kw):
     """pdas_step_CH with its operators built as the time loop builds them."""
-    W = (conv_rows(stn, np.arange(g.n_nodes))
-         if cfg.convolution_mode == "implicit" else None)
     w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, tau))
-    return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, w_solver, W, **kw)
+    B = (coupled_matrix(g, stn, params, w_solver)
+         if cfg.convolution_mode == "implicit" else None)
+    return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, w_solver, B, **kw)
 
 
 def _lo(g, params, tau, eps, u_prev, m_prev, cfg, **kw):

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import factorized
 
 from nlpf import stepper
 from nlpf.config import InitSpec, RunConfig
-from nlpf.fields_io import build_report, write_field
+from nlpf.fields_io import build_report, read_field, write_field
 from nlpf.grid import assemble_stiffness, build_grid
 from nlpf.metrics import interface_width
 from nlpf.kernel import KernelSpec
@@ -18,6 +18,7 @@ from nlpf.nonlocal_ops import build_stencil
 from nlpf.pdas import PdasConfig, WSolver, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams, coupling_m, regular_potential_dF
 from nlpf.presets import example1_config, example3_config
+from nlpf.repro import write_snapshots
 from nlpf.stepper import (
     LocalRegularStep,
     NonlocalACStep,
@@ -402,12 +403,14 @@ def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
         run(dataclasses.replace(cfg, init=InitSpec(theta0=str(tmp_path / "theta0.csv"))))
 
 
-@pytest.mark.parametrize("variant, dim", [("nonlocal_CH", 1), ("nonlocal_CH", 2),
-                                          ("local_obstacle", 1), ("local_regular", 1)],
-                         ids=["nonlocal_CH", "nonlocal_CH-2d", "local_obstacle",
-                              "local_regular"])
-def test_run_caches_nothing_on_its_inputs(variant, dim, monkeypatch):
-    built, solvers, factorized, lo_matrices = [], [], [], []
+@pytest.mark.parametrize("variant, dim, mode", [
+    ("nonlocal_CH", 1, "explicit"), ("nonlocal_CH", 2, "explicit"),
+    ("nonlocal_CH", 1, "implicit"), ("local_obstacle", 1, "explicit"),
+    ("local_regular", 1, "explicit")],
+    ids=["nonlocal_CH", "nonlocal_CH-2d", "nonlocal_CH-implicit", "local_obstacle",
+         "local_regular"])
+def test_run_caches_nothing_on_its_inputs(variant, dim, mode, monkeypatch):
+    built, solvers, factorized, lo_matrices, coupled, bmats = [], [], [], [], [], []
 
     def record(fn):
         def wrapped(*args):
@@ -426,19 +429,39 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, monkeypatch):
     lo_matrix = stepper.local_obstacle_matrix
     monkeypatch.setattr(stepper, "local_obstacle_matrix",
                         lambda *args: lo_matrices.append(args) or lo_matrix(*args))
-    cfg = _variant_config(variant)
+    couple, bmat = stepper.coupled_matrix, sp.bmat
+    monkeypatch.setattr(stepper, "coupled_matrix",
+                        lambda *args: coupled.append(args) or couple(*args))
+    monkeypatch.setattr(sp, "bmat", lambda *args, **kw: bmats.append(args) or bmat(*args, **kw))
+    cfg = dataclasses.replace(_variant_config(variant),
+                              pdas=PdasConfig(convolution_mode=mode)).validate()
     if dim == 2:
         cfg = dataclasses.replace(cfg, dim=2, h=1 / 16).validate()
     assert run(cfg).n_steps == 10
     assert len(built) == (2 if variant == "nonlocal_CH" else 1)
     for obj, keys in built:
         assert set(vars(obj)) == keys, type(obj).__name__
-    # heat matrix (and the local_regular phase matrix): one solver each per
-    # run, factorized once in 1D (in 2D the DCT-I solve needs no factors)
-    assert len(solvers) == (2 if variant == "local_regular" else 1)
+    # heat matrix (and the local_regular phase matrix, or the Green's matrix
+    # of the energy diagnostics): one solver each per run, factorized once in
+    # 1D (in 2D the DCT-I solve needs no factors)
+    assert len(solvers) == (2 if variant == "local_regular" or cfg.records_energy else 1)
     assert len(factorized) == (len(solvers) if dim == 1 else 0)
     # the local obstacle matrix: once per run
     assert len(lo_matrices) == (1 if variant == "local_obstacle" else 0)
+    # the implicit coupled matrix: once per run, and no step assembles its own
+    assert len(coupled) == len(bmats) == (1 if mode == "implicit" else 0)
+
+
+def test_run_starts_from_a_saved_all_nodes_snapshot(tmp_path):
+    # a nonlocal snapshot holds u on every node, the layer included; a run
+    # started from it through [init] file takes its interior values exactly
+    res = run(_mini_config())
+    g, last = res.grid, res.states[-1]
+    path = tmp_path / write_snapshots(res, str(tmp_path))[-1]["files"]["u"]
+    assert read_field(str(path))[1].size == g.n_nodes > g.n_interior
+    again = run(dataclasses.replace(res.config, init=InitSpec(kind="file", path=str(path)),
+                                    T_final=res.config.tau, snapshots=(0.0,)))
+    assert np.array_equal(again.states[0].u[g.interior_ids], last.u[g.interior_ids])
 
 
 def test_run_stops_at_a_cycling_active_set_step(monkeypatch):
