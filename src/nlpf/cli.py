@@ -100,7 +100,7 @@ def cmd_repro(args) -> int:
 def cmd_metrics(args) -> int:
     import numpy as np
 
-    from .fields_io import read_field
+    from .fields_io import field_on_grid, read_field
     from .grid import build_grid
     from .metrics import interface_width
 
@@ -119,6 +119,7 @@ def cmd_metrics(args) -> int:
         return 1
     try:
         grid = build_grid(dim, 1.0 / (n_axis - 1), 0.0)
+        values = field_on_grid(coords, values, grid, f"field {args.field}")
         rep = interface_width(grid, values, tol=args.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

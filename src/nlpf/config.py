@@ -14,6 +14,10 @@ with the RunConfig attribute it sets; required keys are marked *:
                (not both); theta0 = const | path
     [output]   directory (CSV files; a 2D run adds one VTK file per snapshot)
 
+An ``[init] file`` or ``theta0`` path names a field CSV of the run's grid,
+every node or the interior ones in node order, as the snapshots of a run
+on that grid are (``fields_io.field_on_grid``).
+
 An absent optional key keeps its dataclass default; a number that is NaN or
 infinite is an error that names its key, also in a RunConfig built in code
 (``validate``).  An unknown section or

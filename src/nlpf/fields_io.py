@@ -16,20 +16,11 @@ __all__ = [
     "format_values",
     "write_field",
     "read_field",
+    "field_on_grid",
     "write_vtk",
     "build_report",
     "write_report",
 ]
-
-
-def _restrict(grid: Grid, values, ids: np.ndarray, name: str) -> np.ndarray:
-    """``values`` on the nodes ``ids``, given full-length or already restricted."""
-    values = np.asarray(values, dtype=float)
-    if values.shape == (grid.n_nodes,):
-        values = values[ids]
-    if values.shape != (ids.size,):
-        raise ValueError(f"{name} has {values.size} values; the region has {ids.size} nodes")
-    return values
 
 
 #: Values formatted per join in format_values.
@@ -52,15 +43,13 @@ def format_values(values) -> str:
 def _region_rows(grid: Grid, values, ids: np.ndarray, width: int, name: str):
     """The text of ``values`` on the nodes ``ids``, ``width`` lines at a time.
 
-    ``values`` is an array or its format_values text, full-length or already
-    restricted to ``ids``; its size is checked here, the rows are sliced
-    lazily.  Each run of ``width`` ids must be consecutive nodes (a grid row
-    of the region), so that its lines are one slice of the text.
+    ``values`` is an array or its format_values text, on every node or on
+    ``ids`` only: an array is formatted as given, and the line count decides
+    for both.  The rows are sliced lazily.  Each run of ``width`` ids must
+    be consecutive nodes (a grid row of the region), so that its lines are
+    one slice of the text.
     """
-    if isinstance(values, str):
-        text = values
-    else:
-        text = format_values(_restrict(grid, values, ids, name))
+    text = values if isinstance(values, str) else format_values(values)
     newlines = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 10)
     starts = np.concatenate(([0], newlines + 1))  # line i is text[starts[i]:starts[i + 1]]
     n = newlines.size
@@ -116,6 +105,25 @@ def read_field(path: str):
     return data[:, : ncols - 1], data[:, ncols - 1]
 
 
+def field_on_grid(coords: np.ndarray, values: np.ndarray, grid: Grid, what: str) -> np.ndarray:
+    """The interior values of a field read by read_field, checked against ``grid``.
+
+    The rows must be the grid's nodes in node order, every node or the
+    interior ones, each coordinate within 1e-9: the files write_field writes
+    on this grid, of either region.  Any other file raises a ValueError that
+    names ``what`` and the grid.
+    """
+    nodes = grid.coords()
+    if values.size == grid.n_interior:
+        nodes = nodes[grid.interior_ids]
+    if coords.shape != nodes.shape or not np.abs(coords - nodes).max() <= 1e-9:  # NaN fails
+        raise ValueError(
+            f"{what} ({values.size} rows, {coords.shape[1]}D) does not hold the nodes of the "
+            f"{grid.dim}D grid of h = {grid.h:g} in node order, all {grid.n_nodes} or the "
+            f"{grid.n_interior} interior ones")
+    return grid.interior(values, what)
+
+
 def write_vtk(path: str, grid: Grid, fields: dict) -> None:
     """Legacy-VTK STRUCTURED_POINTS export of the 2D interior, one SCALARS block per field.
 
@@ -126,18 +134,12 @@ def write_vtk(path: str, grid: Grid, fields: dict) -> None:
         raise ValueError("VTK export supports 2D grids only")
     n_ax = grid.n_axis_interior
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("nlpf field export\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {n_ax} {n_ax} 1\n")
-        fh.write("ORIGIN 0.0 0.0 0.0\n")
-        fh.write(f"SPACING {grid.h} {grid.h} 1.0\n")
-        fh.write(f"POINT_DATA {n_ax * n_ax}\n")
+        fh.write("# vtk DataFile Version 3.0\nnlpf field export\nASCII\n"
+                 f"DATASET STRUCTURED_POINTS\nDIMENSIONS {n_ax} {n_ax} 1\n"
+                 f"ORIGIN 0.0 0.0 0.0\nSPACING {grid.h} {grid.h} 1.0\nPOINT_DATA {n_ax * n_ax}\n")
         for name, values in fields.items():
             rows = _region_rows(grid, values, grid.interior_ids, n_ax, f"field {name!r}")
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             fh.writelines(rows)
 
 

@@ -86,30 +86,24 @@ class InterfaceReport:
         }
 
 
-def _line_runs(classes: np.ndarray) -> list:
-    """(cells, mid nodes) of each maximal interface run along one line."""
-    a = classes[:-1]
-    b = classes[1:]
-    is_iface = ~(((a == 0) & (b == 0)) | ((a == 2) & (b == 2)))
-    runs = []
-    start = None
-    for i, flag in enumerate(is_iface):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((i - start, int((classes[start : i + 1] == 1).sum())))
-            start = None
-    if start is not None:
-        n = len(is_iface)
-        runs.append((n - start, int((classes[start:] == 1).sum())))
-    return runs
+def _interface_runs(lines: np.ndarray) -> tuple:
+    """Cells and MID nodes of each interface run of the rows of ``lines``, in order.
+
+    One array pass over the node classes, one grid line per row: the padded
+    interface-cell indicator rises by 1 at the first cell of a run and falls
+    by 1 after its last, and a run of cells [s, e) holds the nodes s..e.
+    """
+    a, b = lines[:, :-1], lines[:, 1:]
+    iface = (a != b) | (a == 1)  # not two equal pure phases
+    edges = np.diff(np.pad(iface.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
+    mid = np.pad(np.cumsum(lines == 1, axis=1), ((0, 0), (1, 0)))  # MID nodes before j
+    return (ends - starts).tolist(), (mid[rows, ends + 1] - mid[rows, starts]).tolist()
 
 
 def _classify(u: np.ndarray, tol: float) -> np.ndarray:
-    cls = np.ones(u.shape, dtype=np.int8)  # 1 = mid
-    cls[u <= tol] = 0
-    cls[u >= 1.0 - tol] = 2
-    return cls
+    return np.where(u <= tol, 0, np.where(u >= 1.0 - tol, 2, 1)).astype(np.int8)
 
 
 def _normal_thickness(arr):
@@ -149,16 +143,14 @@ def interface_width(grid: Grid, u: np.ndarray, tol: float = DEFAULT_TOL) -> Inte
 
     cls = _classify(u, tol).reshape(grid.interior_shape)
     # every grid line along x, then every line along y (x is the last axis)
-    lines = [ln for axis in reversed(range(grid.dim))
-             for ln in np.moveaxis(cls, axis, -1).reshape(-1, cls.shape[axis])]
-    crossing = [ln for ln in lines if (ln == 0).any() and (ln == 2).any()]
-    if not crossing:
-        crossing = [ln for ln in lines if (ln == 1).any()]
-    runs = [run for ln in crossing for run in _line_runs(ln)]
-    if not runs:
-        runs = [(0, 0)]
-    widths = [r[0] for r in runs]
-    nodes = [r[1] for r in runs]
+    lines = np.concatenate([np.moveaxis(cls, axis, -1).reshape(-1, cls.shape[axis])
+                            for axis in reversed(range(grid.dim))])
+    crossing = (lines == 0).any(axis=1) & (lines == 2).any(axis=1)
+    if not crossing.any():
+        crossing = (lines == 1).any(axis=1)
+    widths, nodes = _interface_runs(lines[crossing])
+    if not widths:
+        widths, nodes = [0], [0]
     normal_min, normal_max, normal_p05, normal_p95 = _normal_thickness(cls)
     return InterfaceReport(
         tol=tol,

@@ -38,8 +38,9 @@ EX3_WIDTH_WINDOWS = {
 def write_snapshots(result: RunResult, outdir: str) -> list:
     """Write theta/u (and w, lam when present) per snapshot; return manifest.
 
-    Every field is a CSV file (write_field); on a 2D grid u and theta also
-    go to one VTK file (write_vtk).  u and theta are formatted once per
+    Every field is a CSV file (write_field), u on every node of the grid and
+    the others on the interior; on a 2D grid u and theta also go to one VTK
+    file (write_vtk) of the interior.  u and theta are formatted once per
     snapshot and that text serves both files; it is held for one snapshot
     at a time.  Each manifest entry also carries
     the interface metrics of the snapshot, including the counting
@@ -60,12 +61,11 @@ def write_snapshots(result: RunResult, outdir: str) -> list:
 
 def _write_snapshot(result: RunResult, st, outdir: str) -> dict:
     grid = result.grid
-    u_region = "union" if grid.exterior_ids.size else "interior"
     theta, u = format_values(st.theta), format_values(st.u)
     files = {}
     for name, vals, region in (
         ("theta", theta, "interior"),
-        ("u", u, u_region),
+        ("u", u, "union"),  # the interior on a grid without a layer
         ("w", st.w, "interior"),
         ("lambda", st.lam, "interior"),
     ):

@@ -41,7 +41,7 @@ from scipy.fft import dct, dctn
 from scipy.linalg import cho_factor, cho_solve
 
 from .config import RunConfig
-from .fields_io import read_field
+from .fields_io import field_on_grid, read_field
 from .grid import Grid, assemble_stiffness, build_grid, trapezoid_weights
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import ConvolutionStencil, build_stencil, convolve, exterior_closure
@@ -363,13 +363,14 @@ def timestep_admissibility(config: RunConfig, C_I: float = 0.0) -> Admissibility
 def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None) -> State:
     """Build (theta^0, u^0); nonlocal u^0 is extended by the explicit flux closure.
 
-    A ``file`` field must be finite and, for an obstacle variant, in [0, 1].
+    A ``file`` or ``theta0`` field must fit the grid (``field_on_grid``) and be
+    finite, and a ``file`` field of an obstacle variant lie in [0, 1].
     """
     ids = grid.interior_ids
     coords = grid.coords()
     init = config.init
     if init.kind == "file":
-        u_I = grid.interior(read_field(init.path)[1], "initial field")
+        u_I = field_on_grid(*read_field(init.path), grid, f"initial field {init.path}")
         lo, hi = float(u_I.min()), float(u_I.max())  # NaN propagates into both
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"initial field {init.path} has non-finite values")
@@ -398,9 +399,7 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
         u_full[grid.exterior_ids] = exterior_closure(stencil, convolve(stencil, u_full))
 
     if isinstance(init.theta0, str):
-        _, theta = read_field(init.theta0)
-        if theta.size != grid.n_interior:
-            raise ValueError("theta0 field size does not match interior nodes")
+        theta = field_on_grid(*read_field(init.theta0), grid, f"theta0 field {init.theta0}")
         if not np.isfinite(theta).all():
             raise ValueError(f"theta0 field {init.theta0} has non-finite values")
     else:

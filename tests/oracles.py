@@ -5,7 +5,8 @@ the kernel constants by radial quadrature, the kernel written out as a
 polynomial, dense matrices built from coordinates instead of stencils,
 exhaustive 3^N active-set enumeration instead of the active-set iteration,
 and the nonlocal AC projection iterated as an active-set loop instead of
-evaluated in closed form.  Sizes are deliberately tiny.  ``sets_from_bounds``
+evaluated in closed form, and the interface runs scanned one grid line at a
+time instead of in one array pass.  Sizes are deliberately tiny.  ``sets_from_bounds``
 gives tests a starting estimate of the active sets other than the solvers'
 all-inactive one: a field's own bound pattern.
 """
@@ -26,7 +27,7 @@ __all__ = [
     "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",
     "dense_conv_matrix", "dense_stiffness_1d", "enumerate_CH_explicit",
     "enumerate_CH_implicit", "enumerate_local_obstacle", "pdas_step_AC_nonlocal",
-    "sets_from_bounds",
+    "sets_from_bounds", "interface_runs",
 ]
 
 #: Gauss-Legendre order for the radial quadratures (exact for the polynomial
@@ -271,3 +272,39 @@ def sets_from_bounds(u_interior: np.ndarray) -> ActiveSets:
     """Active sets from a field's own bound pattern (within 1e-9)."""
     u_interior = np.asarray(u_interior, dtype=float)
     return ActiveSets(upper=u_interior >= 1.0 - 1e-9, lower=u_interior <= 1e-9)
+
+
+def _line_runs(classes: np.ndarray) -> list:
+    """(cells, mid nodes) of each maximal interface run along one line."""
+    a = classes[:-1]
+    b = classes[1:]
+    is_iface = ~(((a == 0) & (b == 0)) | ((a == 2) & (b == 2)))
+    runs = []
+    start = None
+    for i, flag in enumerate(is_iface):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((i - start, int((classes[start : i + 1] == 1).sum())))
+            start = None
+    if start is not None:
+        n = len(is_iface)
+        runs.append((n - start, int((classes[start:] == 1).sum())))
+    return runs
+
+
+def interface_runs(cls: np.ndarray) -> tuple:
+    """(widths, interior_nodes) of ``metrics.interface_width``, line by line.
+
+    ``cls`` holds the node classes (0 LOW, 1 MID, 2 HIGH) on the interior
+    grid shape.  The lines are every x-line, then in 2D every y-line; only
+    the lines that cross from LOW to HIGH count, or if none does, the lines
+    with a MID node.  No run at all gives ``([0], [0])``.
+    """
+    lines = [ln for axis in reversed(range(cls.ndim))
+             for ln in np.moveaxis(cls, axis, -1).reshape(-1, cls.shape[axis])]
+    crossing = [ln for ln in lines if (ln == 0).any() and (ln == 2).any()]
+    if not crossing:
+        crossing = [ln for ln in lines if (ln == 1).any()]
+    runs = [run for ln in crossing for run in _line_runs(ln)] or [(0, 0)]
+    return [r[0] for r in runs], [r[1] for r in runs]

@@ -264,3 +264,18 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, "nlpf_bench/selftest.py"], cwd=repo,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_library_examples_run_and_list_the_stepout_fields(tmp_path, monkeypatch):
+    # the README's Python blocks are one session: the second uses the first's imports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)  # the first block writes its output below the cwd
+    session = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), session)
+    assert isinstance(session["out"], pdas.StepOut)
+    listed = re.search(r"StepOut\(([^)]*)\)", readme).group(1)
+    assert [name.strip() for name in listed.split(",")] == [
+        f.name for f in dataclasses.fields(pdas.StepOut)]

@@ -12,12 +12,12 @@ from nlpf import cli
 from nlpf.cli import main as cli_main
 from nlpf.config import (ConfigError, InitSpec, config_as_dict, parse_config_file,
                          parse_config_text)
-from nlpf.fields_io import (build_report, format_values, read_field, write_field,
-                            write_report, write_vtk)
+from nlpf.fields_io import (build_report, field_on_grid, format_values, read_field,
+                            write_field, write_report, write_vtk)
 from nlpf.grid import build_grid
 from nlpf.pdas import PdasConfig
 from nlpf.presets import example1_config, example2_config, example3_config
-from nlpf.stepper import run
+from nlpf.stepper import initial_state, run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -177,6 +177,66 @@ def test_field_size_mismatch(tmp_path):
     g = build_grid(1, 1 / 4, 0.0)
     with pytest.raises(ValueError):
         write_field(str(tmp_path / "x.csv"), g, np.zeros(3), region="interior")
+
+
+@pytest.mark.parametrize("dim, h, delta", [
+    (1, 1 / 12, 0.0), (1, 1 / 12, 0.2), (2, 1 / 6, 0.0), (2, 1 / 6, 0.34)])
+def test_field_on_grid_takes_back_both_regions_of_write_field(tmp_path, dim, h, delta):
+    g = build_grid(dim, h, delta)
+    u = np.random.default_rng(5).standard_normal(g.n_nodes)
+    for region, given in (("interior", u[g.interior_ids]), ("union", u)):
+        path = tmp_path / f"{region}.csv"
+        write_field(str(path), g, given, region=region)
+        got = field_on_grid(*read_field(str(path)), g, str(path))
+        assert np.array_equal(got, u[g.interior_ids]), region
+
+
+def _shuffled_rows(path, seed=0):
+    """Rewrite a field CSV with its data rows in a random order."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(rows))
+    path.write_text(header + "".join(rows[i] for i in order))
+
+
+def test_field_on_grid_rejects_the_file_of_another_grid(tmp_path):
+    def written(grid, name):
+        path = tmp_path / name
+        write_field(str(path), grid, np.linspace(0.0, 1.0, grid.n_nodes), region="union")
+        return path
+
+    line = build_grid(1, 1 / 120, 0.0)  # 121 nodes, as many as an 11 x 11 square
+    square = written(build_grid(2, 1 / 10, 0.0), "square.csv")
+    with pytest.raises(ValueError,
+                       match=r"square\.csv \(121 rows, 2D\) does not hold the nodes of the 1D"):
+        field_on_grid(*read_field(str(square)), line, str(square))
+    g = build_grid(1, 1 / 14, 0.0)  # 15 nodes, as many as h = 1/10 with a 2-node layer
+    other = written(build_grid(1, 1 / 10, 0.2), "other.csv")
+    with pytest.raises(ValueError, match="does not hold the nodes"):
+        field_on_grid(*read_field(str(other)), g, str(other))
+    shuffled = written(g, "shuffled.csv")
+    _shuffled_rows(shuffled)
+    with pytest.raises(ValueError, match="does not hold the nodes"):
+        field_on_grid(*read_field(str(shuffled)), g, str(shuffled))
+    short = written(build_grid(1, 1 / 13, 0.0), "short.csv")
+    with pytest.raises(ValueError, match=r"\(14 rows, 1D\)"):
+        field_on_grid(*read_field(str(short)), g, str(short))
+
+
+def test_run_checks_its_init_and_theta0_files_against_the_grid(tmp_path):
+    cfg = parse_config_text(MINI_CFG)  # 1D, h = 1/40 and a 4-node layer: 49 nodes
+    g = build_grid(cfg.dim, cfg.h, cfg.delta)
+    foreign = tmp_path / "foreign.csv"  # 49 nodes of a grid without a layer
+    write_field(str(foreign), build_grid(1, 1 / 48, 0.0), np.full(49, 0.5))
+    for init in (InitSpec(kind="file", path=str(foreign)), InitSpec(theta0=str(foreign))):
+        with pytest.raises(ValueError,
+                           match=r"foreign\.csv \(49 rows, 1D\) does not hold the nodes of the 1D"):
+            run(dataclasses.replace(cfg, init=init))
+    # a theta0 file, like an [init] file, may hold every node
+    theta = np.random.default_rng(3).random(g.n_nodes)
+    write_field(str(tmp_path / "theta0.csv"), g, theta, region="union")
+    state = initial_state(dataclasses.replace(cfg, init=InitSpec(
+        theta0=str(tmp_path / "theta0.csv"))), g, None)
+    assert np.array_equal(state.theta, theta[g.interior_ids])
 
 
 def test_vtk_header_and_blocks(tmp_path):
@@ -416,6 +476,18 @@ def test_cli_metrics_on_unreadable_field(content, message, tmp_path, capsys):
     assert cli_main(["metrics", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_metrics_rejects_a_shuffled_field(tmp_path, capsys):
+    # read in file order, the shuffled rows of a one-cell front give wrong runs
+    g = build_grid(1, 0.1, 0.0)
+    p = tmp_path / "u.csv"
+    write_field(str(p), g, (g.coords()[:, 0] <= 0.5).astype(float))
+    _shuffled_rows(p)
+    assert cli_main(["metrics", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: field ") and "node order" in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 

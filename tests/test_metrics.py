@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nlpf.grid import build_grid
 from nlpf.metrics import interface_width, field_distance
+from oracles import interface_runs
 
 
 def _grid1d(n_cells=30):
@@ -85,6 +89,34 @@ def test_widths_match_brute_force_scan(dim):
             # x-lines (rows of the (y, x) array), then y-lines
             arr = u.reshape(g.interior_shape)
             assert rep.widths == brute_force_line_scan(list(arr) + list(arr.T), 1e-3)
+
+
+@st.composite
+def _class_fields(draw):
+    """Node classes (0 LOW, 1 MID, 2 HIGH) on a 1D or 2D interior grid shape.
+
+    Some alphabets leave out a class, so that no line crosses from LOW to
+    HIGH or no node is MID.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 40 if dim == 1 else 9))
+    alphabet = draw(st.sampled_from([(0, 1, 2), (0, 2), (0, 1), (1, 2), (1,), (0, 0, 2, 1)]))
+    return draw(arrays(np.int8, (n,) * dim, elements=st.sampled_from(alphabet)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_fields())
+@example(np.array([1, 0, 0, 2, 2, 1], dtype=np.int8))  # runs at both ends of the line
+@example(np.array([[0, 2, 2], [2, 0, 0], [0, 0, 2]], dtype=np.int8))  # no MID node
+@example(np.array([[0, 0, 0], [0, 1, 0], [2, 2, 2]], dtype=np.int8))  # some lines cross
+@example(np.array([[0, 1], [1, 1]], dtype=np.int8))  # no line crosses
+@example(np.zeros((4, 4), dtype=np.int8))  # no run
+def test_interface_runs_match_the_per_line_scan_in_order(cls):
+    g = build_grid(cls.ndim, 1.0 / (cls.shape[0] - 1), 0.0)
+    rep = interface_width(g, cls.ravel() / 2.0)  # 0, 0.5 and 1 are LOW, MID and HIGH
+    widths, nodes = interface_runs(cls)
+    assert rep.widths == widths
+    assert rep.interior_nodes == nodes
 
 
 def test_two_dimensional_bands():
