@@ -80,8 +80,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
 from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from .grid import Grid
@@ -326,13 +326,21 @@ def coupled_matrix(grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
 
 
 def factorized(bands: np.ndarray):
-    """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky (pbtrf).
+    """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky.
 
-    ``bands`` is [superdiagonal (first entry unused); diagonal].  An A that
-    is not positive definite raises ``LinAlgError``: there is no fallback.
+    ``bands`` is [superdiagonal (first entry unused); diagonal], the upper
+    banded form that LAPACK ``dpbtrf`` factors once; each solve is one
+    ``dpbtrs``.  A non-finite band raises ``ValueError`` and an A that is not
+    positive definite ``LinAlgError``: there is no fallback.
     """
-    c = cholesky_banded(bands)
-    return lambda b: cho_solve_banded((c, False), b)
+    bands = np.asarray(bands, dtype=float)
+    if not np.isfinite(bands).all():
+        raise ValueError("factorized: the bands hold a non-finite value")
+    c, info = dpbtrf(bands)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"factorized: leading minor {info} is not positive definite")
+    return lambda b: dpbtrs(c, b)[0]
 
 
 def _cg(A, b: np.ndarray, x0: np.ndarray, rtol: float, what: str,

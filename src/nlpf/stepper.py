@@ -26,7 +26,9 @@ The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
 M + beta K of the energy diagnostics) are solved exactly by ``exact_solver``:
 in 1D by banded Cholesky (``pdas.factorized``), and in 2D by two DCT-I
 transforms, with a capacitance correction on the boundary ring of a grid with
-an interaction layer.
+an interaction layer.  The ring is a cycle of four sides that the square's
+quarter turn permutes, so its capacitance splits into three blocks of one
+side's size, and the correction runs on 1D transforms of the ring's lines.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dct, dctn
+from scipy.fft import dct, dctn, irfft, rfft
 from scipy.linalg import cho_factor, cho_solve
 
 from .config import RunConfig
@@ -105,7 +107,11 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     grid without interaction layer M = M0.  With a layer the interior mass
     is not halved at the unit-domain boundary, so M - M0 is a positive
     diagonal on the boundary ring, and a capacitance (Woodbury) correction
-    on the ring makes the two-``dctn`` solve exact (``_RingCorrection``).
+    on the ring makes the two-``dctn`` solve exact (``_RingCorrection``):
+    the ring is read as four sides of n - 1 nodes that the quarter turn of
+    the square permutes cyclically, so the capacitance splits into three
+    (n-1)-blocks, each factored once, and each solve adds 1D DCT-I
+    transforms of the four ring lines and three block solves.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
         raise ValueError(f"exact_solver needs finite a > 0 and b >= 0, got a={a}, b={b}")
@@ -117,7 +123,7 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     scale = (a + b * np.add.outer(lam, lam)) * (2 * (n - 1))**2
     weights = trapezoid_weights(n, grid.h)
     m0 = np.multiply.outer(weights, weights)
-    ring = _RingCorrection(grid, a, m0, scale) if grid.layer else None
+    ring = _RingCorrection(grid, a, weights, scale) if grid.layer else None
 
     def solve(r: np.ndarray) -> np.ndarray:
         y = dctn(r.reshape(shape) / m0, type=1)
@@ -131,60 +137,69 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
 class _RingCorrection:
     """Woodbury correction of the 2D DCT-I solve for a mass that differs on the ring.
 
-    A = A0 + P diag(c) P^T with P the injection of the boundary ring B and
+    A = A0 + P diag(c) P^T with P the injection of the boundary ring and
     c = a (m - m0) > 0 there, so A^{-1} = A0^{-1} - A0^{-1} P C^{-1} P^T A0^{-1}
     with the SPD capacitance C = diag(1/c) + P^T A0^{-1} P.  In 2D arrays
     A0^{-1} R = G ((F R F^T) / S) G^T, with G the DCT-I matrix, F = G
-    diag(1/m1) and S the ``scale`` of ``exact_solver``.  The ring is read as
-    four sides (rows 0 and n-1, columns 0 and n-1; the columns without the
-    corners), so P^T A0^{-1} P is assembled by separability from n x n
-    products, and a correction costs O(n^2) on top of the two transforms:
-    ``correct`` takes the spectral coefficients Y = (F R F^T) / S and
-    subtracts those of A0^{-1} P C^{-1} P^T A0^{-1} R in place.
+    diag(1/m1) and S the ``scale`` of ``exact_solver``.
+
+    The ring is read as a cycle of four sides of n - 1 nodes: side s starts
+    at corner s and runs along line s (row 0, column n-1, row n-1, column 0),
+    and the quarter turn (i, j) -> (j, n-1-i) maps side s onto side s + 1
+    node for node.  A0 and c are invariant under that turn, so C is block
+    circulant over the sides, with blocks B0..B3 (B3 = B1^T) of side 0
+    against side d, assembled by separability from n x n products.  A
+    length-4 DFT over the sides splits it into three (n-1)-blocks, each
+    Cholesky-factored once: B0 + B1 + B2 + B3 and B0 - B1 + B2 - B3 (real) and
+    (B0 - B2) + i (B1 - B3) (Hermitian), with diag(1/c) on each.  ``correct``
+    takes the spectral coefficients Y = (F R F^T) / S and subtracts those of
+    A0^{-1} P C^{-1} P^T A0^{-1} R in place: the four lines, to and from the
+    spectrum, are 1D DCT-I transforms, so a correction costs O(n^2) on top
+    of the two 2D transforms, and G and F are not kept.
     """
 
-    def __init__(self, grid: Grid, a: float, m0: np.ndarray, scale: np.ndarray):
+    def __init__(self, grid: Grid, a: float, weights: np.ndarray, scale: np.ndarray):
         n = grid.n_axis_interior
         G = dct(np.eye(n), type=1, axis=0)
-        F = G / trapezoid_weights(n, grid.h)
-        self.G, self.F, self.Sinv = G, F, 1.0 / scale
-        self.g_ends, self.f_ends = G[[0, -1]], F[:, [0, -1]]
-        # the ring as four sides of n values (rows 0, n-1, columns 0, n-1);
-        # the corners are taken from the rows, so a column side keeps its
-        # values 1..n-2, and side s fills rows start[s]:start[s + 1] of C
-        self.sel = np.concatenate([np.arange(2 * n), 2 * n + np.arange(1, n - 1),
-                                   3 * n + np.arange(1, n - 1)])
-        keep = [slice(None)] * 2 + [slice(1, n - 1)] * 2
-        start = np.cumsum([0, n, n, n - 2, n - 2])
-        # block (side s, side t) of P^T A0^{-1} P, with g = g_ends[s % 2] and
-        # f = f_ends[:, t % 2]: G diag(S^{-1} (f * g)) F when both sides are
-        # rows or both columns, G diag(f) S^{-1} diag(g) F otherwise.  C is
-        # assembled at its final size, in the Fortran order that lets the
-        # Cholesky factorization overwrite it.
-        H = np.empty((start[-1], start[-1]), order="F")
-        for s in range(4):
-            g = self.g_ends[s % 2]
-            for t in range(4):
-                f = self.f_ends[:, t % 2]
-                if (s < 2) == (t < 2):
-                    block = (G * (self.Sinv @ (f * g))) @ F
-                else:
-                    block = (G * f) @ (self.Sinv * g) @ F
-                H[start[s]:start[s + 1], start[t]:start[t + 1]] = block[keep[s], keep[t]]
-        c = a * (grid.mass_interior.reshape(m0.shape) - m0)
-        H[np.diag_indices_from(H)] += 1.0 / np.concatenate(
-            [c[0], c[-1], c[:, 0], c[:, -1]])[self.sel]
-        self.cap = cho_factor(H, overwrite_a=True)
+        F = G / weights
+        ends = [0, n - 1, n - 1, 0]  # the row or column index of line s
+        self.weights, self.scale = weights, scale
+        self.g_ends, self.f_ends = G[ends], F[:, ends]
+        # block d of side 0 (row 0, columns 0..n-2) against side d: against a
+        # row, G diag(S^{-1} (g * f)) F; against a column, G diag(f)
+        # S^{-1} diag(g) F; with g = G[0] and f the column of F at the other
+        # side's line.  Sides 2 and 3 run backward.
+        Sinv, g, side0 = 1.0 / scale, G[0], G[:n - 1]
+        B0 = (side0 * (Sinv @ (g * F[:, 0]))) @ F[:, :n - 1]
+        B2 = (side0 * (Sinv @ (g * F[:, -1]))) @ F[:, :0:-1]
+        B1 = (side0 * F[:, -1]) @ ((Sinv * g) @ F[:, :n - 1])
+        B13 = B1 + B1.T
+        # 1/c on side 0 (row 0 leads the interior order); every side has the same
+        inv_c = 1.0 / (a * (grid.mass_interior[:n - 1] - weights[0] * weights[:n - 1]))
+        blocks = [B0 + B2 + B13, (B0 - B2) + 1j * (B1 - B1.T), B0 + B2 - B13]
+        for block in blocks:
+            block[np.diag_indices(n - 1)] += inv_c
+        self.caps = [cho_factor(block, overwrite_a=True) for block in blocks]
 
     def correct(self, Y: np.ndarray) -> None:
-        n = len(self.G)
-        # ring values of A0^{-1} R = G Y G^T: rows g_e Y G^T, columns G Y g_e^T
-        sides = self.G @ np.hstack([(self.g_ends @ Y).T, Y @ self.g_ends.T])
-        s = np.zeros(4 * n)
-        s[self.sel] = cho_solve(self.cap, sides.T.ravel()[self.sel], check_finite=False)
-        # F (P s) F^T: the rows and the columns of P s give two outer products each
-        Fs = self.F @ s.reshape(4, n).T
-        Y -= (self.f_ends @ Fs[:, :2].T + Fs[:, 2:] @ self.f_ends.T) * self.Sinv
+        n = len(Y)
+        # lines of A0^{-1} R = G Y G^T: rows G (g_e Y)^T, columns G (g_e Y^T)^T
+        lines = np.empty((4, n))
+        lines[0::2] = self.g_ends[0::2] @ Y
+        lines[1::2] = self.g_ends[1::2] @ Y.T
+        lines = dct(lines, type=1, axis=1, overwrite_x=True)
+        sides = np.concatenate([lines[:2, :-1], lines[2:, :0:-1]])
+        spec = rfft(sides, axis=0)
+        for k, cap in enumerate(self.caps):  # blocks k = 0 and 2 are real
+            rhs = spec[k] if k == 1 else spec[k].real
+            spec[k] = cho_solve(cap, rhs, check_finite=False)
+        s = irfft(spec, n=4, axis=0)
+        # F (P s) F^T: the rows and the columns of P s give two outer products
+        # each, with F l = G (l / m1) one 1D transform per line
+        lines = np.zeros((4, n))
+        lines[:2, :-1], lines[2:, :0:-1] = s[:2], s[2:]
+        Fl = dct(lines / self.weights, type=1, axis=1, overwrite_x=True)
+        Y -= (self.f_ends[:, 0::2] @ Fl[0::2] + Fl[1::2].T @ self.f_ends[:, 1::2].T) / self.scale
 
 
 def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np.ndarray,

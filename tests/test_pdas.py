@@ -545,6 +545,15 @@ def test_factorized_rejects_a_band_that_is_not_positive_definite():
         pdas.factorized(np.array([[0.0, 2.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factorized_rejects_a_nonfinite_band(bad):
+    # LAPACK factors a NaN band without a complaint; factorized must not
+    bands = np.array([[0.0, -1.0, -1.0], [3.0, 3.0, 3.0]])
+    bands[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        pdas.factorized(bands)
+
+
 def _scripted_system(n, script):
     """A route whose sweep of sets S yields the sets ``script[S.key()]``."""
     def system(sets):

@@ -508,15 +508,31 @@ def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, monkeypatch)
 
 
 def test_ring_correction_assembles_the_capacitance_at_its_final_size():
-    # the only n^2-sized arrays besides the ring capacitance C are the
-    # transforms and spectra; no (4, n, 4, n) block array and no copy of C
+    # what the solver keeps: the three (n-1)-blocks of the split capacitance
+    # (two real, one complex) and O(1) n x n arrays (the mass and the
+    # spectrum); no dense (4n-4)^2 capacitance and no n x n transform matrix
     g = build_grid(2, 1 / 104, 0.0826)
     K = assemble_stiffness(g)
+    n = g.n_axis_interior
     tracemalloc.start()
     try:
-        exact_solver(g, K, 1.0, 1e-4)
-        peak = tracemalloc.get_traced_memory()[1]
+        solve = exact_solver(g, K, 1.0, 1e-4)
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    ring = 4 * g.n_axis_interior - 4
-    assert peak <= 1.8 * ring**2 * 8
+    assert callable(solve)
+    assert kept <= (8 + 8 + 16) * (n - 1)**2 + 4 * n**2 * 8
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 30])
+def test_layered_exact_solver_is_quarter_turn_equivariant(n_cells):
+    # the ring capacitance is split over the quarter turn of the square: a
+    # right-hand side turned on the (n, n) view gives the turned solution
+    g = build_grid(2, 1.0 / n_cells, 0.1)
+    shape = g.interior_shape
+    solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.37)
+    r = np.random.default_rng(n_cells).standard_normal(shape)
+    x = solve(r.ravel()).reshape(shape)
+    for k in (1, 2, 3):
+        turned = solve(np.rot90(r, k).ravel()).reshape(shape)
+        assert np.abs(turned - np.rot90(x, k)).max() <= 1e-13 * np.abs(x).max()
