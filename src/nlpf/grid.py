@@ -147,24 +147,31 @@ def build_grid(dim: int, h: float, delta: float = 0.0) -> Grid:
     )
 
 
-def _stiffness_1d(n: int, h: float) -> sp.csr_matrix:
-    """P1 Neumann stiffness on n nodes: (1/h) tridiag(-1, 2, -1), boundary rows (1/h)[1, -1]."""
-    main = np.full(n, 2.0)
-    main[0] = main[-1] = 1.0
-    off = np.full(n - 1, -1.0)
-    return sp.diags_array([off, main, off], offsets=[-1, 0, 1]).tocsr() * (1.0 / h)
+def assemble_stiffness(grid: Grid) -> sp.dia_array:
+    """Stiffness matrix of the unit domain (interior nodes, natural BCs), in DIA form.
 
-
-def assemble_stiffness(grid: Grid) -> sp.csr_matrix:
-    """Stiffness matrix of the unit domain (interior nodes, natural BCs).
-
-    1D: tridiagonal P1 Laplacian.  2D: tensor-product 5-point stencil,
-    i.e. kron(M1, K1) + kron(K1, M1) with the 1D trapezoidal mass M1.
+    1D: the tridiagonal P1 Laplacian (1/h) tridiag(-1, 2, -1) with boundary
+    rows (1/h)[1, -1].  2D: the tensor-product 5-point stencil
+    kron(M1, K1) + kron(K1, M1), with M1 the 1D trapezoidal mass and K1 the
+    1D stiffness, written diagonal by diagonal from their factors: with w
+    the trapezoid weights and k_s K1's diagonal at offset s, the offset-0
+    row is w (x) k_0 + k_0 (x) w, the x-couplings (offsets -1, 1) are
+    w (x) k_s and the y-couplings (offsets -n, n) k_s (x) w, where k_s is 0
+    at the end that has no neighbour, so no x-coupling crosses a grid row.
     Symmetric positive semidefinite with constants in the null space.
     """
     n = grid.n_axis_interior
-    K1 = _stiffness_1d(n, grid.h)
+    # K1's diagonals at offsets -1, 0, 1 in DIA layout: entry [s, j] is K1[j - s, j]
+    k = np.zeros((3, n))
+    k[0, :-1] = k[2, 1:] = -1.0
+    k[1] = 2.0
+    k[1, [0, -1]] = 1.0
+    k *= 1.0 / grid.h
     if grid.dim == 1:
-        return K1
-    M1 = sp.diags_array(trapezoid_weights(n, grid.h)).tocsr()
-    return (sp.kron(M1, K1) + sp.kron(K1, M1)).tocsr()
+        return sp.dia_array((k, [-1, 0, 1]), shape=(n, n))
+    w = trapezoid_weights(n, grid.h)
+    data = np.empty((5, n, n))  # row s: the diagonal at offsets -n, -1, 0, 1, n
+    for row, factors in zip(data, [(k[0], w), (w, k[0]), (w, k[1]), (w, k[2]), (k[2], w)]):
+        np.multiply.outer(*factors, out=row)
+    data[2] += np.multiply.outer(k[1], w)
+    return sp.dia_array((data.reshape(5, n * n), [-n, -1, 0, 1, n]), shape=(n * n, n * n))

@@ -64,12 +64,21 @@ by ``factorized`` in 1D (tridiagonal in the compressed order), and in 2D by
 unpreconditioned CG warm-started from the previous sweep (the matrix is well
 conditioned, ~13 after Jacobi scaling on the ex3 grid; a refinement reuses
 the extracted submatrix).  In both 2D routes a CG that misses its tolerance
-raises: there is no direct-solve fallback.
+raises: there is no direct-solve fallback.  Both run ``cg``, the iteration
+of ``scipy.sparse.linalg.cg`` operation for operation with a callable
+preconditioner.  The implicit-convolution step solves each sweep's coupled
+system with SuperLU (``spsolve``), the only use of ``scipy.sparse.linalg``,
+which is imported at its first call: an explicit run never loads it.
 
-The solvers assemble nothing that is fixed over a run: the stiffness K, the
-w-solver (around the w-equation matrix ``w_matrix``), the local obstacle
-matrix and, for implicit convolution, the coupled matrix ``coupled_matrix``
-are passed in by the caller (the time loop builds them once per run).
+The solvers assemble nothing that is fixed over a run: the w-solver (around
+the w-equation matrix ``w_matrix``), the local obstacle matrix and, for
+implicit convolution, the coupled matrix ``coupled_matrix`` are passed in by
+the caller (the time loop builds them once per run).  ``w_matrix`` and
+``local_obstacle_matrix`` scale the diagonals of the stiffness
+(``assemble_stiffness``, DIA) and add the mass to the main one: the
+w-equation matrix stays in DIA, the form every w-solve uses, and the local
+obstacle matrix is converted once to the CSR whose principal submatrices a
+2D sweep extracts.
 """
 
 from __future__ import annotations
@@ -82,7 +91,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
-from scipy.sparse.linalg import LinearOperator, cg, spsolve
 
 from .grid import Grid
 from .nonlocal_ops import ConvolutionStencil, conv_rows, convolve, exterior_closure
@@ -93,10 +101,12 @@ __all__ = [
     "PdasConfig",
     "StepOut",
     "WSolver",
+    "cg",
     "coupled_matrix",
     "factorized",
     "pdas_step_CH",
     "pdas_step_local_obstacle",
+    "spsolve",
     "verify_complementarity",
     "w_matrix",
     "local_obstacle_matrix",
@@ -281,17 +291,28 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     return StepOut(u, w, lam, sets, iters, converged, cg_iters, kkt, cause, cycle)
 
 
-def w_matrix(grid: Grid, K: sp.csr_matrix, beta: float, tau: float) -> sp.csr_matrix:
-    """tau * (M + beta K) on interior nodes: the w-equation matrix."""
-    M = sp.diags_array(grid.mass_interior).tocsr()
-    return (tau * (M + beta * K)).tocsr()
+def _mass_plus_stiffness(grid: Grid, a: float, K: sp.dia_array, b: float) -> sp.dia_array:
+    """a M + b K on interior nodes, on the diagonals of K (``assemble_stiffness``).
+
+    b times K's data, with a M added to the offset-0 row (the middle of K's
+    symmetric offsets): entry for entry the sum of the sparse matrices.
+    """
+    data = b * K.data
+    data[K.offsets.size // 2] += a * grid.mass_interior
+    return sp.dia_array((data, K.offsets), shape=K.shape)
 
 
-def local_obstacle_matrix(grid: Grid, K: sp.csr_matrix, params: ModelParams, tau: float,
-                          eps: float) -> sp.csr_matrix:
+def w_matrix(grid: Grid, K: sp.dia_array, beta: float, tau: float) -> sp.dia_array:
+    """tau * (M + beta K) on interior nodes: the w-equation matrix, in DIA form."""
+    return tau * _mass_plus_stiffness(grid, 1.0, K, beta)
+
+
+def local_obstacle_matrix(grid: Grid, K: sp.dia_array, params: ModelParams, tau: float,
+                          eps: float) -> sp.csr_array:
     """(mu/tau - c_F) M + eps^2 K on interior nodes: the local obstacle matrix.
 
     The model has beta = 0, and the matrix is SPD only for mu/tau > c_F.
+    Returned in CSR, the format whose principal submatrices a sweep extracts.
     """
     if params.beta != 0:
         raise ValueError("the local obstacle step has beta = 0")
@@ -301,7 +322,7 @@ def local_obstacle_matrix(grid: Grid, K: sp.csr_matrix, params: ModelParams, tau
             f"mu/tau = {r} must exceed c_F = {params.c_F} for the local obstacle "
             "step (shrink tau)"
         )
-    return (sp.diags_array((r - params.c_F) * grid.mass_interior) + eps**2 * K).tocsr()
+    return _mass_plus_stiffness(grid, r - params.c_F, K, eps**2).tocsr()
 
 
 def coupled_matrix(grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
@@ -325,6 +346,24 @@ def coupled_matrix(grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
     ], format="csr")
 
 
+def _select_phase_rows(B: sp.csr_array, inactive: np.ndarray) -> sp.csr_array:
+    """B with the phase row of each active node j replaced by the row of u_j.
+
+    B is ``coupled_matrix``; an active phase row keeps none of B's entries
+    and gets a 1 in column j.  Entry for entry the sum diag(keep) B +
+    diag(1 - keep) E, with E the identity shifted down by n_i rows, formed
+    by scaling B's data per row: the sum drops the emptied entries, as the
+    product drops its zeros.
+    """
+    n_i = inactive.size
+    keep = np.ones(B.shape[0])
+    keep[n_i : 2 * n_i] = inactive
+    kept = sp.csr_array((B.data * np.repeat(keep, np.diff(B.indptr)), B.indices, B.indptr),
+                        shape=B.shape)
+    j = np.flatnonzero(~inactive)
+    return kept + sp.csr_array((np.ones(j.size), (n_i + j, j)), shape=B.shape)
+
+
 def factorized(bands: np.ndarray):
     """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky.
 
@@ -341,6 +380,54 @@ def factorized(bands: np.ndarray):
         raise np.linalg.LinAlgError(
             f"factorized: leading minor {info} is not positive definite")
     return lambda b: dpbtrs(c, b)[0]
+
+
+def spsolve(A: sp.csc_array, b: np.ndarray) -> np.ndarray:
+    """scipy's SuperLU solve of A x = b, imported on the first call.
+
+    Only implicit convolution solves with SuperLU, so a run without it never
+    loads ``scipy.sparse.linalg``.
+    """
+    from scipy.sparse.linalg import spsolve as superlu_solve
+
+    return superlu_solve(A, b)
+
+
+def cg(A, b: np.ndarray, x0: np.ndarray | None = None, *, rtol: float = 1e-5,
+       atol: float = 0.0, maxiter: int | None = None, M=None, callback=None):
+    """Conjugate gradients for SPD A: ``(x, info)``, info 0 or the iterations run.
+
+    The iteration of ``scipy.sparse.linalg.cg``, operation for operation and
+    with its keywords, except that the preconditioner M is a callable
+    r -> M^{-1} r (None: none).  It stops once ||b - A x|| < max(atol,
+    rtol ||b||) and calls ``callback(x)`` after each iteration.
+    """
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    if maxiter is None:
+        maxiter = len(b) * 10
+    x = np.zeros(len(b)) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x if x.any() else b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = r if M is None else M(r)
+        rho_cur = np.dot(r, z)
+        if iteration > 0:
+            p *= rho_cur / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho_cur / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho_cur
+        if callback:
+            callback(x)
+    return x, maxiter
 
 
 def _cg(A, b: np.ndarray, x0: np.ndarray, rtol: float, what: str,
@@ -467,7 +554,7 @@ class _VCycle:
 class WSolver:
     """Solves (A_w + diag(d)) w = b, the w-equation of one active-set sweep.
 
-    ``A_w`` is ``w_matrix(grid, K, beta, tau)``, fixed over a run; the
+    ``A_w`` is ``w_matrix(grid, K, beta, tau)``, DIA and fixed over a run; the
     nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
     the system is tridiagonal: the two bands of A_w are stored once, and each
     system adds d to the diagonal band and factors the sum once
@@ -486,15 +573,13 @@ class WSolver:
     transfer that is not kept).  A CG failure raises: there is no fallback.
     """
 
-    def __init__(self, grid: Grid, A_w: sp.csr_matrix):
+    def __init__(self, grid: Grid, A_w: sp.dia_array):
         self.dim = grid.dim
         n = grid.n_axis_interior
+        self.A = A_w
         if grid.dim == 1:
-            self.A = A_w
             # the upper banded form of ``factorized``
             self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
-        else:
-            self.A = sp.dia_array(A_w)
         transfers, weights, coarse = [], [], []
         Q, C = sp.identity(n, format="csr"), A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
@@ -525,7 +610,7 @@ class WSolver:
             return lambda b, x0, rtol: (solve(b), 0)
         A = self.A.copy()
         A.data[A.offsets.size // 2] += d  # offset 0: the middle of the symmetric offsets
-        M = LinearOperator(A.shape, matvec=_VCycle(self, A, d), dtype=float)
+        M = _VCycle(self, A, d)
         return lambda b, x0, rtol: _cg(
             A, b, x0, rtol, "multigrid-preconditioned CG for the w-equation", M=M)
 
@@ -607,17 +692,15 @@ def pdas_step_CH(
     else:
         # Implicit convolution: one sparse solve of the coupled system per
         # sweep.  B (``coupled_matrix``) has every phase row inactive; a sweep
-        # takes from E the row u_j = ubar_j of each active node j instead.
+        # puts the row u_j = ubar_j of each active node j in its place.
         n_i = grid.n_interior
         n_e = grid.exterior_ids.size
-        E = sp.eye_array(2 * n_i + n_e, k=-n_i, format="csr")
         r = c_F * m_prev - 0.5 * c_F
 
         def system(sets):
-            keep = np.concatenate([np.ones(n_i), sets.inactive, np.ones(n_e)])
-            A = sp.diags_array(keep) @ B + sp.diags_array(1.0 - keep) @ E
             rhs2 = np.where(sets.inactive, r, sets.upper.astype(float))
-            x = spsolve(A.tocsc(), np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)]))
+            x = spsolve(_select_phase_rows(B, sets.inactive).tocsc(),
+                        np.concatenate([mu * mI * u_prev_I, rhs2, np.zeros(n_e)]))
             out = _Sweep(x[:n_i], x[n_i : n_i + n_e], x[n_i + n_e :],
                          r - (B @ x)[n_i : 2 * n_i], 0)
             return lambda rtol, last: out

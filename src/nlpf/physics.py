@@ -77,7 +77,7 @@ def greens_dual_norm(grid: Grid, v: np.ndarray, green_solve) -> float:
     """Squared dual norm of an interior field under the (I - beta Lap) Green map.
 
     ``green_solve`` is the solve of M + beta K, as returned by
-    ``stepper.exact_solver(grid, K, 1.0, beta)``: return the lumped inner
+    ``stepper.exact_solver(grid, 1.0, beta)``: return the lumped inner
     product of v and z with (M + beta K) z = M v.
     """
     v = np.asarray(v, dtype=float)

@@ -29,6 +29,11 @@ transforms, with a capacitance correction on the boundary ring of a grid with
 an interaction layer.  The ring is a cycle of four sides that the square's
 quarter turn permutes, so its capacitance splits into three blocks of one
 side's size, and the correction runs on 1D transforms of the ring's lines.
+
+The stiffness K is assembled only where it is solved with: by ``phase_step``
+for the two active-set variants, whose steps keep only the matrices built
+from it, and by ``exact_solver`` for a 1D band.  The time loop holds no K,
+and a 2D ``nonlocal_AC`` or ``local_regular`` run never assembles one.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,13 +100,14 @@ class RunResult:
         return [int(k) + 1 for k in np.flatnonzero(~self.diagnostics["pdas_converged"])]
 
 
-def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
+def exact_solver(grid: Grid, a: float, b: float):
     """Solve of (a M + b K) x = r on the interior nodes, for a > 0, b >= 0.
 
-    K is ``assemble_stiffness(grid)`` and M the lumped interior mass.  In 1D
-    the matrix is tridiagonal and factored once by banded Cholesky.  In 2D,
-    with M0 the tensor trapezoid with half ends and K the Neumann 5-point
-    stencil, DCT-I diagonalizes M0^{-1} K exactly with eigenvalues
+    K is the stiffness ``assemble_stiffness(grid)`` and M the lumped interior
+    mass.  In 1D the matrix is tridiagonal: its bands are taken from K,
+    assembled here, and factored once by banded Cholesky.  In 2D K is never
+    formed.  With M0 the tensor trapezoid with half ends and K the Neumann
+    5-point stencil, DCT-I diagonalizes M0^{-1} K exactly with eigenvalues
     (2/h^2)(2 - cos(pi k / (n - 1)) - cos(pi l / (n - 1))) over the n nodes
     per axis; a solve of A0 = a M0 + b K is two ``dctn`` and a division
     (DCT-I is its own inverse up to the factor 2(n - 1) per axis).  On a
@@ -116,6 +123,7 @@ def exact_solver(grid: Grid, K: sp.csr_matrix, a: float, b: float):
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
         raise ValueError(f"exact_solver needs finite a > 0 and b >= 0, got a={a}, b={b}")
     if grid.dim == 1:
+        K = assemble_stiffness(grid)
         return factorized(np.vstack([np.r_[0.0, b * K.diagonal(1)],
                                      a * grid.mass_interior + b * K.diagonal()]))
     n, shape = grid.n_axis_interior, grid.interior_shape
@@ -206,7 +214,7 @@ def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np
                      u_new: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
     """Backward-Euler heat step with the latent-heat source L (u^k - u^{k-1}).
 
-    ``heat_solve`` is ``exact_solver(grid, K, 1.0, tau * params.D)``, the solve
+    ``heat_solve`` is ``exact_solver(grid, 1.0, tau * params.D)``, the solve
     of M + tau D K; u_new/u_prev are full-domain fields, of which only
     interior values enter.
     """
@@ -242,7 +250,7 @@ class NonlocalCHStep:
     """
 
     def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
-                 tau: float, config: PdasConfig, K: sp.csr_matrix):
+                 tau: float, config: PdasConfig, K: sp.dia_array):
         self.grid, self.stencil, self.params, self.tau = grid, stencil, params, tau
         self.config = config
         self.w_solver = WSolver(grid, w_matrix(grid, K, params.beta, tau))
@@ -300,7 +308,7 @@ class LocalObstacleStep:
     """
 
     def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
-                 config: PdasConfig, K: sp.csr_matrix):
+                 config: PdasConfig, K: sp.dia_array):
         self.grid, self.params, self.tau, self.config = grid, params, tau, config
         self.A = local_obstacle_matrix(grid, K, params, tau, eps)
         self.sets = None
@@ -317,27 +325,29 @@ class LocalObstacleStep:
 class LocalRegularStep:
     """Semi-implicit smooth-well step; the solve of mu/tau M + eps^2 K is built once."""
 
-    def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
-                 K: sp.csr_matrix):
+    def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float):
         self.grid, self.params, self.tau = grid, params, tau
-        self.solve = exact_solver(grid, K, params.mu / tau, eps**2)
+        self.solve = exact_solver(grid, params.mu / tau, eps**2)
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
         return StepOut(step_phase_local_regular(
             self.solve, self.grid, self.params, self.tau, u, theta))
 
 
-def phase_step(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None,
-               K: sp.csr_matrix):
-    """The phase step of ``config.variant``; K is the grid's stiffness."""
+def phase_step(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None):
+    """The phase step of ``config.variant``.
+
+    Only the two variants that solve with the stiffness assemble it; the
+    step keeps what it builds from it, not K.
+    """
     p, tau, eps = config.model, config.tau, config.epsilon
     if config.variant == "nonlocal_CH":
-        return NonlocalCHStep(grid, stencil, p, tau, config.pdas, K)
+        return NonlocalCHStep(grid, stencil, p, tau, config.pdas, assemble_stiffness(grid))
     if config.variant == "nonlocal_AC":
         return NonlocalACStep(grid, stencil, p, tau)
     if config.variant == "local_obstacle":
-        return LocalObstacleStep(grid, p, tau, eps, config.pdas, K)
-    return LocalRegularStep(grid, p, tau, eps, K)
+        return LocalObstacleStep(grid, p, tau, eps, config.pdas, assemble_stiffness(grid))
+    return LocalRegularStep(grid, p, tau, eps)
 
 
 @dataclass
@@ -382,8 +392,9 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
     finite, and a ``file`` field of an obstacle variant lie in [0, 1].
     """
     ids = grid.interior_ids
-    coords = grid.coords()
     init = config.init
+    # the interior nodes' coordinates along one axis; a field's x index runs fastest
+    axis = grid.axis_coords()[grid.layer : grid.layer + grid.n_axis_interior]
     if init.kind == "file":
         u_I = field_on_grid(*read_field(init.path), grid, f"initial field {init.path}")
         lo, hi = float(u_I.min()), float(u_I.max())  # NaN propagates into both
@@ -395,14 +406,11 @@ def initial_state(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | N
             )
     elif init.kind == "step":
         x0 = init.params[0]
-        u_I = (coords[ids, 0] <= x0 + 1e-12).astype(float)
+        u_I = np.tile(axis <= x0 + 1e-12, grid.n_axis_interior**(grid.dim - 1)).astype(float)
     elif init.kind in ("box", "frame"):
         a, b = init.params
-        inside = np.ones(len(ids), dtype=bool)
-        for d in range(grid.dim):
-            c = coords[ids, d]
-            inside &= (c >= a - 1e-12) & (c <= b + 1e-12)
-        u_I = inside.astype(float)
+        on_axis = (axis >= a - 1e-12) & (axis <= b + 1e-12)
+        u_I = reduce(np.logical_and.outer, (on_axis,) * grid.dim).ravel().astype(float)
         if init.kind == "frame":
             u_I = 1.0 - u_I
     else:
@@ -473,13 +481,11 @@ def run(config: RunConfig) -> RunResult:
     states = [state] if 0 in snap_levels else []
 
     # every operator and solver of the run, built once
-    K = assemble_stiffness(grid)
-    phase = phase_step(config, grid, stencil, K)
-    heat = exact_solver(grid, K, 1.0, tau * params.D)
+    phase = phase_step(config, grid, stencil)
+    heat = exact_solver(grid, 1.0, tau * params.D)
     if config.records_energy:
-        green = exact_solver(grid, K, 1.0, params.beta)
+        green = exact_solver(grid, 1.0, params.beta)
         xi = stencil.c_gamma_h_interior - params.c_F
-    del K  # the time loop uses only what was built from it
 
     u, theta = state.u, state.theta
     for k in range(1, n_steps + 1):

@@ -6,7 +6,11 @@ polynomial, dense matrices built from coordinates instead of stencils,
 exhaustive 3^N active-set enumeration instead of the active-set iteration,
 and the nonlocal AC projection iterated as an active-set loop instead of
 evaluated in closed form, and the interface runs scanned one grid line at a
-time instead of in one array pass.  Sizes are deliberately tiny.  ``sets_from_bounds``
+time instead of in one array pass.  The fixed sparse matrices are also
+assembled as sparse sums and products (the 2D stiffness as a Kronecker sum),
+the implicit sweep's rows are selected by diagonal products, and the
+initial fields are read off the node coordinates.  Sizes are deliberately
+tiny.  ``sets_from_bounds``
 gives tests a starting estimate of the active sets other than the solvers'
 all-inactive one: a field's own bound pattern.
 """
@@ -17,8 +21,10 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import fixed_quad
 
+from nlpf.grid import trapezoid_weights
 from nlpf.kernel import KernelSpec, kernel_eval
 from nlpf.nonlocal_ops import convolve, exterior_closure
 from nlpf.pdas import ActiveSets, StepOut, _pdas_iterate, _Sweep
@@ -27,7 +33,8 @@ __all__ = [
     "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",
     "dense_conv_matrix", "dense_stiffness_1d", "enumerate_CH_explicit",
     "enumerate_CH_implicit", "enumerate_local_obstacle", "pdas_step_AC_nonlocal",
-    "sets_from_bounds", "interface_runs",
+    "sets_from_bounds", "interface_runs", "kron_stiffness", "sum_w_matrix",
+    "sum_local_obstacle_matrix", "phase_rows_by_products", "initial_field_from_coords", "assert_same_entries",
 ]
 
 #: Gauss-Legendre order for the radial quadratures (exact for the polynomial
@@ -105,6 +112,66 @@ def dense_stiffness_1d(n, h):
         K[e, e + 1] -= 1.0 / h
         K[e + 1, e] -= 1.0 / h
     return K
+
+
+def kron_stiffness(grid):
+    """The stiffness as a sparse sum: the 1D P1 Neumann stiffness K1 in CSR,
+    and in 2D the Kronecker sum kron(M1, K1) + kron(K1, M1), M1 the 1D
+    trapezoidal mass."""
+    n = grid.n_axis_interior
+    main = np.full(n, 2.0)
+    main[0] = main[-1] = 1.0
+    off = np.full(n - 1, -1.0)
+    K1 = sp.diags_array([off, main, off], offsets=[-1, 0, 1]).tocsr() * (1.0 / grid.h)
+    if grid.dim == 1:
+        return K1
+    M1 = sp.diags_array(trapezoid_weights(n, grid.h)).tocsr()
+    return (sp.kron(M1, K1) + sp.kron(K1, M1)).tocsr()
+
+
+def assert_same_entries(A, ref):
+    """A stores exactly the nonzero entries of ``ref``, bit for bit, in the same
+    CSR layout.  ``ref`` may hold explicit zeros: ``sp.kron`` forms dense
+    blocks when the 1D factor is dense enough (at most 5 nodes per axis)."""
+    A = sp.csr_array(A)
+    ref = sp.csr_array(ref, copy=True)
+    ref.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+
+
+def sum_w_matrix(grid, beta, tau):
+    """tau (M + beta K) as a sparse sum over ``kron_stiffness``, in CSR."""
+    M = sp.diags_array(grid.mass_interior).tocsr()
+    return (tau * (M + beta * kron_stiffness(grid))).tocsr()
+
+
+def sum_local_obstacle_matrix(grid, params, tau, eps):
+    """(mu/tau - c_F) M + eps^2 K as a sparse sum over ``kron_stiffness``, in CSR."""
+    r = params.mu / tau
+    return (sp.diags_array((r - params.c_F) * grid.mass_interior)
+            + eps**2 * kron_stiffness(grid)).tocsr()
+
+
+def phase_rows_by_products(B, inactive):
+    """diag(keep) B + diag(1 - keep) E: the implicit sweep's matrix of the
+    coupled matrix B, with E the identity shifted down by n_i rows and keep
+    0 on the active phase rows."""
+    n_i = inactive.size
+    n_e = B.shape[0] - 2 * n_i
+    keep = np.concatenate([np.ones(n_i), inactive, np.ones(n_e)])
+    E = sp.eye_array(B.shape[0], k=-n_i, format="csr")
+    return sp.diags_array(keep) @ B + sp.diags_array(1.0 - keep) @ E
+
+
+def initial_field_from_coords(grid, init):
+    """The interior u0 of a step, box or frame init, read off ``grid.coords()``."""
+    c = grid.coords()[grid.interior_ids]
+    if init.kind == "step":
+        return (c[:, 0] <= init.params[0] + 1e-12).astype(float)
+    a, b = init.params
+    inside = np.all((c >= a - 1e-12) & (c <= b + 1e-12), axis=1).astype(float)
+    return 1.0 - inside if init.kind == "frame" else inside
 
 
 def _first_feasible(n, solve):

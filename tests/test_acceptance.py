@@ -222,7 +222,7 @@ def test_criterion_10_heat_equation_control():
     theta = np.cos(np.pi * x)
     lam_h = (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
     u = np.zeros(g.n_interior)
-    heat = exact_solver(g, assemble_stiffness(g), 1.0, tau * p.D)
+    heat = exact_solver(g, 1.0, tau * p.D)
     worst = 0.0
     for k in range(1, 31):
         theta = step_temperature(heat, g, p, theta, u, u)
@@ -240,7 +240,7 @@ def test_criterion_10_heat_equation_control_2d():
     mode = np.cos(np.pi * xy[:, 0]) * np.cos(np.pi * xy[:, 1])
     lam_h = 2 * (2.0 / g.h**2) * (1.0 - math.cos(math.pi * g.h))
     theta, u = mode, np.zeros(g.n_interior)
-    heat = exact_solver(g, assemble_stiffness(g), 1.0, tau * p.D)
+    heat = exact_solver(g, 1.0, tau * p.D)
     worst = 0.0
     for k in range(1, 31):
         theta = step_temperature(heat, g, p, theta, u, u)

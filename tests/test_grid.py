@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nlpf.grid import build_grid, assemble_stiffness
+from oracles import assert_same_entries, kron_stiffness
 
 
 def test_example1_layer_width():
@@ -83,6 +85,25 @@ def test_stiffness_symmetric_psd_annihilates_constants(dim, h):
     for _ in range(100):
         x = rng.standard_normal(g.n_interior)
         assert x @ (K @ x) >= -1e-10 * (x @ x)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 30])
+def test_stiffness_is_the_kronecker_sum_entry_for_entry(dim, n_cells):
+    # written diagonal by diagonal from the 1D factors, K equals the sparse
+    # Kronecker sum exactly, and its DIA data is what converting that sum
+    # gives (zeros where an x-coupling would cross a grid row)
+    for delta in (0.0, 0.1):
+        g = build_grid(dim, 1.0 / n_cells, delta)
+        K, ref = assemble_stiffness(g), kron_stiffness(g)
+        n = g.n_axis_interior
+        assert K.format == "dia"
+        assert list(K.offsets) == ([-1, 0, 1] if dim == 1 else [-n, -1, 0, 1, n])
+        assert np.array_equal(K.toarray(), ref.toarray())
+        assert_same_entries(K.tocsr(), ref)
+        converted = sp.dia_array(K.tocsr())
+        assert np.array_equal(K.offsets, converted.offsets)
+        assert np.array_equal(K.data, converted.data)
 
 
 def test_lumped_mass_interior_unity_without_layer():

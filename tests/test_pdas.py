@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, factorized, spsolve
+from scipy.sparse.linalg import LinearOperator, cg as scipy_cg, factorized, spsolve
 
 import nlpf.pdas as pdas
 
@@ -28,13 +28,17 @@ from nlpf.pdas import (
 )
 from nlpf.physics import ModelParams, coupling_m
 from oracles import (
+    assert_same_entries,
     dense_conv_matrix,
     dense_stiffness_1d,
     enumerate_CH_explicit,
     enumerate_CH_implicit,
     enumerate_local_obstacle,
     pdas_step_AC_nonlocal,
+    phase_rows_by_products,
     sets_from_bounds,
+    sum_local_obstacle_matrix,
+    sum_w_matrix,
 )
 
 CH_PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
@@ -728,7 +732,7 @@ def test_w_solver_2d_stencil_hierarchy_matches_csr_galerkin(n_axis, inactive, mo
     # offsets ascending; the fine level is exact, a coarse level differs from
     # the Galerkin product of the level above only in its rounding
     g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS[inactive])
-    A_w = w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU)
+    A_w = sum_w_matrix(g, CH_PARAMS.beta, TAU)
     assert solver.A.format == "dia" and abs(solver.A - A_w).max() == 0.0
     _, vcycle = _system_and_vcycle(monkeypatch, solver, d)
     P, R = _kron_transfers(n_axis)
@@ -754,11 +758,10 @@ def test_w_solver_2d_stencil_vcycle_matches_csr_vcycle(n_axis, inactive, monkeyp
     r = np.random.default_rng(n_axis).standard_normal(g.n_interior)
     assert np.linalg.norm(vcycle(r) - reference(r)) <= 1e-14 * np.linalg.norm(reference(r))
     # CG takes the same iterations under either preconditioner
-    M = LinearOperator(A[0].shape, matvec=reference, dtype=float)
     for rtol in (pdas._SWEEP_RTOL, pdas._LIN_TOL):
         x0 = np.zeros(g.n_interior)
         _, iters = solve(b, x0, rtol)
-        _, iters_csr = pdas._cg(A[0], b, x0, rtol, "CSR-preconditioned CG", M=M)
+        _, iters_csr = pdas._cg(A[0], b, x0, rtol, "CSR-preconditioned CG", M=reference)
         assert iters == iters_csr
 
 
@@ -946,3 +949,96 @@ def test_local_obstacle_2d_refinement_reuses_its_sweep_matrix(monkeypatch):
     for i in refined:
         assert calls[i - 1][-1] == pdas._SWEEP_RTOL
         assert calls[i][0] is calls[i - 1][0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 30])
+def test_fixed_matrices_are_the_sparse_sums_entry_for_entry(dim, n_cells):
+    # scaled on the stiffness's diagonals, the w-equation matrix (DIA) and
+    # the local obstacle matrix (CSR) hold the entries of the sparse sums
+    # over the Kronecker-sum stiffness, bit for bit
+    params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
+    for delta in (0.0, 0.1):
+        g = build_grid(dim, 1.0 / n_cells, delta)
+        K = assemble_stiffness(g)
+        A_w, ref = w_matrix(g, K, CH_PARAMS.beta, TAU), sum_w_matrix(g, CH_PARAMS.beta, TAU)
+        assert A_w.format == "dia" and np.array_equal(A_w.offsets, K.offsets)
+        assert np.array_equal(A_w.toarray(), ref.toarray())
+        assert_same_entries(A_w.tocsr(), ref)
+        A = local_obstacle_matrix(g, K, params, TAU, 0.3)
+        ref = sum_local_obstacle_matrix(g, params, TAU, 0.3)
+        assert A.format == "csr" and np.array_equal(A.toarray(), ref.toarray())
+        assert_same_entries(A, ref)
+
+
+def _spd_system(n, seed):
+    rng = np.random.default_rng(seed)
+    B = sp.random_array((n, n), density=0.2, rng=rng, format="csr")
+    A = (B @ B.T + sp.diags_array(rng.uniform(0.5, 2.0, n))).tocsr()
+    return A, rng.standard_normal(n), rng
+
+
+@pytest.mark.parametrize("precondition", [False, True], ids=["M=None", "M=Jacobi"])
+@pytest.mark.parametrize("start", ["none", "zero", "nonzero"])
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_cg_is_scipys_iteration_bit_for_bit(n, start, precondition):
+    # the same iterates, iteration count and info as scipy.sparse.linalg.cg,
+    # to convergence and stopped at maxiter
+    A, b, rng = _spd_system(n, 100 * n + len(start))
+    x0 = {"none": None, "zero": np.zeros(n), "nonzero": rng.standard_normal(n)}[start]
+    x0_before = None if x0 is None else x0.copy()
+    diagonal = A.diagonal()
+
+    def jacobi(r):
+        return r / diagonal
+
+    M_ours = jacobi if precondition else None
+    M_scipy = LinearOperator(A.shape, matvec=jacobi, dtype=float) if precondition else None
+    stops = set()
+    for rtol, maxiter in ((1e-10, None), (1e-15, 3)):
+        ours, theirs = [], []
+        x, info = pdas.cg(A, b, x0, rtol=rtol, maxiter=maxiter, M=M_ours,
+                          callback=lambda xk: ours.append(xk.copy()))
+        x_ref, info_ref = scipy_cg(A, b, x0, rtol=rtol, maxiter=maxiter, M=M_scipy,
+                                   callback=lambda xk: theirs.append(xk.copy()))
+        assert np.array_equal(x, x_ref) and info == info_ref
+        assert len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))
+        stops.add(info)
+    assert x0 is None or np.array_equal(x0, x0_before)
+    if n == 40:
+        assert stops == {0, 3}  # converged, and stopped at maxiter
+    # b = 0: the zero solution at once, as scipy returns it
+    x, info = pdas.cg(A, np.zeros(n), x0, rtol=1e-10, M=M_ours)
+    assert info == 0 and not x.any()
+
+
+def test_cg_is_scipys_iteration_on_the_multigrid_w_system(monkeypatch):
+    # the 2D w-solve's DIA matrix and V-cycle through both iterations
+    g, solver, d, b, _ = _w_system(17, _INACTIVE_SETS["band"])
+    _, vcycle = _system_and_vcycle(monkeypatch, solver, d)
+    A = vcycle.A[0]
+    for x0 in (np.zeros(g.n_interior), np.full(g.n_interior, 0.1)):
+        x, info = pdas.cg(A, b, x0, rtol=1e-12, maxiter=500, M=vcycle)
+        x_ref, info_ref = scipy_cg(A, b, x0, rtol=1e-12, maxiter=500,
+                                   M=LinearOperator(A.shape, matvec=vcycle, dtype=float))
+        assert info == info_ref == 0 and np.array_equal(x, x_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_implicit_sweep_matrix_is_the_product_form_entry_for_entry(dim):
+    # the active phase rows replaced by scaling B's data per row equal
+    # diag(keep) B + diag(1 - keep) E: the same sparsity, no explicit zeros
+    g, spec, stn = _setup(n_cells=9 if dim == 1 else 6, dim=dim)
+    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    B = coupled_matrix(g, stn, CH_PARAMS, w_solver)
+    with_zero = B.copy()
+    with_zero.data[np.flatnonzero(with_zero.data)[[0, -1]]] = 0.0  # explicit zeros
+    rng = np.random.default_rng(dim)
+    for inactive in (np.ones(g.n_interior, dtype=bool), np.zeros(g.n_interior, dtype=bool),
+                     rng.random(g.n_interior) < 0.5):
+        for matrix in (B, with_zero):
+            A = pdas._select_phase_rows(matrix, inactive)
+            ref = phase_rows_by_products(matrix, inactive)
+            assert A.has_canonical_format and np.all(A.data != 0.0)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(A, name), getattr(ref, name)), name

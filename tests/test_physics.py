@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlpf.grid import assemble_stiffness, build_grid
+from nlpf.grid import build_grid
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil
 from nlpf.physics import (
@@ -82,7 +82,7 @@ def test_regular_potential_matches_finite_differences():
 
 def test_greens_dual_norm_basics():
     g = build_grid(1, 1 / 32, 0.0)
-    solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.37)
+    solve = exact_solver(g, 1.0, 0.37)
     assert greens_dual_norm(g, np.zeros(g.n_interior), solve) == 0.0
     ones = np.ones(g.n_interior)
     lumped = np.dot(g.mass_interior * ones, ones)
@@ -93,7 +93,7 @@ def test_greens_dual_norm_basics():
 
 def test_greens_dual_norm_contraction():
     g = build_grid(1, 1 / 24, 0.0)
-    solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.5)
+    solve = exact_solver(g, 1.0, 0.5)
     rng = np.random.default_rng(8)
     for _ in range(20):
         v = rng.standard_normal(g.n_interior)
@@ -121,7 +121,7 @@ def test_objective_vanishes_at_rest():
     spec = KernelSpec(0.8, 0.45, 1)
     stn = build_stencil(g, spec)
     zero = np.zeros(g.n_nodes)
-    green = exact_solver(g, assemble_stiffness(g), 1.0, PARAMS.beta)
+    green = exact_solver(g, 1.0, PARAMS.beta)
     val = objective_Jk(g, stn, PARAMS, 1e-3, zero, zero, np.zeros(g.n_interior), green)
     assert val == 0.0
 
@@ -137,7 +137,7 @@ def test_objective_difference_matches_dense_hand_computation():
     u2 = rng.random(g.n_nodes)
     m_prev = rng.uniform(-0.4, 0.4, g.n_interior)
     tau = 2e-3
-    green = exact_solver(g, assemble_stiffness(g), 1.0, PARAMS.beta)  # beta = 0: M^-1
+    green = exact_solver(g, 1.0, PARAMS.beta)  # beta = 0: M^-1
     got = objective_Jk(g, stn, PARAMS, tau, u1, u_prev, m_prev, green) - objective_Jk(
         g, stn, PARAMS, tau, u2, u_prev, m_prev, green
     )

@@ -1,7 +1,12 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +34,11 @@ from nlpf.stepper import (
     step_temperature,
     timestep_admissibility,
 )
-from oracles import dense_stiffness_1d, pdas_step_AC_nonlocal
+from oracles import dense_stiffness_1d, initial_field_from_coords, pdas_step_AC_nonlocal
 
 
 def _heat(g, p, tau):
-    return exact_solver(g, assemble_stiffness(g), 1.0, tau * p.D)
+    return exact_solver(g, 1.0, tau * p.D)
 
 
 def test_temperature_equilibrium():
@@ -76,7 +81,7 @@ def test_exact_solver_matches_factorized_and_conserves_the_sum(dim, n_cells):
         for a, b in ((1.0, tau * p.D), (p.mu / tau, eps**2), (1.0, 0.0)):
             A = (a * M + b * K).tocsc()
             r = rng.standard_normal(g.n_interior)
-            x = stepper.exact_solver(g, K, a, b)(r)
+            x = stepper.exact_solver(g, a, b)(r)
             ref = factorized(A)(r)
             assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
             assert abs((A @ x - r).sum()) <= 1e-14 * np.abs(r).sum()
@@ -89,7 +94,7 @@ def test_exact_solver_matches_factorized_and_conserves_the_sum(dim, n_cells):
 def test_exact_solver_rejects_nonpositive_or_nonfinite_coefficients(dim, delta, a, b):
     g = build_grid(dim, 1 / 8, delta)
     with pytest.raises(ValueError, match="a > 0 and b >= 0"):
-        exact_solver(g, assemble_stiffness(g), a, b)
+        exact_solver(g, a, b)
 
 
 def test_temperature_enthalpy_identity():
@@ -170,10 +175,9 @@ def test_step_phase_CH_delegates():
 def test_local_regular_stationary_and_dense_oracle():
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     g = build_grid(1, 1 / 15, 0.0)  # 16 nodes
-    K = assemble_stiffness(g)
     theta_eq = np.full(g.n_interior, p.theta_e)
     for val in (0.0, 1.0):
-        out = LocalRegularStep(g, p, 3e-4, 0.04, K).step(
+        out = LocalRegularStep(g, p, 3e-4, 0.04).step(
             np.full(g.n_interior, val), theta_eq)
         assert np.abs(out.u - val).max() <= 1e-14
     # dense single-step oracle
@@ -181,7 +185,7 @@ def test_local_regular_stationary_and_dense_oracle():
     u_prev = rng.random(g.n_interior)
     theta = rng.normal(1.0, 0.5, g.n_interior)
     eps = 0.07
-    got = LocalRegularStep(g, p, 3e-4, eps, K).step(u_prev, theta).u
+    got = LocalRegularStep(g, p, 3e-4, eps).step(u_prev, theta).u
     M = np.diag(g.mass_interior)
     K = dense_stiffness_1d(g.n_interior, g.h)
     A = (p.mu / 3e-4) * M + eps**2 * K
@@ -303,7 +307,7 @@ def test_phase_and_temperature_substeps_commute():
     state = initial_state(cfg, g, stn)
     p = cfg.model
     K = assemble_stiffness(g)
-    heat = exact_solver(g, K, 1.0, cfg.tau * p.D)
+    heat = exact_solver(g, 1.0, cfg.tau * p.D)
     res = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas, K).step(state.u, state.theta)
     theta_after = step_temperature(heat, g, p, state.theta, res.u, state.u)
     # "temperature first": same inputs, evaluated in the other order
@@ -483,11 +487,16 @@ def test_run_stops_at_a_cycling_active_set_step(monkeypatch):
     assert steps[-1].cycle == 9 and steps[-1].iters < PdasConfig.max_iters
 
 
-@pytest.mark.parametrize("variant, dim", [("nonlocal_CH", 1), ("nonlocal_CH", 2),
-                                          ("local_obstacle", 1), ("local_regular", 1)],
-                         ids=["nonlocal_CH", "nonlocal_CH-2d", "local_obstacle",
-                              "local_regular"])
-def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, monkeypatch):
+@pytest.mark.parametrize("variant, dim, assembled", [
+    ("nonlocal_CH", 1, 2), ("nonlocal_CH", 2, 1), ("nonlocal_AC", 2, 0),
+    ("local_obstacle", 1, 2), ("local_regular", 1, 2), ("local_regular", 2, 0)],
+    ids=["nonlocal_CH", "nonlocal_CH-2d", "nonlocal_AC-2d", "local_obstacle",
+         "local_regular", "local_regular-2d"])
+def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, assembled, monkeypatch):
+    # K is assembled only where it is solved with: once by the phase step of
+    # an active-set variant, and once per 1D exact solver for its bands (the
+    # heat matrix; the local_regular matrix).  No K is alive in the time
+    # loop, and a 2D variant that does not solve with K never assembles one.
     stiffness, alive = [], []
     assemble = stepper.assemble_stiffness
 
@@ -499,12 +508,12 @@ def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, monkeypatch)
     monkeypatch.setattr(stepper, "assemble_stiffness", recorded)
     heat_step = stepper.step_temperature
     monkeypatch.setattr(stepper, "step_temperature", lambda *args: alive.append(
-        stiffness[0]() is not None) or heat_step(*args))
+        any(K() is not None for K in stiffness)) or heat_step(*args))
     cfg = _variant_config(variant)
     if dim == 2:
         cfg = dataclasses.replace(cfg, dim=2, h=1 / 16).validate()
     run(cfg)
-    assert len(stiffness) == 1 and alive == [False] * 10
+    assert len(stiffness) == assembled and alive == [False] * 10
 
 
 def test_ring_correction_assembles_the_capacitance_at_its_final_size():
@@ -512,11 +521,10 @@ def test_ring_correction_assembles_the_capacitance_at_its_final_size():
     # (two real, one complex) and O(1) n x n arrays (the mass and the
     # spectrum); no dense (4n-4)^2 capacitance and no n x n transform matrix
     g = build_grid(2, 1 / 104, 0.0826)
-    K = assemble_stiffness(g)
     n = g.n_axis_interior
     tracemalloc.start()
     try:
-        solve = exact_solver(g, K, 1.0, 1e-4)
+        solve = exact_solver(g, 1.0, 1e-4)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -530,9 +538,54 @@ def test_layered_exact_solver_is_quarter_turn_equivariant(n_cells):
     # right-hand side turned on the (n, n) view gives the turned solution
     g = build_grid(2, 1.0 / n_cells, 0.1)
     shape = g.interior_shape
-    solve = exact_solver(g, assemble_stiffness(g), 1.0, 0.37)
+    solve = exact_solver(g, 1.0, 0.37)
     r = np.random.default_rng(n_cells).standard_normal(shape)
     x = solve(r.ravel()).reshape(shape)
     for k in (1, 2, 3):
         turned = solve(np.rot90(r, k).ravel()).reshape(shape)
         assert np.abs(turned - np.rot90(x, k)).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("dim, delta", [(1, 0.0), (1, 0.1), (2, 0.0), (2, 0.1)])
+@pytest.mark.parametrize("init", [InitSpec(kind="step", params=(0.3,)),
+                                  InitSpec(kind="box", params=(0.25, 0.6)),
+                                  InitSpec(kind="frame", params=(0.1, 0.9))],
+                         ids=["step", "box", "frame"])
+def test_initial_state_reads_the_interior_axis_like_the_coordinates(init, dim, delta):
+    # the masks built per axis are the ones read off grid.coords(), on the
+    # interior nodes with and without an interaction layer
+    cfg = dataclasses.replace(_mini_config(), dim=dim, h=1 / 20, delta=delta, init=init)
+    g = build_grid(dim, cfg.h, delta)
+    u0 = initial_state(cfg, g, None).u[g.interior_ids]
+    assert np.array_equal(u0, initial_field_from_coords(g, init))
+    assert 0 < u0.sum() < g.n_interior
+
+
+def test_explicit_runs_never_load_superlu():
+    # only implicit convolution solves with SuperLU: a few steps of every 2D
+    # variant leave scipy.sparse.linalg unloaded, and an implicit 1D step
+    # loads it on first use and succeeds
+    code = textwrap.dedent("""
+        import dataclasses, sys
+        from nlpf.pdas import PdasConfig
+        from nlpf.presets import example1_config, example3_config
+        from nlpf.stepper import run
+
+        for variant in ("nonlocal_CH", "nonlocal_AC", "local_obstacle", "local_regular"):
+            cfg = dataclasses.replace(example3_config(variant), h=1 / 32, snapshots=())
+            cfg = dataclasses.replace(cfg, T_final=3 * cfg.tau).validate()
+            assert run(cfg).n_steps == 3
+        assert "scipy.sparse.linalg" not in sys.modules, "an explicit run loaded it"
+        cfg = example1_config("nonlocal_CH")
+        cfg = dataclasses.replace(cfg, T_final=cfg.tau, snapshots=(),
+                                  pdas=PdasConfig(convolution_mode="implicit")).validate()
+        res = run(cfg)
+        assert res.n_steps == 1 and res.diagnostics["pdas_converged"].all()
+        assert "scipy.sparse.linalg" in sys.modules
+    """)
+    src = str(Path(stepper.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
