@@ -15,17 +15,7 @@ import math
 import os
 import sys
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _pin_threads(n: int) -> None:
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+from . import THREAD_VARS
 
 
 def _default_output_root() -> str:
@@ -170,5 +160,6 @@ def main(argv=None) -> int:
     if args.threads < 1:  # before any pool size is exported
         print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 1
-    _pin_threads(args.threads)
+    for var in THREAD_VARS:
+        os.environ[var] = str(args.threads)
     return args.func(args)

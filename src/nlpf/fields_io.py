@@ -9,6 +9,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import THREAD_VARS
 from .config import RunConfig, config_as_dict
 from .grid import Grid
 
@@ -147,12 +148,14 @@ def build_report(result=None, config: RunConfig | None = None, status: str = "ok
                  error: str | None = None, snapshots_manifest: list | None = None) -> dict:
     """Assemble the JSON-serializable run report.
 
-    Emitted even on failure paths: with ``result`` None only the config and
-    error are reported.
+    Emitted even on failure paths: with ``result`` None only the config,
+    the error and the thread-pool variables are reported.  ``threads`` holds
+    each of ``THREAD_VARS`` as the process sees it (None when unset).
     """
     report = {
         "status": status,
         "error": error,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "resolved_config": None,
         "discretization": None,
         "diagnostics_summary": None,

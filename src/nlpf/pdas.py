@@ -74,11 +74,10 @@ The solvers assemble nothing that is fixed over a run: the w-solver (around
 the w-equation matrix ``w_matrix``), the local obstacle matrix and, for
 implicit convolution, the coupled matrix ``coupled_matrix`` are passed in by
 the caller (the time loop builds them once per run).  ``w_matrix`` and
-``local_obstacle_matrix`` scale the diagonals of the stiffness
-(``assemble_stiffness``, DIA) and add the mass to the main one: the
-w-equation matrix stays in DIA, the form every w-solve uses, and the local
-obstacle matrix is converted once to the CSR whose principal submatrices a
-2D sweep extracts.
+``local_obstacle_matrix`` are ``grid.mass_plus_stiffness``: the w-equation
+matrix stays in DIA, the form every w-solve uses, and the local obstacle
+matrix is converted once to the CSR whose principal submatrices a 2D sweep
+extracts.
 """
 
 from __future__ import annotations
@@ -90,9 +89,11 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
+from scipy.linalg.lapack import dpotrs
 
-from .grid import Grid
+# factorized is called through this module's name, which nlpf_bench/spans.py
+# wraps to time every 1D sweep factorization
+from .grid import Grid, factorized, mass_plus_stiffness, upper_bands
 from .nonlocal_ops import ConvolutionStencil, conv_rows, convolve, exterior_closure
 from .physics import ModelParams
 
@@ -103,7 +104,6 @@ __all__ = [
     "WSolver",
     "cg",
     "coupled_matrix",
-    "factorized",
     "pdas_step_CH",
     "pdas_step_local_obstacle",
     "spsolve",
@@ -115,10 +115,7 @@ __all__ = [
 #: 2D w-solve: coarsen until a level has at most this many nodes, then solve
 #: it directly; damping of the Jacobi smoother; CG iteration cap of both 2D
 #: CG solves; relative residual of a 2D CG sweep before its sets repeat, and
-#: of its refinement once they do (the direct routes ignore both).  On the
-#: ex3 runs to t = 0.0041 a loose sweep takes ~2.5 CG iterations per w-solve
-#: (at most 4) and ~4 per reduced local-obstacle solve (at most 16), a
-#: refinement ~10 (at most 12) and ~31 (at most 33).
+#: of its refinement once they do (the direct routes ignore both).
 _COARSEST_NODES = 200
 _JACOBI_DAMPING = 0.8
 _CG_MAX_ITERS = 500
@@ -291,24 +288,12 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     return StepOut(u, w, lam, sets, iters, converged, cg_iters, kkt, cause, cycle)
 
 
-def _mass_plus_stiffness(grid: Grid, a: float, K: sp.dia_array, b: float) -> sp.dia_array:
-    """a M + b K on interior nodes, on the diagonals of K (``assemble_stiffness``).
-
-    b times K's data, with a M added to the offset-0 row (the middle of K's
-    symmetric offsets): entry for entry the sum of the sparse matrices.
-    """
-    data = b * K.data
-    data[K.offsets.size // 2] += a * grid.mass_interior
-    return sp.dia_array((data, K.offsets), shape=K.shape)
-
-
-def w_matrix(grid: Grid, K: sp.dia_array, beta: float, tau: float) -> sp.dia_array:
+def w_matrix(grid: Grid, beta: float, tau: float) -> sp.dia_array:
     """tau * (M + beta K) on interior nodes: the w-equation matrix, in DIA form."""
-    return tau * _mass_plus_stiffness(grid, 1.0, K, beta)
+    return tau * mass_plus_stiffness(grid, 1.0, beta)
 
 
-def local_obstacle_matrix(grid: Grid, K: sp.dia_array, params: ModelParams, tau: float,
-                          eps: float) -> sp.csr_array:
+def local_obstacle_matrix(grid: Grid, params: ModelParams, tau: float, eps: float) -> sp.csr_array:
     """(mu/tau - c_F) M + eps^2 K on interior nodes: the local obstacle matrix.
 
     The model has beta = 0, and the matrix is SPD only for mu/tau > c_F.
@@ -322,7 +307,7 @@ def local_obstacle_matrix(grid: Grid, K: sp.dia_array, params: ModelParams, tau:
             f"mu/tau = {r} must exceed c_F = {params.c_F} for the local obstacle "
             "step (shrink tau)"
         )
-    return _mass_plus_stiffness(grid, r - params.c_F, K, eps**2).tocsr()
+    return mass_plus_stiffness(grid, r - params.c_F, eps**2).tocsr()
 
 
 def coupled_matrix(grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
@@ -362,24 +347,6 @@ def _select_phase_rows(B: sp.csr_array, inactive: np.ndarray) -> sp.csr_array:
                         shape=B.shape)
     j = np.flatnonzero(~inactive)
     return kept + sp.csr_array((np.ones(j.size), (n_i + j, j)), shape=B.shape)
-
-
-def factorized(bands: np.ndarray):
-    """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky.
-
-    ``bands`` is [superdiagonal (first entry unused); diagonal], the upper
-    banded form that LAPACK ``dpbtrf`` factors once; each solve is one
-    ``dpbtrs``.  A non-finite band raises ``ValueError`` and an A that is not
-    positive definite ``LinAlgError``: there is no fallback.
-    """
-    bands = np.asarray(bands, dtype=float)
-    if not np.isfinite(bands).all():
-        raise ValueError("factorized: the bands hold a non-finite value")
-    c, info = dpbtrf(bands)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"factorized: leading minor {info} is not positive definite")
-    return lambda b: dpbtrs(c, b)[0]
 
 
 def spsolve(A: sp.csc_array, b: np.ndarray) -> np.ndarray:
@@ -554,7 +521,7 @@ class _VCycle:
 class WSolver:
     """Solves (A_w + diag(d)) w = b, the w-equation of one active-set sweep.
 
-    ``A_w`` is ``w_matrix(grid, K, beta, tau)``, DIA and fixed over a run; the
+    ``A_w`` is ``w_matrix(grid, beta, tau)``, DIA and fixed over a run; the
     nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
     the system is tridiagonal: the two bands of A_w are stored once, and each
     system adds d to the diagonal band and factors the sum once
@@ -578,8 +545,7 @@ class WSolver:
         n = grid.n_axis_interior
         self.A = A_w
         if grid.dim == 1:
-            # the upper banded form of ``factorized``
-            self.bands = np.vstack([np.r_[0.0, A_w.diagonal(1)], A_w.diagonal()])
+            self.bands = upper_bands(A_w)
         transfers, weights, coarse = [], [], []
         Q, C = sp.identity(n, format="csr"), A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
@@ -651,7 +617,7 @@ def pdas_step_CH(
     the current level (implicit mode, one sparse solve per sweep of the full
     (u_int, u_ext, w) system).  The exterior layer is closed by the zero-flux
     condition, explicitly or as part of the coupled solve respectively.
-    ``w_solver`` is ``WSolver(grid, w_matrix(grid, K, beta, tau))``; implicit
+    ``w_solver`` is ``WSolver(grid, w_matrix(grid, beta, tau))``; implicit
     mode also needs ``B = coupled_matrix(grid, stencil, params, w_solver)``,
     of which a sweep replaces the phase rows of the active nodes.
     """
@@ -726,8 +692,8 @@ def pdas_step_local_obstacle(
     """Backward-Euler local obstacle step (beta = 0): mu du/dt with eps^2 K stiffness.
 
     The chemical potential is eliminated, and each sweep is one reduced SPD
-    solve on the inactive set with ``A = local_obstacle_matrix(grid, K,
-    params, tau, eps)``: banded Cholesky in 1D; in 2D CG started from the
+    solve on the inactive set with ``A = local_obstacle_matrix(grid, params,
+    tau, eps)``: banded Cholesky in 1D; in 2D CG started from the
     previous sweep's iterate (from u_prev in the first sweep), loose until
     the sets repeat and then refined to ``_LIN_TOL`` (see the module
     docstring).  A CG failure raises ``RuntimeError``.

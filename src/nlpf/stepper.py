@@ -23,17 +23,8 @@ loop does not branch on the variant.
                      matrix, nonlinearity explicit, no constraints
 
 The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
-M + beta K of the energy diagnostics) are solved exactly by ``exact_solver``:
-in 1D by banded Cholesky (``pdas.factorized``), and in 2D by two DCT-I
-transforms, with a capacitance correction on the boundary ring of a grid with
-an interaction layer.  The ring is a cycle of four sides that the square's
-quarter turn permutes, so its capacitance splits into three blocks of one
-side's size, and the correction runs on 1D transforms of the ring's lines.
-
-The stiffness K is assembled only where it is solved with: by ``phase_step``
-for the two active-set variants, whose steps keep only the matrices built
-from it, and by ``exact_solver`` for a 1D band.  The time loop holds no K,
-and a 2D ``nonlocal_AC`` or ``local_regular`` run never assembles one.
+M + beta K of the energy diagnostics) are built and solved by ``grid``
+(``exact_solver``); this module holds only the steps and the time loop.
 """
 
 from __future__ import annotations
@@ -44,24 +35,21 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dct, dctn, irfft, rfft
-from scipy.linalg import cho_factor, cho_solve
 
 from .config import RunConfig
 from .fields_io import field_on_grid, read_field
-from .grid import Grid, assemble_stiffness, build_grid, trapezoid_weights
+# factorized is not called here: nlpf_bench/spans.py wraps stepper.factorized by name
+from .grid import Grid, build_grid, exact_solver, factorized  # noqa: F401
 from .kernel import c_gamma_closed_form
 from .nonlocal_ops import ConvolutionStencil, build_stencil, convolve, exterior_closure
-from .pdas import (PdasConfig, StepOut, WSolver, coupled_matrix, factorized,
-                   local_obstacle_matrix, pdas_step_CH, pdas_step_local_obstacle,
-                   verify_complementarity, w_matrix)
+from .pdas import (PdasConfig, StepOut, WSolver, coupled_matrix, local_obstacle_matrix,
+                   pdas_step_CH, pdas_step_local_obstacle, verify_complementarity, w_matrix)
 from .physics import ModelParams, coupling_m, objective_Jk, regular_potential_dF
 
 __all__ = [
     "State", "RunResult", "NonlocalCHStep", "NonlocalACStep",
-    "LocalObstacleStep", "LocalRegularStep", "phase_step", "exact_solver",
-    "step_temperature", "step_phase_local_regular", "initial_state", "run",
+    "LocalObstacleStep", "LocalRegularStep", "phase_step", "step_temperature",
+    "step_phase_local_regular", "initial_state", "run",
     "AdmissibilityReport", "timestep_admissibility",
 ]
 
@@ -98,116 +86,6 @@ class RunResult:
     @property
     def non_converged_steps(self) -> list:
         return [int(k) + 1 for k in np.flatnonzero(~self.diagnostics["pdas_converged"])]
-
-
-def exact_solver(grid: Grid, a: float, b: float):
-    """Solve of (a M + b K) x = r on the interior nodes, for a > 0, b >= 0.
-
-    K is the stiffness ``assemble_stiffness(grid)`` and M the lumped interior
-    mass.  In 1D the matrix is tridiagonal: its bands are taken from K,
-    assembled here, and factored once by banded Cholesky.  In 2D K is never
-    formed.  With M0 the tensor trapezoid with half ends and K the Neumann
-    5-point stencil, DCT-I diagonalizes M0^{-1} K exactly with eigenvalues
-    (2/h^2)(2 - cos(pi k / (n - 1)) - cos(pi l / (n - 1))) over the n nodes
-    per axis; a solve of A0 = a M0 + b K is two ``dctn`` and a division
-    (DCT-I is its own inverse up to the factor 2(n - 1) per axis).  On a
-    grid without interaction layer M = M0.  With a layer the interior mass
-    is not halved at the unit-domain boundary, so M - M0 is a positive
-    diagonal on the boundary ring, and a capacitance (Woodbury) correction
-    on the ring makes the two-``dctn`` solve exact (``_RingCorrection``):
-    the ring is read as four sides of n - 1 nodes that the quarter turn of
-    the square permutes cyclically, so the capacitance splits into three
-    (n-1)-blocks, each factored once, and each solve adds 1D DCT-I
-    transforms of the four ring lines and three block solves.
-    """
-    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
-        raise ValueError(f"exact_solver needs finite a > 0 and b >= 0, got a={a}, b={b}")
-    if grid.dim == 1:
-        K = assemble_stiffness(grid)
-        return factorized(np.vstack([np.r_[0.0, b * K.diagonal(1)],
-                                     a * grid.mass_interior + b * K.diagonal()]))
-    n, shape = grid.n_axis_interior, grid.interior_shape
-    lam = (2.0 / grid.h**2) * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
-    scale = (a + b * np.add.outer(lam, lam)) * (2 * (n - 1))**2
-    weights = trapezoid_weights(n, grid.h)
-    m0 = np.multiply.outer(weights, weights)
-    ring = _RingCorrection(grid, a, weights, scale) if grid.layer else None
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        y = dctn(r.reshape(shape) / m0, type=1)
-        y /= scale
-        if ring is not None:
-            ring.correct(y)
-        return dctn(y, type=1, overwrite_x=True).ravel()
-    return solve
-
-
-class _RingCorrection:
-    """Woodbury correction of the 2D DCT-I solve for a mass that differs on the ring.
-
-    A = A0 + P diag(c) P^T with P the injection of the boundary ring and
-    c = a (m - m0) > 0 there, so A^{-1} = A0^{-1} - A0^{-1} P C^{-1} P^T A0^{-1}
-    with the SPD capacitance C = diag(1/c) + P^T A0^{-1} P.  In 2D arrays
-    A0^{-1} R = G ((F R F^T) / S) G^T, with G the DCT-I matrix, F = G
-    diag(1/m1) and S the ``scale`` of ``exact_solver``.
-
-    The ring is read as a cycle of four sides of n - 1 nodes: side s starts
-    at corner s and runs along line s (row 0, column n-1, row n-1, column 0),
-    and the quarter turn (i, j) -> (j, n-1-i) maps side s onto side s + 1
-    node for node.  A0 and c are invariant under that turn, so C is block
-    circulant over the sides, with blocks B0..B3 (B3 = B1^T) of side 0
-    against side d, assembled by separability from n x n products.  A
-    length-4 DFT over the sides splits it into three (n-1)-blocks, each
-    Cholesky-factored once: B0 + B1 + B2 + B3 and B0 - B1 + B2 - B3 (real) and
-    (B0 - B2) + i (B1 - B3) (Hermitian), with diag(1/c) on each.  ``correct``
-    takes the spectral coefficients Y = (F R F^T) / S and subtracts those of
-    A0^{-1} P C^{-1} P^T A0^{-1} R in place: the four lines, to and from the
-    spectrum, are 1D DCT-I transforms, so a correction costs O(n^2) on top
-    of the two 2D transforms, and G and F are not kept.
-    """
-
-    def __init__(self, grid: Grid, a: float, weights: np.ndarray, scale: np.ndarray):
-        n = grid.n_axis_interior
-        G = dct(np.eye(n), type=1, axis=0)
-        F = G / weights
-        ends = [0, n - 1, n - 1, 0]  # the row or column index of line s
-        self.weights, self.scale = weights, scale
-        self.g_ends, self.f_ends = G[ends], F[:, ends]
-        # block d of side 0 (row 0, columns 0..n-2) against side d: against a
-        # row, G diag(S^{-1} (g * f)) F; against a column, G diag(f)
-        # S^{-1} diag(g) F; with g = G[0] and f the column of F at the other
-        # side's line.  Sides 2 and 3 run backward.
-        Sinv, g, side0 = 1.0 / scale, G[0], G[:n - 1]
-        B0 = (side0 * (Sinv @ (g * F[:, 0]))) @ F[:, :n - 1]
-        B2 = (side0 * (Sinv @ (g * F[:, -1]))) @ F[:, :0:-1]
-        B1 = (side0 * F[:, -1]) @ ((Sinv * g) @ F[:, :n - 1])
-        B13 = B1 + B1.T
-        # 1/c on side 0 (row 0 leads the interior order); every side has the same
-        inv_c = 1.0 / (a * (grid.mass_interior[:n - 1] - weights[0] * weights[:n - 1]))
-        blocks = [B0 + B2 + B13, (B0 - B2) + 1j * (B1 - B1.T), B0 + B2 - B13]
-        for block in blocks:
-            block[np.diag_indices(n - 1)] += inv_c
-        self.caps = [cho_factor(block, overwrite_a=True) for block in blocks]
-
-    def correct(self, Y: np.ndarray) -> None:
-        n = len(Y)
-        # lines of A0^{-1} R = G Y G^T: rows G (g_e Y)^T, columns G (g_e Y^T)^T
-        lines = np.empty((4, n))
-        lines[0::2] = self.g_ends[0::2] @ Y
-        lines[1::2] = self.g_ends[1::2] @ Y.T
-        lines = dct(lines, type=1, axis=1, overwrite_x=True)
-        sides = np.concatenate([lines[:2, :-1], lines[2:, :0:-1]])
-        spec = rfft(sides, axis=0)
-        for k, cap in enumerate(self.caps):  # blocks k = 0 and 2 are real
-            rhs = spec[k] if k == 1 else spec[k].real
-            spec[k] = cho_solve(cap, rhs, check_finite=False)
-        s = irfft(spec, n=4, axis=0)
-        # F (P s) F^T: the rows and the columns of P s give two outer products
-        # each, with F l = G (l / m1) one 1D transform per line
-        lines = np.zeros((4, n))
-        lines[:2, :-1], lines[2:, :0:-1] = s[:2], s[2:]
-        Fl = dct(lines / self.weights, type=1, axis=1, overwrite_x=True)
-        Y -= (self.f_ends[:, 0::2] @ Fl[0::2] + Fl[1::2].T @ self.f_ends[:, 1::2].T) / self.scale
 
 
 def step_temperature(heat_solve, grid: Grid, params: ModelParams, theta_prev: np.ndarray,
@@ -250,10 +128,10 @@ class NonlocalCHStep:
     """
 
     def __init__(self, grid: Grid, stencil: ConvolutionStencil, params: ModelParams,
-                 tau: float, config: PdasConfig, K: sp.dia_array):
+                 tau: float, config: PdasConfig):
         self.grid, self.stencil, self.params, self.tau = grid, stencil, params, tau
         self.config = config
-        self.w_solver = WSolver(grid, w_matrix(grid, K, params.beta, tau))
+        self.w_solver = WSolver(grid, w_matrix(grid, params.beta, tau))
         self.B = (coupled_matrix(grid, stencil, params, self.w_solver)
                   if config.convolution_mode == "implicit" else None)
         self.sets = self.w = None
@@ -308,9 +186,9 @@ class LocalObstacleStep:
     """
 
     def __init__(self, grid: Grid, params: ModelParams, tau: float, eps: float,
-                 config: PdasConfig, K: sp.dia_array):
+                 config: PdasConfig):
         self.grid, self.params, self.tau, self.config = grid, params, tau, config
-        self.A = local_obstacle_matrix(grid, K, params, tau, eps)
+        self.A = local_obstacle_matrix(grid, params, tau, eps)
         self.sets = None
 
     def step(self, u: np.ndarray, theta: np.ndarray) -> StepOut:
@@ -335,18 +213,14 @@ class LocalRegularStep:
 
 
 def phase_step(config: RunConfig, grid: Grid, stencil: ConvolutionStencil | None):
-    """The phase step of ``config.variant``.
-
-    Only the two variants that solve with the stiffness assemble it; the
-    step keeps what it builds from it, not K.
-    """
+    """The phase step of ``config.variant``."""
     p, tau, eps = config.model, config.tau, config.epsilon
     if config.variant == "nonlocal_CH":
-        return NonlocalCHStep(grid, stencil, p, tau, config.pdas, assemble_stiffness(grid))
+        return NonlocalCHStep(grid, stencil, p, tau, config.pdas)
     if config.variant == "nonlocal_AC":
         return NonlocalACStep(grid, stencil, p, tau)
     if config.variant == "local_obstacle":
-        return LocalObstacleStep(grid, p, tau, eps, config.pdas, assemble_stiffness(grid))
+        return LocalObstacleStep(grid, p, tau, eps, config.pdas)
     return LocalRegularStep(grid, p, tau, eps)
 
 

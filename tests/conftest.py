@@ -1,9 +1,10 @@
 import os
 
+from nlpf import THREAD_VARS  # the package's __init__ imports no numpy
+
 # One BLAS/OpenMP thread, as `nlpf --threads 1` runs: the pools read these
 # variables once, when numpy is first imported, which happens after this.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
+for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import pytest  # noqa: E402

@@ -4,6 +4,7 @@ The oracles recompute what the solvers compute through independent routes:
 the kernel constants by radial quadrature, the kernel written out as a
 polynomial, dense matrices built from coordinates instead of stencils,
 exhaustive 3^N active-set enumeration instead of the active-set iteration,
+a dense KKT certificate of the explicit CH step read as a convex QP,
 and the nonlocal AC projection iterated as an active-set loop instead of
 evaluated in closed form, and the interface runs scanned one grid line at a
 time instead of in one array pass.  The fixed sparse matrices are also
@@ -32,6 +33,7 @@ from nlpf.pdas import ActiveSets, StepOut, _pdas_iterate, _Sweep
 __all__ = [
     "c_gamma_quadrature", "second_moment_check", "gamma_poly", "trapezoid_masses",
     "dense_conv_matrix", "dense_stiffness_1d", "enumerate_CH_explicit",
+    "ch_explicit_qp", "certify_box_qp",
     "enumerate_CH_implicit", "enumerate_local_obstacle", "pdas_step_AC_nonlocal",
     "sets_from_bounds", "interface_runs", "kron_stiffness", "sum_w_matrix",
     "sum_local_obstacle_matrix", "phase_rows_by_products", "initial_field_from_coords", "assert_same_entries",
@@ -231,6 +233,43 @@ def enumerate_CH_explicit(grid, W, params, tau, u_prev, m_prev, K_dense):
         return u, lam, (u, w, lam)
 
     return _first_feasible(n, solve)
+
+
+def ch_explicit_qp(grid, W, params, tau, u_prev, m_prev, K_dense):
+    """(H, b) of the explicit-convolution CH step as min 1/2 u'Hu - b'u on [0, 1]^n.
+
+    w eliminated from the rows of ``enumerate_CH_explicit``: with
+    S = M + beta K over the interior nodes, H = xi M + (mu/tau) M S^{-1} M and
+    b = M q + (mu/tau) M S^{-1} M u_prev.  H is SPD for xi > 0, so the QP is
+    strictly convex and its KKT point is the step's unique solution; the
+    gradient H u - b is -M lambda.
+    """
+    ids = grid.interior_ids
+    mI = grid.lumped_mass[ids]
+    c_F = params.c_F
+    xi_vec = (W @ np.ones(grid.n_nodes))[ids] - c_F
+    q = (W @ u_prev)[ids] + c_F * m_prev - 0.5 * c_F
+    M = np.diag(mI)
+    G = (params.mu / tau) * M @ np.linalg.solve(M + params.beta * K_dense, M)
+    return np.diag(xi_vec * mI) + G, mI * q + G @ u_prev[ids]
+
+
+def certify_box_qp(H, b, upper, lower):
+    """KKT certificate of min 1/2 u'Hu - b'u on [0, 1]^n at the given active sets.
+
+    One dense solve: u is 1 on ``upper``, 0 on ``lower`` and solves the free
+    rows of H u = b.  Returns (u, violation), the violation being the largest
+    breach of the KKT conditions as a change of u: a free value outside
+    [0, 1], or a gradient H u - b of the wrong sign on a pinned node (> 0 at
+    1, < 0 at 0) divided by H's diagonal.  For a strictly convex QP a
+    violation of 0 (to round-off) certifies u as the unique solution.
+    """
+    u = upper.astype(float)
+    free = ~(upper | lower)
+    u[free] = np.linalg.solve(H[np.ix_(free, free)], (b - H @ u)[free])
+    step = (H @ u - b) / np.diag(H)
+    return u, float(max(np.max(-u[free], initial=0.0), np.max(u[free] - 1.0, initial=0.0),
+                        np.max(step[upper], initial=0.0), np.max(-step[lower], initial=0.0)))
 
 
 def enumerate_CH_implicit(grid, W, params, tau, u_prev, m_prev, K_dense):

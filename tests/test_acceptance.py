@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from nlpf.grid import assemble_stiffness, build_grid
+from nlpf.grid import build_grid, exact_solver
 from nlpf.kernel import KernelSpec, c_gamma_closed_form
 from nlpf.nonlocal_ops import build_stencil, convolve
 from nlpf.pdas import (PdasConfig, WSolver, local_obstacle_matrix, pdas_step_CH,
                        pdas_step_local_obstacle, w_matrix)
 from nlpf.physics import ModelParams, coupling_m
 from nlpf.presets import EX2_DELTAS, example1_config
-from nlpf.stepper import NonlocalACStep, exact_solver, run, step_temperature
+from nlpf.stepper import NonlocalACStep, run, step_temperature
 from oracles import (
     c_gamma_quadrature,
     dense_conv_matrix,
@@ -149,7 +149,7 @@ def test_criterion_07b_pdas_vs_exhaustive_enumeration():
     stn = build_stencil(g, KernelSpec(0.35, 2.6 / 7, 1))
     W = dense_conv_matrix(g.coords(), g.lumped_mass, 0.35, 2.6 / 7, 1)
     K = dense_stiffness_1d(g.n_interior, g.h)
-    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), p_ch.beta, 3e-4))
+    w_solver = WSolver(g, w_matrix(g, p_ch.beta, 3e-4))
     for _ in range(3):
         u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
@@ -159,7 +159,7 @@ def test_criterion_07b_pdas_vs_exhaustive_enumeration():
     # local obstacle, 8 interior nodes
     gl = build_grid(1, 1 / 7, 0.0)
     Kl = dense_stiffness_1d(gl.n_interior, gl.h)
-    A = local_obstacle_matrix(gl, assemble_stiffness(gl), p_lo, 3e-4, 0.3)
+    A = local_obstacle_matrix(gl, p_lo, 3e-4, 0.3)
     for _ in range(3):
         u_prev = np.clip(rng.random(gl.n_nodes), 0.0, 1.0)
         m_prev = rng.uniform(-0.45, 0.45, gl.n_interior)

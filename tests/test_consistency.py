@@ -15,7 +15,7 @@ import pytest
 
 from nlpf import config
 from nlpf.config import InitSpec, RunConfig
-from nlpf.grid import build_grid, assemble_stiffness
+from nlpf.grid import build_grid, mass_plus_stiffness
 from nlpf.metrics import field_distance
 from nlpf import pdas, stepper
 from nlpf.pdas import PdasConfig
@@ -60,7 +60,7 @@ def test_explicit_and_implicit_modes_converge_together():
 def test_2d_stiffness_consistent_with_laplacian():
     # K u ~ -m * Lap(u) for a smooth Neumann-compatible field, interior nodes
     g = build_grid(2, 1 / 48, 0.0)
-    K = assemble_stiffness(g)
+    K = mass_plus_stiffness(g, 0.0, 1.0)
     coords = g.coords()[g.interior_ids]
     x, y = coords[:, 0], coords[:, 1]
     u = np.cos(np.pi * x) * np.cos(2 * np.pi * y)
@@ -73,7 +73,7 @@ def test_2d_stiffness_consistent_with_laplacian():
     assert np.abs(resid[inner]).max() <= 5e-3 * scale
     # refined grid: quadratic decay of the consistency error
     g2 = build_grid(2, 1 / 96, 0.0)
-    K2 = assemble_stiffness(g2)
+    K2 = mass_plus_stiffness(g2, 0.0, 1.0)
     c2 = g2.coords()[g2.interior_ids]
     u2 = np.cos(np.pi * c2[:, 0]) * np.cos(2 * np.pi * c2[:, 1])
     lap2 = -(5 * np.pi**2) * u2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nlpf.grid import build_grid, assemble_stiffness
+from nlpf.grid import build_grid, mass_plus_stiffness
 from oracles import assert_same_entries, kron_stiffness
 
 
@@ -69,7 +69,7 @@ def test_one_cell_grid():
 
 def test_stiffness_three_nodes():
     g = build_grid(1, 0.5, 0.0)
-    K = assemble_stiffness(g).toarray()
+    K = mass_plus_stiffness(g, 0.0, 1.0).toarray()
     expected = np.array([[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]])
     assert np.array_equal(K, expected)
 
@@ -77,7 +77,7 @@ def test_stiffness_three_nodes():
 @pytest.mark.parametrize("dim,h", [(1, 0.05), (2, 0.125)])
 def test_stiffness_symmetric_psd_annihilates_constants(dim, h):
     g = build_grid(dim, h, 0.0)
-    K = assemble_stiffness(g)
+    K = mass_plus_stiffness(g, 0.0, 1.0)
     diff = (K - K.T).toarray()
     assert np.abs(diff).max() == 0.0
     assert np.abs(K @ np.ones(g.n_interior)).max() <= 1e-13
@@ -95,7 +95,7 @@ def test_stiffness_is_the_kronecker_sum_entry_for_entry(dim, n_cells):
     # gives (zeros where an x-coupling would cross a grid row)
     for delta in (0.0, 0.1):
         g = build_grid(dim, 1.0 / n_cells, delta)
-        K, ref = assemble_stiffness(g), kron_stiffness(g)
+        K, ref = mass_plus_stiffness(g, 0.0, 1.0), kron_stiffness(g)
         n = g.n_axis_interior
         assert K.format == "dia"
         assert list(K.offsets) == ([-1, 0, 1] if dim == 1 else [-n, -1, 0, 1, n])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlpf import cli
+from nlpf import THREAD_VARS, cli
 from nlpf.cli import main as cli_main
 from nlpf.config import (ConfigError, InitSpec, config_as_dict, parse_config_file,
                          parse_config_text)
@@ -382,7 +382,7 @@ def test_cli_rejects_a_thread_count_below_one(threads, monkeypatch, capsys):
     def no_command(args):
         raise AssertionError("no command may run")
 
-    for var in cli._THREAD_VARS:
+    for var in THREAD_VARS:
         monkeypatch.setenv(var, "unset")
     for name in ("cmd_run", "cmd_repro", "cmd_metrics"):
         monkeypatch.setattr(cli, name, no_command)
@@ -390,7 +390,7 @@ def test_cli_rejects_a_thread_count_below_one(threads, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: --threads must be >= 1, got {threads}\n"
     assert captured.out == ""
-    assert all(os.environ[var] == "unset" for var in cli._THREAD_VARS)
+    assert all(os.environ[var] == "unset" for var in THREAD_VARS)
 
 
 def test_cli_run_override_reflected_in_report(tmp_path):
@@ -402,6 +402,24 @@ def test_cli_run_override_reflected_in_report(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["resolved_config"]["time"]["tau"] == 0.00015
+
+
+def test_report_records_the_thread_pool_variables(tmp_path, monkeypatch):
+    # as the process sees them, null when unset, on the failure path too; the
+    # CLI pins all four (--threads, default 1) before numpy's pools start
+    for var in THREAD_VARS:  # set first, so that monkeypatch restores what the CLI sets
+        monkeypatch.setenv(var, "3")
+        if var != "OPENBLAS_NUM_THREADS":
+            monkeypatch.delenv(var)
+    rep = build_report(config=example1_config("nonlocal_CH"), status="error", error="boom")
+    assert rep["threads"] == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3",
+                              "MKL_NUM_THREADS": None, "NUMEXPR_NUM_THREADS": None}
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI_CFG)
+    out = tmp_path / "o"
+    assert cli_main(["--threads", "2", "run", str(cfg_path), "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["threads"] == dict.fromkeys(THREAD_VARS, "2")
 
 
 def test_cli_run_config_error_is_reported(tmp_path):

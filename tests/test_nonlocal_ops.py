@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlpf.grid import assemble_stiffness, build_grid
+from nlpf.grid import build_grid
 from nlpf.kernel import KernelSpec, c_gamma_closed_form
 from nlpf.nonlocal_ops import (
     apply_Bh,
@@ -216,7 +216,7 @@ def test_exterior_flux_implicit_matches_dense_solve():
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
     rng = np.random.default_rng(14)
     u_prev = rng.random(g.n_nodes)
-    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 3e-4))
+    w_solver = WSolver(g, w_matrix(g, params.beta, 3e-4))
     res = pdas_step_CH(g, st, params, 3e-4, u_prev, np.zeros(g.n_interior),
                        PdasConfig(convolution_mode="implicit"), w_solver,
                        coupled_matrix(g, st, params, w_solver))

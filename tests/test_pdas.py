@@ -12,9 +12,9 @@ from scipy.sparse.linalg import LinearOperator, cg as scipy_cg, factorized, spso
 
 import nlpf.pdas as pdas
 
-from nlpf.grid import assemble_stiffness, build_grid
+from nlpf.grid import build_grid, exact_solver, mass_plus_stiffness
 from nlpf.kernel import KernelSpec
-from nlpf.nonlocal_ops import build_stencil, convolve
+from nlpf.nonlocal_ops import build_stencil, convolve, exterior_closure
 from nlpf.pdas import (
     ActiveSets,
     PdasConfig,
@@ -29,6 +29,8 @@ from nlpf.pdas import (
 from nlpf.physics import ModelParams, coupling_m
 from oracles import (
     assert_same_entries,
+    certify_box_qp,
+    ch_explicit_qp,
     dense_conv_matrix,
     dense_stiffness_1d,
     enumerate_CH_explicit,
@@ -47,7 +49,7 @@ TAU = 3e-4
 
 def _ch(g, stn, params, tau, u_prev, m_prev, cfg, **kw):
     """pdas_step_CH with its operators built as the time loop builds them."""
-    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, tau))
+    w_solver = WSolver(g, w_matrix(g, params.beta, tau))
     B = (coupled_matrix(g, stn, params, w_solver)
          if cfg.convolution_mode == "implicit" else None)
     return pdas_step_CH(g, stn, params, tau, u_prev, m_prev, cfg, w_solver, B, **kw)
@@ -55,7 +57,7 @@ def _ch(g, stn, params, tau, u_prev, m_prev, cfg, **kw):
 
 def _lo(g, params, tau, eps, u_prev, m_prev, cfg, **kw):
     """pdas_step_local_obstacle with its matrix built as the time loop builds it."""
-    A = local_obstacle_matrix(g, assemble_stiffness(g), params, tau, eps)
+    A = local_obstacle_matrix(g, params, tau, eps)
     return pdas_step_local_obstacle(g, params, tau, A, u_prev, m_prev, cfg, **kw)
 
 
@@ -125,7 +127,7 @@ def test_ch_step_implicit_2d_matches_enumeration():
     spec = KernelSpec(0.15, 0.7, 2)
     stn = build_stencil(g, spec)
     W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 2)
-    K = assemble_stiffness(g).toarray()
+    K = mass_plus_stiffness(g, 0.0, 1.0).toarray()
     rng = np.random.default_rng(77)
     u_prev = np.clip(rng.random(g.n_nodes), 0.0, 1.0)
     m_prev = rng.uniform(-0.45, 0.45, g.n_interior)
@@ -298,6 +300,61 @@ def test_ch_step_1d_matches_enumeration(data, n_cells, beta, mode):
     assert res.kkt_residual <= 1e-9
 
 
+#: The solution's sets of ``_cycling_ch_step`` from ``enumerate_CH_explicit``
+#: (which takes ~6 s on its 11 nodes), per node: u pinned at 1, l pinned at
+#: 0, . free.
+_CYCLING_STEP_SETS = "uuuu.llllll"
+
+
+def _cycling_ch_step():
+    """A cold explicit CH first step whose active sets cycle: 11 interior nodes.
+
+    Small xi (c_F 5e-4 below the discrete c_gamma), and u_prev a step over
+    every node, its layer then replaced by the flux closure; closed as
+    ``initial_state`` closes it (from a zero layer), the same step converges.
+    """
+    d, eps = 3.4197439636142772, 0.11402537682767543
+    g = build_grid(1, 1 / 10, d / 10)
+    spec = KernelSpec(eps, d / 10, 1)
+    stn = build_stencil(g, spec)
+    params = ModelParams(mu=0.0005545964016606477, L=0.5, D=1.0, beta=0.2376220058774777,
+                         c_F=stn.c_gamma_h_interior - 0.0004962850654879928)
+    u_prev = (g.coords()[:, 0] <= 0.45).astype(float)
+    u_prev[g.exterior_ids] = exterior_closure(stn, convolve(stn, u_prev))
+    m_prev = np.full(g.n_interior, -0.3755105985332587)
+    return g, spec, stn, params, 8.963873418637847e-05, u_prev, m_prev
+
+
+def test_ch_step_on_a_cycling_instance_is_certified_or_ends_in_its_cycle():
+    # the step is a strictly convex QP, so a dense KKT certificate stands in
+    # for the 3^n enumeration; the stored sets pass it and their neighbours
+    # fail it.  A cold step either converges to certified sets or ends with
+    # a cycle as its cause (today: 4 sets after 5 sweeps); warm-started from
+    # the certified sets it accepts them at once
+    g, spec, stn, params, tau, u_prev, m_prev = _cycling_ch_step()
+    W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 1)
+    H, b = ch_explicit_qp(g, W, params, tau, u_prev, m_prev,
+                          dense_stiffness_1d(g.n_interior, g.h))
+
+    def sets(pattern):
+        return np.array([c == "u" for c in pattern]), np.array([c == "l" for c in pattern])
+
+    u_ref, violation = certify_box_qp(H, b, *sets(_CYCLING_STEP_SETS))
+    assert violation <= 1e-12
+    for wrong in ("uuu..llllll", "uuuuu.lllll", "uuuu.lllll."):
+        assert certify_box_qp(H, b, *sets(wrong))[1] > 0.1, wrong
+    cold = _ch(g, stn, params, tau, u_prev, m_prev, PdasConfig())
+    if cold.converged:
+        assert certify_box_qp(H, b, cold.sets.upper, cold.sets.lower)[1] <= 1e-12
+        assert np.abs(cold.u[g.interior_ids] - u_ref).max() <= 1e-12
+    else:
+        assert cold.cycle > 1 and cold.cause == f"the active sets cycle through {cold.cycle} sets"
+    warm = _ch(g, stn, params, tau, u_prev, m_prev, PdasConfig(),
+               init_sets=ActiveSets(*sets(_CYCLING_STEP_SETS)))
+    assert warm.converged and warm.iters == 1 and warm.kkt_residual <= 1e-12
+    assert np.abs(warm.u[g.interior_ids] - u_ref).max() <= 1e-12
+
+
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_ch_step_2d_loose_sweeps_match_enumeration(data):
@@ -315,7 +372,7 @@ def test_ch_step_2d_loose_sweeps_match_enumeration(data):
     assert calls[-1][-1] == pdas._LIN_TOL
     W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 2)
     u_ref, w_ref, lam_ref = enumerate_CH_explicit(
-        g, W, CH_PARAMS, TAU, u_prev, m_prev, assemble_stiffness(g).toarray())
+        g, W, CH_PARAMS, TAU, u_prev, m_prev, mass_plus_stiffness(g, 0.0, 1.0).toarray())
     assert res.converged
     assert np.abs(res.u[g.interior_ids] - u_ref).max() <= 1e-9
     assert np.abs(res.w - w_ref).max() <= 1e-9
@@ -367,7 +424,7 @@ def _counting_cg(monkeypatch, calls):
 def test_local_obstacle_2d_matches_enumeration(monkeypatch):
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     g = build_grid(2, 0.5, 0.0)  # 3x3 nodes
-    K = assemble_stiffness(g).toarray()
+    K = mass_plus_stiffness(g, 0.0, 1.0).toarray()
     calls = []
     _counting_cg(monkeypatch, calls)
     rng = np.random.default_rng(5)
@@ -433,7 +490,7 @@ def _band_step_CH_2d():
 def test_ch_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
     g, stn, params, u_prev, m_prev = _band_step_CH_2d()
     cfg = PdasConfig()
-    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 1e-4))
+    w_solver = WSolver(g, w_matrix(g, params.beta, 1e-4))
     assert w_solver.transfers  # a multigrid V-cycle, not one direct solve
     res = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, cfg, w_solver)
     with _exact_sweeps():
@@ -463,7 +520,7 @@ def test_local_obstacle_2d_loose_sweeps_accept_the_exact_sets_at_lin_tol():
     assert res.sets.same_as(exact.sets) and res.sets.inactive.sum() >= 100
     assert res.cg_iters < exact.cg_iters
     # the accepted u solves the reduced system of the final sets to _LIN_TOL
-    A = local_obstacle_matrix(g, assemble_stiffness(g), params, 1e-4, 0.01)
+    A = local_obstacle_matrix(g, params, 1e-4, 0.01)
     b = g.mass_interior * (params.mu / 1e-4 * u_prev - 0.5 * params.c_F
                            + params.c_F * m_prev)
     idx = np.flatnonzero(res.sets.inactive)
@@ -506,7 +563,7 @@ def _local_obstacle_route_1d(monkeypatch, n_cells):
     """``system(sets)`` of a 1D local-obstacle step, with its A (dense) and b."""
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     g = build_grid(1, 1 / n_cells, 0.0)
-    A = local_obstacle_matrix(g, assemble_stiffness(g), params, TAU, 0.3)
+    A = local_obstacle_matrix(g, params, TAU, 0.3)
     rng = np.random.default_rng(n_cells)
     u_prev, m_prev = rng.random(g.n_interior), rng.uniform(-0.45, 0.45, g.n_interior)
     routes = []
@@ -603,14 +660,14 @@ def test_local_obstacle_rejects_large_tau():
     params = ModelParams(mu=1e-4, L=0.0, D=1.0, beta=0.0)
     g = build_grid(1, 1 / 10, 0.0)
     with pytest.raises(ValueError, match="mu/tau"):
-        local_obstacle_matrix(g, assemble_stiffness(g), params, 1e-2, 0.1)
+        local_obstacle_matrix(g, params, 1e-2, 0.1)
 
 
 def test_local_obstacle_matrix_is_beta_zero_only():
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.05)
     g = build_grid(1, 1 / 12, 0.0)
     with pytest.raises(ValueError, match="beta = 0"):
-        local_obstacle_matrix(g, assemble_stiffness(g), params, TAU, 0.1)
+        local_obstacle_matrix(g, params, TAU, 0.1)
 
 
 def test_verify_complementarity_cases():
@@ -644,7 +701,7 @@ def test_infinite_multiplier_fails_complementarity():
 def _w_system(n_axis, inactive, dim=2, seed=0):
     """The ex3-scale w-equation on a local grid with n_axis nodes per axis."""
     g = build_grid(dim, 1.0 / (n_axis - 1), 0.0)
-    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    solver = WSolver(g, w_matrix(g, CH_PARAMS.beta, TAU))
     xi = 0.0093  # discrete xi of the ex3 kernel
     d = np.where(inactive(g), CH_PARAMS.mu * g.mass_interior / xi, 0.0)
     rng = np.random.default_rng(seed)
@@ -753,7 +810,7 @@ def test_w_solver_2d_stencil_vcycle_matches_csr_vcycle(n_axis, inactive, monkeyp
     g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS[inactive])
     solve, vcycle = _system_and_vcycle(monkeypatch, solver, d)
     P, R = _kron_transfers(n_axis)
-    A = _csr_hierarchy(P, R, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU), d)
+    A = _csr_hierarchy(P, R, w_matrix(g, CH_PARAMS.beta, TAU), d)
     reference = _csr_vcycle(P, R, A)
     r = np.random.default_rng(n_axis).standard_normal(g.n_interior)
     assert np.linalg.norm(vcycle(r) - reference(r)) <= 1e-14 * np.linalg.norm(reference(r))
@@ -771,7 +828,7 @@ def test_w_solver_2d_composite_prolongations_are_exact(n_axis):
     # per row, so the set weights W_s[i, I] = Q_l[i, I] Q_l[i, I + s] that
     # the solver holds are exact
     g = build_grid(2, 1.0 / (n_axis - 1), 0.0)
-    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    solver = WSolver(g, w_matrix(g, CH_PARAMS.beta, TAU))
     assert len(solver.set_weights) == len(solver.transfers) > 0
     Q = np.eye(n_axis)
     odd = n_axis % 2 == 1  # every axis above this level odd: no copy rule
@@ -794,7 +851,7 @@ def test_w_solver_2d_composite_prolongations_are_exact(n_axis):
 @pytest.mark.parametrize("n_axis", [17, 28, 33])
 def test_w_solver_2d_per_axis_transfers_match_kronecker(n_axis):
     g = build_grid(2, 1.0 / (n_axis - 1), 0.0)
-    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    solver = WSolver(g, w_matrix(g, CH_PARAMS.beta, TAU))
     P, R = _kron_transfers(n_axis)
     assert len(solver.transfers) == len(P)
     rng = np.random.default_rng(n_axis)
@@ -810,7 +867,7 @@ def test_w_solver_2d_holds_no_kronecker_transfer(n_axis):
     # the operators are DIA stencils (5 diagonals, 9 on the coarse levels);
     # every other sparse matrix the solver keeps is per axis
     g = build_grid(2, 1.0 / (n_axis - 1), 0.0)
-    solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    solver = WSolver(g, w_matrix(g, CH_PARAMS.beta, TAU))
 
     def leaves(value):
         if isinstance(value, (tuple, list)):
@@ -926,7 +983,7 @@ def test_ch_2d_step_builds_one_hierarchy_per_set_and_frees_each(monkeypatch):
     monkeypatch.setattr(pdas, "_VCycle", Recorded)
     _counting_cg(monkeypatch, calls)
     g, stn, params, u_prev, m_prev = _band_step_CH_2d()
-    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), params.beta, 1e-4))
+    w_solver = WSolver(g, w_matrix(g, params.beta, 1e-4))
     gc.disable()
     try:
         res = pdas_step_CH(g, stn, params, 1e-4, u_prev, m_prev, PdasConfig(), w_solver)
@@ -960,15 +1017,29 @@ def test_fixed_matrices_are_the_sparse_sums_entry_for_entry(dim, n_cells):
     params = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0)
     for delta in (0.0, 0.1):
         g = build_grid(dim, 1.0 / n_cells, delta)
-        K = assemble_stiffness(g)
-        A_w, ref = w_matrix(g, K, CH_PARAMS.beta, TAU), sum_w_matrix(g, CH_PARAMS.beta, TAU)
+        K = mass_plus_stiffness(g, 0.0, 1.0)
+        A_w, ref = w_matrix(g, CH_PARAMS.beta, TAU), sum_w_matrix(g, CH_PARAMS.beta, TAU)
         assert A_w.format == "dia" and np.array_equal(A_w.offsets, K.offsets)
         assert np.array_equal(A_w.toarray(), ref.toarray())
         assert_same_entries(A_w.tocsr(), ref)
-        A = local_obstacle_matrix(g, K, params, TAU, 0.3)
+        A = local_obstacle_matrix(g, params, TAU, 0.3)
         ref = sum_local_obstacle_matrix(g, params, TAU, 0.3)
         assert A.format == "csr" and np.array_equal(A.toarray(), ref.toarray())
         assert_same_entries(A, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 30])
+def test_exact_solver_inverts_the_w_matrix(dim, n_cells):
+    # the fixed w-equation matrix tau (M + beta K), solved exactly: the
+    # product with the Hessian of a projected-Newton line search, reachable
+    # from pdas (delta = 0.1: a grid with a layer)
+    g = build_grid(dim, 1.0 / n_cells, 0.1)
+    A_w = w_matrix(g, CH_PARAMS.beta, TAU)
+    solve = exact_solver(g, TAU, TAU * CH_PARAMS.beta)
+    r = np.random.default_rng(10 * n_cells + dim).standard_normal(g.n_interior)
+    ref = np.linalg.solve(A_w.toarray(), r)
+    assert np.abs(solve(r) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _spd_system(n, seed):
@@ -1029,7 +1100,7 @@ def test_implicit_sweep_matrix_is_the_product_form_entry_for_entry(dim):
     # the active phase rows replaced by scaling B's data per row equal
     # diag(keep) B + diag(1 - keep) E: the same sparsity, no explicit zeros
     g, spec, stn = _setup(n_cells=9 if dim == 1 else 6, dim=dim)
-    w_solver = WSolver(g, w_matrix(g, assemble_stiffness(g), CH_PARAMS.beta, TAU))
+    w_solver = WSolver(g, w_matrix(g, CH_PARAMS.beta, TAU))
     B = coupled_matrix(g, stn, CH_PARAMS, w_solver)
     with_zero = B.copy()
     with_zero.data[np.flatnonzero(with_zero.data)[[0, -1]]] = 0.0  # explicit zeros

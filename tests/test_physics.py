@@ -15,7 +15,7 @@ from nlpf.physics import (
     objective_Jk,
     regular_potential_dF,
 )
-from nlpf.stepper import exact_solver
+from nlpf.grid import exact_solver
 from oracles import dense_conv_matrix
 
 PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=20.0,

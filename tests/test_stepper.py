@@ -13,10 +13,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import factorized
 
-from nlpf import stepper
+from nlpf import grid as grid_module, pdas, stepper
 from nlpf.config import InitSpec, RunConfig
 from nlpf.fields_io import build_report, read_field, write_field
-from nlpf.grid import assemble_stiffness, build_grid
+from nlpf.grid import build_grid, exact_solver, mass_plus_stiffness
 from nlpf.metrics import interface_width
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil
@@ -28,7 +28,6 @@ from nlpf.stepper import (
     LocalRegularStep,
     NonlocalACStep,
     NonlocalCHStep,
-    exact_solver,
     initial_state,
     run,
     step_temperature,
@@ -76,12 +75,12 @@ def test_exact_solver_matches_factorized_and_conserves_the_sum(dim, n_cells):
     rng = np.random.default_rng(10 * n_cells + dim)
     for delta in (0.0, 0.1):
         g = build_grid(dim, 1.0 / n_cells, delta)
-        K = assemble_stiffness(g)
+        K = mass_plus_stiffness(g, 0.0, 1.0)
         M = sp.diags_array(g.mass_interior)
         for a, b in ((1.0, tau * p.D), (p.mu / tau, eps**2), (1.0, 0.0)):
             A = (a * M + b * K).tocsc()
             r = rng.standard_normal(g.n_interior)
-            x = stepper.exact_solver(g, a, b)(r)
+            x = exact_solver(g, a, b)(r)
             ref = factorized(A)(r)
             assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
             assert abs((A @ x - r).sum()) <= 1e-14 * np.abs(r).sum()
@@ -157,8 +156,7 @@ def test_step_phase_CH_delegates():
     g = build_grid(1, 1 / 12, 0.25)
     stn = build_stencil(g, KernelSpec(0.45, 0.25, 1))
     p = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.02)
-    K = assemble_stiffness(g)
-    ch = NonlocalCHStep(g, stn, p, 3e-4, PdasConfig(), K)
+    ch = NonlocalCHStep(g, stn, p, 3e-4, PdasConfig())
     out = ch.step(np.ones(g.n_nodes), np.full(g.n_interior, p.theta_e))
     assert out.converged
     assert np.abs(out.u - 1.0).max() == 0.0
@@ -166,7 +164,7 @@ def test_step_phase_CH_delegates():
     theta = np.full(g.n_interior, 0.3)
     out = ch.step(u, theta)
     res = pdas_step_CH(g, stn, p, 3e-4, u, coupling_m(p, theta), PdasConfig(),
-                       WSolver(g, w_matrix(g, K, p.beta, 3e-4)),
+                       WSolver(g, w_matrix(g, p.beta, 3e-4)),
                        init_sets=ch.sets, w0=ch.w)
     assert res.converged and res.iters == 1  # warm start is the fixed point
     assert np.array_equal(out.u, res.u) and np.array_equal(out.lam, res.lam)
@@ -306,13 +304,12 @@ def test_phase_and_temperature_substeps_commute():
     stn = build_stencil(g, cfg.kernel_spec())
     state = initial_state(cfg, g, stn)
     p = cfg.model
-    K = assemble_stiffness(g)
     heat = exact_solver(g, 1.0, cfg.tau * p.D)
-    res = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas, K).step(state.u, state.theta)
+    res = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas).step(state.u, state.theta)
     theta_after = step_temperature(heat, g, p, state.theta, res.u, state.u)
     # "temperature first": same inputs, evaluated in the other order
     theta_first = step_temperature(heat, g, p, state.theta, res.u, state.u)
-    res2 = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas, K).step(state.u, state.theta)
+    res2 = NonlocalCHStep(g, stn, p, cfg.tau, cfg.pdas).step(state.u, state.theta)
     assert np.array_equal(res.u, res2.u)
     assert np.array_equal(theta_after, theta_first)
 
@@ -423,10 +420,10 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, mode, monkeypatch):
             return obj
         return wrapped
 
-    factorize = stepper.factorized
+    factorize = grid_module.factorized
     monkeypatch.setattr(stepper, "build_grid", record(stepper.build_grid))
     monkeypatch.setattr(stepper, "build_stencil", record(stepper.build_stencil))
-    monkeypatch.setattr(stepper, "factorized", lambda A: factorized.append(A) or factorize(A))
+    monkeypatch.setattr(grid_module, "factorized", lambda A: factorized.append(A) or factorize(A))
     exact = stepper.exact_solver
     monkeypatch.setattr(stepper, "exact_solver",
                         lambda *args: solvers.append(args) or exact(*args))
@@ -493,19 +490,21 @@ def test_run_stops_at_a_cycling_active_set_step(monkeypatch):
     ids=["nonlocal_CH", "nonlocal_CH-2d", "nonlocal_AC-2d", "local_obstacle",
          "local_regular", "local_regular-2d"])
 def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, assembled, monkeypatch):
-    # K is assembled only where it is solved with: once by the phase step of
-    # an active-set variant, and once per 1D exact solver for its bands (the
-    # heat matrix; the local_regular matrix).  No K is alive in the time
-    # loop, and a 2D variant that does not solve with K never assembles one.
+    # a M + b K is built only where it is solved with: once by the phase step
+    # of an active-set variant (w_matrix, local_obstacle_matrix), and once per
+    # 1D exact solver for its bands (the heat matrix; the local_regular
+    # matrix).  None is alive in the time loop, and a 2D variant that does
+    # not solve with K never builds one.
     stiffness, alive = [], []
-    assemble = stepper.assemble_stiffness
+    build = grid_module.mass_plus_stiffness
 
-    def recorded(g):
-        K = assemble(g)
-        stiffness.append(weakref.ref(K))
-        return K
+    def recorded(g, a, b):
+        A = build(g, a, b)
+        stiffness.append(weakref.ref(A))
+        return A
 
-    monkeypatch.setattr(stepper, "assemble_stiffness", recorded)
+    for module in (grid_module, pdas):
+        monkeypatch.setattr(module, "mass_plus_stiffness", recorded)
     heat_step = stepper.step_temperature
     monkeypatch.setattr(stepper, "step_temperature", lambda *args: alive.append(
         any(K() is not None for K in stiffness)) or heat_step(*args))
