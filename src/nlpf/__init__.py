@@ -14,7 +14,7 @@ active-set method.  Sub-modules:
     stepper       per-variant phase steps, IMEX time loop and diagnostics
     metrics       interface widths and field distances
     config        run-configuration files
-    presets       the reference experiments' configurations
+    presets       the reference experiments, read from the shipped configs/*.cfg
     fields_io     field files and the run report
     repro         reference-experiment drivers
     cli           command-line entry points

@@ -210,7 +210,7 @@ class _Sweep(NamedTuple):
 
 
 def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSets | None,
-                  c: float, config: PdasConfig, residual=None,
+                  c: float, config: PdasConfig, residual,
                   loose: bool = False) -> StepOut:
     """Drive the active-set fixed point of one step from the previous level u_prev_I.
 
@@ -225,8 +225,7 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     both.  ``system`` is called once per new set of active sets, after the
     previous system has been dropped: one system (matrix, V-cycle) is alive
     at a time, and none outlives the step.  ``residual(u_I, w, g,
-    inactive)``, if given, is the step's KKT residual at the accepted
-    iterate.
+    inactive)`` is the step's KKT residual at the accepted iterate.
 
     With ``loose`` (the CG routes) a sweep is solved to ``_SWEEP_RTOL``, and
     once the sets repeat the same system is solved again to ``_LIN_TOL``
@@ -279,12 +278,12 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
         u = np.empty(grid.n_nodes)
         u[grid.interior_ids] = u_I
         u[grid.exterior_ids] = u_E
-    kkt = None if residual is None else residual(u_I, w, g, inactive)
     cause = None
     if cycle:
         cause = f"the active sets cycle through {cycle} sets"
     elif not converged:
         cause = f"the active sets did not repeat within {config.max_iters} sweeps"
+    kkt = residual(u_I, w, g, inactive)
     return StepOut(u, w, lam, sets, iters, converged, cg_iters, kkt, cause, cycle)
 
 

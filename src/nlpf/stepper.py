@@ -338,7 +338,7 @@ def run(config: RunConfig) -> RunResult:
 
     diag = {
         "pdas_iters": np.zeros(n_steps, dtype=int),
-        "pdas_converged": np.ones(n_steps, dtype=bool),
+        "pdas_converged": np.ones(n_steps, dtype=bool),  # a False step raises
         "cg_iters": np.zeros(n_steps, dtype=int),
         "interface_nodes": np.zeros(n_steps, dtype=int),
         "kkt_residual": np.full(n_steps, np.nan),
@@ -369,7 +369,6 @@ def run(config: RunConfig) -> RunResult:
                 f"active-set solve of step {k} (t = {k * tau:g}) did not converge: "
                 f"{out.cause}")
         diag["pdas_iters"][k - 1] = out.iters
-        diag["pdas_converged"][k - 1] = out.converged
         diag["cg_iters"][k - 1] = out.cg_iters
         u_I = out.u[ids]
         diag["interface_nodes"][k - 1] = np.count_nonzero((u_I > 0.0) & (u_I < 1.0))

@@ -371,7 +371,9 @@ def pdas_step_AC_nonlocal(grid, stencil, params, tau, u_prev, m_prev, config,
         out = _Sweep(u_I, u_E, None, g - denom * u_I, 0)
         return lambda rtol, last: out
 
-    return _pdas_iterate(grid, u_prev[ids], system, init_sets, c, config)
+    # the projection gates no KKT residual, as NonlocalACStep's does not
+    return _pdas_iterate(grid, u_prev[ids], system, init_sets, c, config,
+                         lambda u_I, w, g, inactive: None)
 
 
 def sets_from_bounds(u_interior: np.ndarray) -> ActiveSets:

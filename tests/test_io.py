@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from nlpf.presets import example1_config, example2_config, example3_config
 from nlpf.stepper import initial_state, run
 
 REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "src" / "nlpf" / "configs"
 
 MINI_CFG = """
 [model]
@@ -113,17 +115,49 @@ SHIPPED_PRESETS = {
 }
 
 
-def test_shipped_configs_parse_and_match_presets():
-    assert sorted(SHIPPED_PRESETS) == sorted(p.stem for p in (REPO / "configs").glob("*.cfg"))
+def test_shipped_configs_parse_and_match_presets(monkeypatch):
+    """Each shipped file is read by its one preset, and ``nlpf run`` of it runs that preset."""
+    read = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text",
+                        lambda self, *a, **kw: read.append(self.name) or read_text(self, *a, **kw))
+    assert sorted(SHIPPED_PRESETS) == sorted(p.stem for p in CONFIGS.glob("*.cfg"))
     for name, preset in SHIPPED_PRESETS.items():
-        cfg = parse_config_file(str(REPO / "configs" / f"{name}.cfg"))
+        read.clear()
         ref = preset()
+        assert read == [f"{name}.cfg"]
+        assert ref.output_dir is None
+        cfg = parse_config_file(str(CONFIGS / f"{name}.cfg"))
         assert cfg.output_dir == name
         assert dataclasses.replace(cfg, output_dir=None, label=ref.label) == ref, name
 
 
+def test_built_package_ships_the_configs_of_its_presets(tmp_path):
+    """``build_py`` of the project copies the config files that the presets read."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    shutil.copy(REPO / "pyproject.toml", tmp_path)
+    shutil.copytree(REPO / "src", tmp_path / "src", ignore=ignore)
+    out = tmp_path / "out"
+    subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()",
+                    "build_py", "-d", str(out)], cwd=tmp_path, check=True,
+                   capture_output=True)
+    calls = ('example1_config("nonlocal_CH")', 'example1_config("local_obstacle")',
+             "example2_config()", 'example2_config(variant="local_obstacle")',
+             'example3_config("nonlocal_AC")')
+    script = ("import nlpf\nfrom nlpf.presets import *\nprint(nlpf.__file__)\n"
+              + "".join(f"print(repr({call}))\n" for call in calls))
+    env = {**os.environ, "PYTHONPATH": str(out)}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    origin, *reprs = proc.stdout.splitlines()
+    assert Path(origin).is_relative_to(out)
+    import nlpf.presets
+    assert reprs == [repr(eval(call, vars(nlpf.presets))) for call in calls]
+
+
 def test_resolved_config_of_shipped_ex1():
-    cfg = parse_config_file(str(REPO / "configs" / "ex1_nonlocal_CH.cfg"))
+    cfg = parse_config_file(str(CONFIGS / "ex1_nonlocal_CH.cfg"))
     assert config_as_dict(cfg) == {
         "variant": "nonlocal_CH",
         "label": "ex1_nonlocal_CH",
@@ -622,7 +656,7 @@ def test_write_report_leaves_no_file_on_a_nonfinite_value(tmp_path):
 
 
 def test_local_obstacle_is_beta_zero_only(tmp_path, capsys):
-    path = REPO / "configs" / "ex1_local_obstacle.cfg"
+    path = CONFIGS / "ex1_local_obstacle.cfg"
     with pytest.raises(ConfigError, match=r"local_obstacle requires \[model\] beta = 0"):
         parse_config_text(path.read_text(), overrides=["model.beta=0.05"])
     out = tmp_path / "o"
@@ -706,7 +740,7 @@ def test_cli_run_write_failure_leaves_an_error_report(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(repro, "write_snapshots", broken_write)
     out = tmp_path / "o"
-    assert cli_main(["run", str(REPO / "configs" / "ex1_local_obstacle.cfg"),
+    assert cli_main(["run", str(CONFIGS / "ex1_local_obstacle.cfg"),
                      "--output-dir", str(out)]) == 1
     assert "error: disk full" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
@@ -730,7 +764,7 @@ def test_cli_repro_reports_a_raised_run(tmp_path, monkeypatch, capsys):
 def test_run_and_repro_write_the_same_report_keys(tmp_path):
     from nlpf.repro import repro_ex1
 
-    assert cli_main(["run", str(REPO / "configs" / "ex1_nonlocal_CH.cfg"),
+    assert cli_main(["run", str(CONFIGS / "ex1_nonlocal_CH.cfg"),
                      "--output-dir", str(tmp_path / "run")]) == 0
     assert repro_ex1(str(tmp_path / "repro"))["ok"]
     run_report = json.loads((tmp_path / "run" / "report.json").read_text())
@@ -776,7 +810,7 @@ def test_cli_run_exits_2_on_an_invariant_failure_without_a_waiver(tmp_path, monk
         return res
 
     monkeypatch.setattr(repro, "run", run_with_nan_residual)
-    cfg_path = str(REPO / "configs" / "ex1_local_obstacle.cfg")
+    cfg_path = str(CONFIGS / "ex1_local_obstacle.cfg")
     out = tmp_path / "o"
     assert cli_main(["run", cfg_path, "--output-dir", str(out)]) == 2
     report = json.loads((out / "report.json").read_text())

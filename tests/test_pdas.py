@@ -355,6 +355,57 @@ def test_ch_step_on_a_cycling_instance_is_certified_or_ends_in_its_cycle():
     assert np.abs(warm.u[g.interior_ids] - u_ref).max() <= 1e-12
 
 
+def _log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+@st.composite
+def _small_xi_ch_steps(draw):
+    """Cold explicit CH first steps in ``_cycling_ch_step``'s regime, 11-21 interior nodes.
+
+    u_prev is a step over every node, its layer then replaced by the flux
+    closure; c_F lies xi in [1e-6, 3e-3] below the discrete c_gamma.  The
+    ranges of mu, beta and tau contain the cycling instance's values.
+    """
+    n_cells = draw(st.integers(10, 20))
+    delta = draw(st.floats(2.0, 5.0)) / n_cells
+    g = build_grid(1, 1 / n_cells, delta)
+    spec = KernelSpec(draw(st.floats(0.05, 0.3)), delta, 1)
+    stn = build_stencil(g, spec)
+    params = ModelParams(mu=draw(_log_uniform(1e-4, 1e-2)), L=0.5, D=1.0,
+                         beta=draw(_log_uniform(1e-2, 1.0)),
+                         c_F=stn.c_gamma_h_interior - draw(_log_uniform(1e-6, 3e-3)))
+    u_prev = (g.coords()[:, 0] <= draw(st.floats(0.2, 0.8))).astype(float)
+    u_prev[g.exterior_ids] = exterior_closure(stn, convolve(stn, u_prev))
+    m_prev = np.full(g.n_interior, draw(st.floats(-0.45, 0.45)))
+    return g, spec, stn, params, draw(_log_uniform(1e-5, 1e-3)), u_prev, m_prev
+
+
+@settings(max_examples=30, deadline=None)
+@given(step=_small_xi_ch_steps())
+def test_ch_step_at_small_xi_is_certified_or_names_its_cause(step):
+    # beyond the reach of the 3^n enumeration; the QP certificate checks a
+    # converged step, and a step that does not converge says why.  The
+    # explicit route sets a free u to (w + q) / xi, where w + q ~ xi and
+    # q ~ c_gamma: its u carries a round-off of order eps c_gamma / xi (up to
+    # 0.89 times that in 11,000 draws, 8.7e-10 at worst), not the QP's
+    g, spec, stn, params, tau, u_prev, m_prev = step
+    res = _ch(g, stn, params, tau, u_prev, m_prev, PdasConfig())
+    if res.converged:
+        W = dense_conv_matrix(g.coords(), g.lumped_mass, spec.epsilon, spec.delta, 1)
+        H, b = ch_explicit_qp(g, W, params, tau, u_prev, m_prev,
+                              dense_stiffness_1d(g.n_interior, g.h))
+        u_ref, violation = certify_box_qp(H, b, res.sets.upper, res.sets.lower)
+        assert violation <= 1e-12
+        xi = stn.c_gamma_h_interior - params.c_F
+        rounding = 4 * np.finfo(float).eps * stn.c_gamma_h_interior / xi
+        assert np.abs(res.u[g.interior_ids] - u_ref).max() <= max(1e-12, rounding)
+    elif res.cycle:
+        assert res.cycle > 1 and res.cause == f"the active sets cycle through {res.cycle} sets"
+    else:
+        assert res.cause == f"the active sets did not repeat within {PdasConfig.max_iters} sweeps"
+
+
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_ch_step_2d_loose_sweeps_match_enumeration(data):
@@ -624,6 +675,10 @@ def _scripted_system(n, script):
     return system
 
 
+def _no_residual(u_I, w, g, inactive):
+    return None
+
+
 def _sets(n, upper=(), lower=()):
     sets = ActiveSets(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
     sets.upper[list(upper)], sets.lower[list(lower)] = True, True
@@ -639,7 +694,7 @@ def test_pdas_iterate_ends_an_exact_attempt_that_revisits_a_set(loose):
     free, S1, S2 = _sets(n), _sets(n, upper=[0]), _sets(n, lower=[1])
     script = {free.key(): S1, S1.key(): S2, S2.key(): S1}
     out = pdas._pdas_iterate(None, np.full(n, 0.5), _scripted_system(n, script), free,
-                             1.0, PdasConfig(), loose=loose)
+                             1.0, PdasConfig(), _no_residual, loose=loose)
     assert not out.converged
     if loose:
         assert out.iters == PdasConfig.max_iters and out.cycle == 0
@@ -651,7 +706,7 @@ def test_pdas_iterate_ends_an_exact_attempt_that_revisits_a_set(loose):
     # a set that repeats at once is the fixed point, not a cycle
     script[S2.key()] = S2
     out = pdas._pdas_iterate(None, np.full(n, 0.5), _scripted_system(n, script), free,
-                             1.0, PdasConfig(), loose=loose)
+                             1.0, PdasConfig(), _no_residual, loose=loose)
     assert out.converged and out.cause is None and out.cycle == 0
     assert out.iters == 3 + loose and out.sets.same_as(S2)
 
