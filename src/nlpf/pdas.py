@@ -56,7 +56,11 @@ tensor grid, 5-point on the fine level and 9-point on the coarse ones, and
 is held in DIA form (one array per diagonal, no column indices): the fixed
 part once per run, and per set of active sets a copy of it with the set's
 part added in; on a coarse level that part is formed per axis from the
-(n, n) view of the inactive-set diagonal (see ``_VCycle``).
+(n, n) view of the inactive-set diagonal (see ``_VCycle``).  The hierarchy
+is held and applied in single precision (float32): a preconditioner only
+has to be spectrally close to the inverse.  CG, its double matrix
+A_w + diag(d), the tolerances and every iterate stay double; a set's
+levels are summed in double and rounded to float32 once.
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
@@ -88,8 +92,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import spbtrf, spbtrs
 
 # factorized is called through this module's name, which nlpf_bench/spans.py
 # wraps to time every 1D sweep factorization
@@ -447,14 +450,40 @@ def _set_weights(Q) -> sp.csr_array:
     return sp.csr_array(np.vstack([(Q * Q).T, (Q[:, :-1] * Q[:, 1:]).T]))
 
 
-def _diagonal(A: sp.dia_array, m: int, a: int, b: int) -> np.ndarray:
-    """The diagonal of A, a stencil on m x m nodes, of the grid offset (a, b).
+def _diagonal(data: np.ndarray, offsets: np.ndarray, m: int, a: int, b: int) -> np.ndarray:
+    """The diagonal of a stencil on m x m nodes, of the grid offset (a, b).
 
-    A writable (m, m) view of A's data, indexed by the node of the column:
-    entry [I, J] couples node (I, J) with node (I - a, J - b).  Where m < 3
-    two grid offsets share one diagonal, on disjoint entries.
+    A writable (m, m) view of the DIA data (one row per entry of the
+    ascending ``offsets``), indexed by the node of the column: entry [I, J]
+    couples node (I, J) with node (I - a, J - b).  Where m < 3 two grid
+    offsets share one diagonal, on disjoint entries.
     """
-    return A.data[np.searchsorted(A.offsets, a * m + b)].reshape(m, m)
+    return data[np.searchsorted(offsets, a * m + b)].reshape(m, m)
+
+
+def _single(data: np.ndarray, like: sp.dia_array) -> sp.dia_array:
+    """The stencil of ``like``'s offsets and shape with ``data`` rounded once to float32."""
+    return sp.dia_array((data.astype(np.float32), like.offsets), shape=like.shape)
+
+
+def _band_cholesky(A: sp.dia_array) -> np.ndarray:
+    """The upper banded Cholesky factor (LAPACK ``spbtrf``) of a symmetric float32 stencil.
+
+    DIA data is indexed by column, as LAPACK's upper band storage is, so the
+    diagonal at offset k >= 0 is copied whole into band row kd - k (kd the
+    largest offset); the entries that fall outside the matrix are not read.
+    A matrix that is not positive definite raises ``LinAlgError``: there is
+    no fallback.
+    """
+    upper = A.offsets >= 0
+    kd = int(A.offsets[-1])
+    bands = np.zeros((kd + 1, A.shape[1]), dtype=np.float32)
+    bands[kd - A.offsets[upper]] = A.data[upper]
+    factor, info = spbtrf(bands, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"coarsest multigrid level: leading minor {info} is not positive definite")
+    return factor
 
 
 class _VCycle:
@@ -467,46 +496,50 @@ class _VCycle:
     is E_{s,t} = W_s^T D W_t, D the (n, n) view of d and W_s as in
     ``_set_weights``: one product S D S^T gives the four with s, t in {0, 1},
     symmetry gives E_{-s,-t}, and E_{1,-1} is E_{1,1} shifted by one column.
-    They are added by slices into a copy of the level's DIA data (see
-    ``WSolver``); the Jacobi smoother reads its offset-0 row.  One
-    damped-Jacobi sweep before and one after each coarse correction, and a
-    Cholesky solve (LAPACK potrs) on the coarsest level.  The cycle is a
-    loop, not a recursive closure, so the hierarchy is freed as soon as the
-    system that built it is dropped.
+    They are added by slices into a double copy of the level's DIA data
+    (see ``WSolver``), which is then rounded once to float32; the fine level
+    is the double A rounded once.  Every level, the Jacobi smoother (read
+    off each level's offset-0 row), the transfers and the coarsest factor
+    are float32: a cycle rounds its double residual to float32 on entry and
+    returns double.  One damped-Jacobi sweep before and one after each
+    coarse correction, and a banded Cholesky solve (LAPACK spbtrs, factor
+    ``_band_cholesky``) on the coarsest level.  The cycle is a loop, not a
+    recursive closure, so the hierarchy is freed as soon as the system that
+    built it is dropped.
     """
 
     def __init__(self, solver: WSolver, A: sp.dia_array, d: np.ndarray):
         self.transfers = solver.transfers
-        self.A = [A]
+        self.A = [_single(A.data, A)]
         n = math.isqrt(d.size)
         D = d.reshape(n, n)
         for S, A_w in zip(solver.set_weights, solver.coarse_A_w):
             m = (S.shape[0] + 1) // 2
             E = (S @ (S @ D).T).T  # S D S^T: block (s, t) is W_s^T D W_t
             E00, E01, E10, E11 = E[:m, :m], E[:m, m:], E[m:, :m], E[m:, m:]
-            C = A_w.copy()
-            _diagonal(C, m, 0, 0)[:] += E00
-            _diagonal(C, m, 0, 1)[:, 1:] += E01
-            _diagonal(C, m, 0, -1)[:, :-1] += E01
-            _diagonal(C, m, 1, 0)[1:] += E10
-            _diagonal(C, m, -1, 0)[:-1] += E10
-            _diagonal(C, m, 1, 1)[1:, 1:] += E11
-            _diagonal(C, m, -1, -1)[:-1, :-1] += E11
-            _diagonal(C, m, 1, -1)[1:, :-1] += E11
-            _diagonal(C, m, -1, 1)[:-1, 1:] += E11
-            self.A.append(C)
+            C, off = A_w.data.copy(), A_w.offsets  # the sum in double, rounded once
+            _diagonal(C, off, m, 0, 0)[:] += E00
+            _diagonal(C, off, m, 0, 1)[:, 1:] += E01
+            _diagonal(C, off, m, 0, -1)[:, :-1] += E01
+            _diagonal(C, off, m, 1, 0)[1:] += E10
+            _diagonal(C, off, m, -1, 0)[:-1] += E10
+            _diagonal(C, off, m, 1, 1)[1:, 1:] += E11
+            _diagonal(C, off, m, -1, -1)[:-1, :-1] += E11
+            _diagonal(C, off, m, 1, -1)[1:, :-1] += E11
+            _diagonal(C, off, m, -1, 1)[:-1, 1:] += E11
+            self.A.append(_single(C, A_w))
         self.smooth = [_JACOBI_DAMPING / A_l.diagonal() for A_l in self.A[:-1]]
-        self.coarsest = cho_factor(self.A[-1].toarray())[0]  # upper factor
+        self.coarsest = _band_cholesky(self.A[-1])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        rhs, pre = [r], []
+        rhs, pre = [r.astype(np.float32)], []
         for A_l, S, (_, P1T) in zip(self.A, self.smooth, self.transfers):
             x = S * rhs[-1]
             pre.append(x)
             res = A_l @ x
             np.subtract(rhs[-1], res, out=res)
             rhs.append(_tensor_apply(P1T, res))
-        x = dpotrs(self.coarsest, rhs[-1])[0]
+        x = spbtrs(self.coarsest, rhs[-1])[0]
         for l in reversed(range(len(self.transfers))):
             x = _tensor_apply(self.transfers[l][0], x)
             x += pre[l]
@@ -514,7 +547,7 @@ class _VCycle:
             np.subtract(rhs[l], res, out=res)
             res *= self.smooth[l]
             x += res
-        return x
+        return x.astype(np.float64)
 
 
 class WSolver:
@@ -530,13 +563,15 @@ class WSolver:
     What depends only on the grid and A_w is built here once; what depends on
     d lives in the function ``system(d)`` returns.  Transfers are held per
     axis: ``transfers`` pairs each level's 1D prolongation P1 with its CSR
-    transpose, and ``set_weights`` holds each coarse level's weights
+    transpose, both float32 (the V-cycle's precision; their entries 0, 0.5
+    and 1 are exact), and ``set_weights`` holds each coarse level's weights
     (``_set_weights``) of the composite prolongation from the fine grid.  In
     2D every operator is a stencil held once in DIA form (``sp.dia_array``,
     whose offsets are those of the stored entries, ascending): ``A`` is A_w,
     5-point, and each of ``coarse_A_w`` is 9-point, the Galerkin product of
-    a 5-point operator under bilinear transfer (formed through a Kronecker
-    transfer that is not kept).  A CG failure raises: there is no fallback.
+    a 5-point operator under bilinear transfer (formed in double through a
+    Kronecker transfer that is not kept).  A CG failure raises: there is no
+    fallback.
     """
 
     def __init__(self, grid: Grid, A_w: sp.dia_array):
@@ -549,7 +584,8 @@ class WSolver:
         Q, C = sp.identity(n, format="csr"), A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
             P1 = _prolongation_1d(n)
-            transfers.append((P1, P1.T.tocsr()))
+            P1_single = P1.astype(np.float32)  # entries 0, 0.5 and 1: exact
+            transfers.append((P1_single, P1_single.T.tocsr()))
             Q = Q @ P1  # dyadic weights: exact
             weights.append(_set_weights(Q))
             P = sp.kron(P1, P1).tocsr()
@@ -565,10 +601,10 @@ class WSolver:
 
         In 1D a banded Cholesky solve, factored here (x0 and rtol unused, no
         CG iterations).  In 2D CG from x0 to the relative residual rtol,
-        preconditioned by a V-cycle built here, once: every solve of the
-        returned function shares the matrix (a copy of A's DIA data with d
-        added to its offset-0 row) and the hierarchy, which are freed with
-        it.
+        preconditioned by a float32 V-cycle built here, once: every solve of
+        the returned function shares the double matrix (a copy of A's DIA
+        data with d added to its offset-0 row) and the hierarchy, which are
+        freed with it.
         """
         if self.dim == 1:
             solve = factorized(self.bands + [np.zeros_like(d), d])
