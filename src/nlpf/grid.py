@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,9 +84,12 @@ class Grid:
     def n_interior(self) -> int:
         return self.n_axis_interior**self.dim
 
-    @property
+    @cached_property
     def mass_interior(self) -> np.ndarray:
-        return self.lumped_mass[self.interior_ids]
+        """The lumped mass of the interior nodes: gathered once, on first use, read-only."""
+        mass = self.lumped_mass[self.interior_ids]
+        mass.flags.writeable = False
+        return mass
 
     def interior(self, values, what: str) -> np.ndarray:
         """The field ``what`` on the interior nodes, given on them or on every node."""

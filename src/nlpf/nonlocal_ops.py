@@ -102,7 +102,7 @@ def build_stencil(grid: Grid, kernel: KernelSpec) -> ConvolutionStencil:
     fft_shape = (sfft.next_fast_len(grid.n_axis + R, real=True),) * grid.dim
     padded = np.zeros(fft_shape)
     padded[np.ix_(*(k % fft_shape[0],) * grid.dim)] = footprint
-    spectrum = sfft.rfftn(padded).real
+    spectrum = sfft.rfftn(padded).real.copy()  # not a view that holds the complex output
     c_gamma_h = _fft_correlate(grid, fft_shape, spectrum, mass_ratio)
     # every interior node's stencil lies where mass_ratio == 1 (R < layer)
     c_gamma_h_interior = float(footprint.sum())

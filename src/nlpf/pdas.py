@@ -27,7 +27,7 @@ PDAS is a semismooth Newton method, and a sweep before the last only has to
 choose the next sets, so the 2D CG sweeps are inexact (an inexact Newton
 forcing term): each is solved to the loose relative residual
 ``_SWEEP_RTOL``.  Once the sets repeat, the same system is refined to
-``_LIN_TOL``, CG starting from the loose iterate with the same matrix and
+``_LIN_TOL``, CG starting from the loose iterate with the same operator and
 V-cycle, and the sets are tested again; the step is accepted only if they
 still repeat.  The direct routes (1D, implicit convolution) are exact, solve
 every sweep to round-off and accept the first repeat.  Every step reports
@@ -54,13 +54,14 @@ axis, as two 1D sparse products on the (n, n) view of a vector; no 2D
 transfer is held.  Every 2D operator of that hierarchy is a stencil on a
 tensor grid, 5-point on the fine level and 9-point on the coarse ones, and
 is held in DIA form (one array per diagonal, no column indices): the fixed
-part once per run, and per set of active sets a copy of it with the set's
-part added in; on a coarse level that part is formed per axis from the
-(n, n) view of the inactive-set diagonal (see ``_VCycle``).  The hierarchy
-is held and applied in single precision (float32): a preconditioner only
-has to be spectrally close to the inverse.  CG, its double matrix
-A_w + diag(d), the tolerances and every iterate stay double; a set's
-levels are summed in double and rounded to float32 once.
+part once per run, and per set of active sets a float32 copy of it with the
+set's part added in; on a coarse level that part is formed per axis from
+the (n, n) view of the inactive-set diagonal (see ``_VCycle``).  The
+hierarchy is held and applied in single precision (float32): a
+preconditioner only has to be spectrally close to the inverse.  CG, the
+tolerances and every iterate stay double; CG applies the double system as
+A_w x + d x, without a copy of A_w, and a set's levels are summed in
+double and rounded to float32 once.
 
 The local obstacle step solves, per sweep, the principal submatrix of
 ``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
@@ -226,7 +227,7 @@ def _pdas_iterate(grid: Grid, u_prev_I: np.ndarray, system, init_sets: ActiveSet
     the relative residual rtol, warm-started from ``last``, the previous
     sweep's (None in the first sweep of the step); a direct route ignores
     both.  ``system`` is called once per new set of active sets, after the
-    previous system has been dropped: one system (matrix, V-cycle) is alive
+    previous system has been dropped: one system (operator, V-cycle) is alive
     at a time, and none outlives the step.  ``residual(u_I, w, g,
     inactive)`` is the step's KKT residual at the accepted iterate.
 
@@ -466,6 +467,18 @@ def _single(data: np.ndarray, like: sp.dia_array) -> sp.dia_array:
     return sp.dia_array((data.astype(np.float32), like.offsets), shape=like.shape)
 
 
+class _PlusDiagonal(NamedTuple):
+    """The operator x -> A x + d x of A + diag(d), applied without forming the sum."""
+
+    A: sp.dia_array
+    d: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.A @ x
+        y += self.d * x
+        return y
+
+
 def _band_cholesky(A: sp.dia_array) -> np.ndarray:
     """The upper banded Cholesky factor (LAPACK ``spbtrf``) of a symmetric float32 stencil.
 
@@ -498,19 +511,24 @@ class _VCycle:
     symmetry gives E_{-s,-t}, and E_{1,-1} is E_{1,1} shifted by one column.
     They are added by slices into a double copy of the level's DIA data
     (see ``WSolver``), which is then rounded once to float32; the fine level
-    is the double A rounded once.  Every level, the Jacobi smoother (read
-    off each level's offset-0 row), the transfers and the coarsest factor
-    are float32: a cycle rounds its double residual to float32 on entry and
-    returns double.  One damped-Jacobi sweep before and one after each
+    is the solver's A_w rounded once, its offset-0 row summed with d in
+    double first.  Every level, the Jacobi smoother (read off each level's
+    offset-0 row), the transfers and the coarsest factor are float32: a
+    cycle rounds its double residual to float32 on entry and returns
+    double.  One damped-Jacobi sweep before and one after each
     coarse correction, and a banded Cholesky solve (LAPACK spbtrs, factor
     ``_band_cholesky``) on the coarsest level.  The cycle is a loop, not a
     recursive closure, so the hierarchy is freed as soon as the system that
     built it is dropped.
     """
 
-    def __init__(self, solver: WSolver, A: sp.dia_array, d: np.ndarray):
+    def __init__(self, solver: WSolver, d: np.ndarray):
         self.transfers = solver.transfers
-        self.A = [_single(A.data, A)]
+        A = solver.A
+        mid = A.offsets.size // 2  # offset 0: the middle of the symmetric offsets
+        fine = _single(A.data, A)
+        fine.data[mid] = A.data[mid] + d  # the sum in double, rounded once
+        self.A = [fine]
         n = math.isqrt(d.size)
         D = d.reshape(n, n)
         for S, A_w in zip(solver.set_weights, solver.coarse_A_w):
@@ -600,18 +618,16 @@ class WSolver:
         """The solve of (A_w + diag(d)) w = b: ``solve(b, x0, rtol) -> (w, cg_iters)``.
 
         In 1D a banded Cholesky solve, factored here (x0 and rtol unused, no
-        CG iterations).  In 2D CG from x0 to the relative residual rtol,
-        preconditioned by a float32 V-cycle built here, once: every solve of
-        the returned function shares the double matrix (a copy of A's DIA
-        data with d added to its offset-0 row) and the hierarchy, which are
+        CG iterations).  In 2D CG from x0 to the relative residual rtol on
+        the operator x -> A x + d x (``_PlusDiagonal``, which holds A and d,
+        no copy), preconditioned by a float32 V-cycle built here, once:
+        every solve of the returned function shares the hierarchy, which is
         freed with it.
         """
         if self.dim == 1:
             solve = factorized(self.bands + [np.zeros_like(d), d])
             return lambda b, x0, rtol: (solve(b), 0)
-        A = self.A.copy()
-        A.data[A.offsets.size // 2] += d  # offset 0: the middle of the symmetric offsets
-        M = _VCycle(self, A, d)
+        A, M = _PlusDiagonal(self.A, d), _VCycle(self, d)
         return lambda b, x0, rtol: _cg(
             A, b, x0, rtol, "multigrid-preconditioned CG for the w-equation", M=M)
 

@@ -361,7 +361,9 @@ def run(config: RunConfig) -> RunResult:
         green = exact_solver(grid, 1.0, params.beta)
         xi = stencil.c_gamma_h_interior - params.c_F
 
+    # a step-0 snapshot keeps the initial fields; else step 1 frees them
     u, theta = state.u, state.theta
+    del state
     for k in range(1, n_steps + 1):
         out = phase.step(u, theta)
         if not out.converged:
@@ -403,6 +405,7 @@ def run(config: RunConfig) -> RunResult:
                       w=None if out.w is None else out.w.copy(),
                       lam=None if out.lam is None else out.lam.copy())
             )
+        del out  # its lam is dead: free it before the next step
 
     return RunResult(
         config=config,

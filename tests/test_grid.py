@@ -120,6 +120,15 @@ def test_lumped_mass_interior_near_unity_with_layer():
     assert np.all(g.lumped_mass > 0)
 
 
+@pytest.mark.parametrize("dim, delta", [(1, 0.0), (1, 0.1), (2, 0.0), (2, 0.1)])
+def test_mass_interior_is_one_array_per_grid(dim, delta):
+    # gathered once, on first use, and read-only, since every caller shares it
+    g = build_grid(dim, 1 / 20, delta)
+    m = g.mass_interior
+    assert g.mass_interior is m and not m.flags.writeable
+    assert np.array_equal(m, g.lumped_mass[g.interior_ids])
+
+
 def test_h_snapping_reported():
     g = build_grid(1, 0.3, 0.0)
     assert g.h == pytest.approx(1.0 / 3.0)

@@ -44,6 +44,15 @@ def test_stencil_offsets_and_center_weight(dim):
     assert center == pytest.approx(gamma0 * g.h**dim, rel=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_spectrum_owns_its_data(dim):
+    # the real part as a view would keep the whole complex FFT output alive
+    st = build_stencil(build_grid(dim, 0.05, 0.2), KernelSpec(1.0, 0.2, dim))
+    spectrum = st.spectrum
+    assert spectrum.dtype == np.float64
+    assert spectrum.flags.c_contiguous and spectrum.flags.owndata
+
+
 def test_stencil_requires_layer_and_resolution():
     spec = KernelSpec(1.0, 0.25, 1)
     with pytest.raises(ValueError, match="dim"):

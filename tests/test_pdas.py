@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -882,8 +883,9 @@ def test_w_solver_2d_stencil_vcycle_matches_csr_vcycle(n_axis, inactive, monkeyp
 
 @pytest.mark.parametrize("n_axis", [10, 33])
 def test_w_solver_2d_hierarchy_is_single_and_its_solve_double(n_axis, monkeypatch):
-    # the hierarchy is held and applied in float32; CG, its matrix and every
-    # vector it returns are double, as is what the solver forms once per run
+    # the hierarchy is held and applied in float32; CG, its operator and
+    # every vector they return are double, as is what the solver forms once
+    # per run
     g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS["band"])
     solve, vcycle = _system_and_vcycle(monkeypatch, solver, d)
     assert len(vcycle.transfers) == {10: 0, 33: 2}[n_axis]
@@ -897,7 +899,33 @@ def test_w_solver_2d_hierarchy_is_single_and_its_solve_double(n_axis, monkeypatc
     calls = []
     _counting_cg(monkeypatch, calls)
     w, _ = solve(b, np.zeros(g.n_interior), pdas._LIN_TOL)
-    assert w.dtype == np.float64 and calls[0][0].dtype == np.float64
+    assert w.dtype == np.float64 and (calls[0][0] @ r).dtype == np.float64
+
+
+def test_w_solver_2d_system_keeps_no_copy_of_the_w_matrix(monkeypatch):
+    # at the ex3 grid (209 nodes per axis) a held system keeps its float32
+    # hierarchy and at most a few length-n double vectors: CG applies A_w +
+    # diag(d) through A_w and d, without a double copy of A_w's diagonals
+    g, solver, d, b, _ = _w_system(209, _INACTIVE_SETS["band"])
+    built = []
+
+    class Recorded(pdas._VCycle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(pdas, "_VCycle", Recorded)
+    tracemalloc.start()
+    try:
+        solve = solver.system(d)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (vcycle,) = built
+    hierarchy = (sum(A_l.data.nbytes + A_l.offsets.nbytes for A_l in vcycle.A)
+                 + sum(S.nbytes for S in vcycle.smooth) + vcycle.coarsest.nbytes)
+    assert callable(solve)
+    assert kept <= hierarchy + 2 * d.nbytes < hierarchy + solver.A.data.nbytes
 
 
 def test_w_solver_2d_single_vcycle_keeps_cg_iterations_at_ex3_size(monkeypatch):
@@ -1186,14 +1214,20 @@ def test_cg_is_scipys_iteration_bit_for_bit(n, start, precondition):
 
 
 def test_cg_is_scipys_iteration_on_the_multigrid_w_system(monkeypatch):
-    # the 2D w-solve's DIA matrix and V-cycle through both iterations
+    # the operator and V-cycle that the 2D w-solve hands to CG, through both
+    # iterations
     g, solver, d, b, _ = _w_system(17, _INACTIVE_SETS["band"])
-    _, vcycle = _system_and_vcycle(monkeypatch, solver, d)
-    A = vcycle.A[0]
+    solve, vcycle = _system_and_vcycle(monkeypatch, solver, d)
+    cg, calls = pdas.cg, []
+    _counting_cg(monkeypatch, calls)
+    solve(b, np.zeros(g.n_interior), pdas._LIN_TOL)
+    A = calls[0][0]
+    shape = (g.n_interior,) * 2
     for x0 in (np.zeros(g.n_interior), np.full(g.n_interior, 0.1)):
-        x, info = pdas.cg(A, b, x0, rtol=1e-12, maxiter=500, M=vcycle)
-        x_ref, info_ref = scipy_cg(A, b, x0, rtol=1e-12, maxiter=500,
-                                   M=LinearOperator(A.shape, matvec=vcycle, dtype=float))
+        x, info = cg(A, b, x0, rtol=1e-12, maxiter=500, M=vcycle)
+        x_ref, info_ref = scipy_cg(LinearOperator(shape, matvec=A.__matmul__, dtype=float),
+                                   b, x0, rtol=1e-12, maxiter=500,
+                                   M=LinearOperator(shape, matvec=vcycle, dtype=float))
         assert info == info_ref == 0 and np.array_equal(x, x_ref)
 
 

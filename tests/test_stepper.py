@@ -440,8 +440,11 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, mode, monkeypatch):
         cfg = dataclasses.replace(cfg, dim=2, h=1 / 16).validate()
     assert run(cfg).n_steps == 10
     assert len(built) == (2 if variant == "nonlocal_CH" else 1)
+    # the grid keeps only its own interior mass, gathered once (a cached
+    # property); the run hangs nothing else on the grid or the stencil
     for obj, keys in built:
-        assert set(vars(obj)) == keys, type(obj).__name__
+        grid_own = {"mass_interior"} if obj is built[0][0] else set()
+        assert set(vars(obj)) - grid_own == keys, type(obj).__name__
     # heat matrix (and the local_regular phase matrix, or the Green's matrix
     # of the energy diagnostics): one solver each per run, factorized once in
     # 1D (in 2D the DCT-I solve needs no factors)
@@ -513,6 +516,42 @@ def test_run_frees_the_stiffness_before_the_time_loop(variant, dim, assembled, m
         cfg = dataclasses.replace(cfg, dim=2, h=1 / 16).validate()
     run(cfg)
     assert len(stiffness) == assembled and alive == [False] * 10
+
+
+@pytest.mark.parametrize("snapshot0", [False, True], ids=["no-step-0-snapshot",
+                                                         "step-0-snapshot"])
+def test_run_drops_the_initial_fields_and_each_step_output(snapshot0, monkeypatch):
+    # in a 2D run the initial u and theta are alive in the first phase step
+    # only, unless step 0 is a snapshot, and a step's StepOut (whose lam is
+    # dead by then) is freed before the next phase step
+    initial, outs, alive = [], [], []
+    make_state, make_phase = stepper.initial_state, stepper.phase_step
+
+    def recorded_state(*args):
+        state = make_state(*args)
+        initial.extend([weakref.ref(state.u), weakref.ref(state.theta)])
+        return state
+
+    def recorded_phase(*args):
+        phase = make_phase(*args)
+        step = phase.step
+
+        def recorded_step(u, theta):
+            alive.append((any(ref() is not None for ref in initial),
+                          any(ref() is not None for ref in outs)))
+            out = step(u, theta)
+            outs.append(weakref.ref(out))
+            return out
+        phase.step = recorded_step
+        return phase
+
+    monkeypatch.setattr(stepper, "initial_state", recorded_state)
+    monkeypatch.setattr(stepper, "phase_step", recorded_phase)
+    cfg = dataclasses.replace(_variant_config("nonlocal_CH"), dim=2, h=1 / 16,
+                              snapshots=(0.0, 3e-3) if snapshot0 else (3e-3,)).validate()
+    res = run(cfg)
+    assert res.snapshot_levels[0] == (0 if snapshot0 else 10)
+    assert alive == [(True, False)] + [(snapshot0, False)] * 9
 
 
 def test_ring_correction_assembles_the_capacitance_at_its_final_size():
