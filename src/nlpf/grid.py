@@ -17,7 +17,10 @@ Node ordering is lexicographic with x fastest: flat index = iy * nx + ix.
 The scheme's fixed matrices (heat, w-equation, local-obstacle, local_regular
 and Green's) are a M + b K on the interior nodes, with M the lumped interior
 mass and K the stiffness of the unit domain.  This module builds them
-(``mass_plus_stiffness``) and solves them exactly (``exact_solver``).
+(``mass_plus_stiffness``) and solves them exactly (``exact_solver``).  It is
+also the one home of banded Cholesky, in double or float32 (``upper_bands``,
+``factorized``): every 1D direct solve and the coarsest multigrid level of
+the 2D w-solve go through it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dct, dctn, irfft, rfft
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 __all__ = ["Grid", "build_grid", "trapezoid_weights", "mass_plus_stiffness", "upper_bands",
            "factorized", "exact_solver"]
@@ -196,26 +198,38 @@ def mass_plus_stiffness(grid: Grid, a: float, b: float) -> sp.dia_array:
 
 
 def upper_bands(A: sp.dia_array) -> np.ndarray:
-    """The bands [superdiagonal, led by 0; diagonal] of a symmetric tridiagonal A."""
-    return np.vstack([np.r_[0.0, A.diagonal(1)], A.diagonal()])
+    """LAPACK's upper band storage of a symmetric banded DIA matrix A, in A's dtype.
+
+    DIA data is indexed by column, as the band storage is, so the diagonal at
+    offset k >= 0 is copied whole into band row kd - k, with kd the largest
+    offset (A's offsets ascend); the entries that fall outside the matrix
+    are never read.
+    """
+    kd = int(A.offsets[-1])
+    bands = np.zeros((kd + 1, A.shape[1]), dtype=A.dtype)
+    for k, row in zip(A.offsets.tolist(), A.data):
+        if k >= 0:
+            bands[kd - k] = row
+    return bands
 
 
 def factorized(bands: np.ndarray):
-    """The solve b -> A^{-1} b of an SPD tridiagonal A by banded Cholesky.
+    """The solve b -> A^{-1} b of an SPD banded A by banded Cholesky, in the bands' precision.
 
-    ``bands`` is [superdiagonal (first entry unused); diagonal], the upper
-    banded form that LAPACK ``dpbtrf`` factors once; each solve is one
-    ``dpbtrs``.  A non-finite band raises ``ValueError`` and an A that is not
-    positive definite ``LinAlgError``: there is no fallback.
+    ``bands`` is A's upper band storage (``upper_bands``), float64 or
+    float32: LAPACK ``?pbtrf`` of that precision factors it once, and each
+    solve is one ``?pbtrs``, which returns the bands' dtype.  A non-finite
+    band raises ``ValueError`` and an A that is not positive definite
+    ``LinAlgError``: there is no fallback.
     """
-    bands = np.asarray(bands, dtype=float)
     if not np.isfinite(bands).all():
         raise ValueError("factorized: the bands hold a non-finite value")
-    c, info = dpbtrf(bands)
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (bands,))
+    c, info = pbtrf(bands)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"factorized: leading minor {info} is not positive definite")
-    return lambda b: dpbtrs(c, b)[0]
+    return lambda b: pbtrs(c, b)[0]
 
 
 def exact_solver(grid: Grid, a: float, b: float):

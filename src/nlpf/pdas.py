@@ -34,55 +34,23 @@ every sweep to round-off and accept the first repeat.  Every step reports
 the residual of its own equations at the accepted iterate (``kkt_residual``)
 and its CG iterations.
 
-Solvers:
-  * pdas_step_CH             coupled (u, w) step, beta > 0, explicit or
-                             implicit convolution
-  * pdas_step_local_obstacle backward-Euler local obstacle step (beta = 0)
+Routes, one per kind of sweep system (the details live with each name):
+  * pdas_step_CH, explicit convolution: eliminating u = (w + q)/xi on the
+    inactive set leaves one SPD solve in w per sweep, (mu/xi) M_inactive +
+    tau (M + beta K), by ``WSolver``: banded Cholesky in 1D, CG
+    preconditioned by a float32 multigrid V-cycle (``_VCycle``) in 2D.
+  * pdas_step_CH, implicit convolution: one SuperLU solve (``spsolve``) of
+    the coupled system (``coupled_matrix``) with the active phase rows
+    replaced (``_select_phase_rows``).
+  * pdas_step_local_obstacle (beta = 0): the principal submatrix of
+    ``local_obstacle_matrix`` on the inactive set, by banded Cholesky in 1D
+    and by unpreconditioned CG (``cg``) in 2D.
 
-The explicit-convolution CH step reduces to one SPD solve per sweep in the
-chemical potential w: on the inactive set u = (w + q)/xi is eliminated
-nodewise, giving the system (mu/xi) M_inactive + tau (M + beta K).  The
-discrete xi = c_gamma_h - c_F is one number on the interior, where every
-node sees the full stencil.  The ``WSolver`` solves it: in 1D, where the
-system is tridiagonal, by banded Cholesky (``factorized``) of bands stored
-once plus the sweep's diagonal, and in 2D by conjugate gradients
-preconditioned with one symmetric multigrid V-cycle (bilinear prolongations
-fixed per grid, Galerkin coarse operators rebuilt when the sets change,
-because the inactive-set diagonal changes the matrix; a refinement reuses
-them).  Every transfer is the tensor product of a 1D one and is applied per
-axis, as two 1D sparse products on the (n, n) view of a vector; no 2D
-transfer is held.  Every 2D operator of that hierarchy is a stencil on a
-tensor grid, 5-point on the fine level and 9-point on the coarse ones, and
-is held in DIA form (one array per diagonal, no column indices): the fixed
-part once per run, and per set of active sets a float32 copy of it with the
-set's part added in; on a coarse level that part is formed per axis from
-the (n, n) view of the inactive-set diagonal (see ``_VCycle``).  The
-hierarchy is held and applied in single precision (float32): a
-preconditioner only has to be spectrally close to the inverse.  CG, the
-tolerances and every iterate stay double; CG applies the double system as
-A_w x + d x, without a copy of A_w, and a set's levels are summed in
-double and rounded to float32 once.
-
-The local obstacle step solves, per sweep, the principal submatrix of
-``local_obstacle_matrix`` = (mu/tau - c_F) M + eps^2 K on the inactive set:
-by ``factorized`` in 1D (tridiagonal in the compressed order), and in 2D by
-unpreconditioned CG warm-started from the previous sweep (the matrix is well
-conditioned, ~13 after Jacobi scaling on the ex3 grid; a refinement reuses
-the extracted submatrix).  In both 2D routes a CG that misses its tolerance
-raises: there is no direct-solve fallback.  Both run ``cg``, the iteration
-of ``scipy.sparse.linalg.cg`` operation for operation with a callable
-preconditioner.  The implicit-convolution step solves each sweep's coupled
-system with SuperLU (``spsolve``), the only use of ``scipy.sparse.linalg``,
-which is imported at its first call: an explicit run never loads it.
-
-The solvers assemble nothing that is fixed over a run: the w-solver (around
-the w-equation matrix ``w_matrix``), the local obstacle matrix and, for
-implicit convolution, the coupled matrix ``coupled_matrix`` are passed in by
-the caller (the time loop builds them once per run).  ``w_matrix`` and
-``local_obstacle_matrix`` are ``grid.mass_plus_stiffness``: the w-equation
-matrix stays in DIA, the form every w-solve uses, and the local obstacle
-matrix is converted once to the CSR whose principal submatrices a 2D sweep
-extracts.
+Every banded Cholesky is ``grid.factorized`` of the bands of its matrix,
+called through this module's name.  The matrices fixed over a run
+(``w_matrix``, ``local_obstacle_matrix``, ``coupled_matrix``) are built by
+the caller once per run and passed in; a 2D CG that misses its tolerance
+raises, and there is no fallback.
 """
 
 from __future__ import annotations
@@ -93,10 +61,9 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import spbtrf, spbtrs
 
 # factorized is called through this module's name, which nlpf_bench/spans.py
-# wraps to time every 1D sweep factorization
+# wraps to time every banded factorization of a sweep
 from .grid import Grid, factorized, mass_plus_stiffness, upper_bands
 from .nonlocal_ops import ConvolutionStencil, conv_rows, convolve, exterior_closure
 from .physics import ModelParams
@@ -462,11 +429,6 @@ def _diagonal(data: np.ndarray, offsets: np.ndarray, m: int, a: int, b: int) -> 
     return data[np.searchsorted(offsets, a * m + b)].reshape(m, m)
 
 
-def _single(data: np.ndarray, like: sp.dia_array) -> sp.dia_array:
-    """The stencil of ``like``'s offsets and shape with ``data`` rounded once to float32."""
-    return sp.dia_array((data.astype(np.float32), like.offsets), shape=like.shape)
-
-
 class _PlusDiagonal(NamedTuple):
     """The operator x -> A x + d x of A + diag(d), applied without forming the sum."""
 
@@ -479,26 +441,6 @@ class _PlusDiagonal(NamedTuple):
         return y
 
 
-def _band_cholesky(A: sp.dia_array) -> np.ndarray:
-    """The upper banded Cholesky factor (LAPACK ``spbtrf``) of a symmetric float32 stencil.
-
-    DIA data is indexed by column, as LAPACK's upper band storage is, so the
-    diagonal at offset k >= 0 is copied whole into band row kd - k (kd the
-    largest offset); the entries that fall outside the matrix are not read.
-    A matrix that is not positive definite raises ``LinAlgError``: there is
-    no fallback.
-    """
-    upper = A.offsets >= 0
-    kd = int(A.offsets[-1])
-    bands = np.zeros((kd + 1, A.shape[1]), dtype=np.float32)
-    bands[kd - A.offsets[upper]] = A.data[upper]
-    factor, info = spbtrf(bands, overwrite_ab=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"coarsest multigrid level: leading minor {info} is not positive definite")
-    return factor
-
-
 class _VCycle:
     """One symmetric multigrid V-cycle for A = A_w + diag(d), built per active sets.
 
@@ -509,24 +451,26 @@ class _VCycle:
     is E_{s,t} = W_s^T D W_t, D the (n, n) view of d and W_s as in
     ``_set_weights``: one product S D S^T gives the four with s, t in {0, 1},
     symmetry gives E_{-s,-t}, and E_{1,-1} is E_{1,1} shifted by one column.
-    They are added by slices into a double copy of the level's DIA data
-    (see ``WSolver``), which is then rounded once to float32; the fine level
-    is the solver's A_w rounded once, its offset-0 row summed with d in
-    double first.  Every level, the Jacobi smoother (read off each level's
-    offset-0 row), the transfers and the coarsest factor are float32: a
-    cycle rounds its double residual to float32 on entry and returns
-    double.  One damped-Jacobi sweep before and one after each
-    coarse correction, and a banded Cholesky solve (LAPACK spbtrs, factor
-    ``_band_cholesky``) on the coarsest level.  The cycle is a loop, not a
-    recursive closure, so the hierarchy is freed as soon as the system that
-    built it is dropped.
+    A coarse level starts as the solver's A_w rounded to float32, and each
+    E_{s,t} is summed with its slice of A_w in double and rounded once into
+    it, one slice at a time; the fine level is A_w rounded once, its
+    offset-0 row summed with d in double first.  Every level, the Jacobi
+    smoother (read off each level's offset-0 row), the transfers and the
+    coarsest factor are float32, since a preconditioner only has to be
+    spectrally close to the inverse: a cycle rounds its double residual to
+    float32 on entry and returns double.  One damped-Jacobi sweep before and
+    one after each coarse correction, and on the coarsest level a float32
+    banded Cholesky solve (``factorized`` of ``upper_bands``), which refuses
+    a non-finite or indefinite level.  The cycle is a loop, not a recursive
+    closure, so the hierarchy is freed as soon as the system that built it
+    is dropped.
     """
 
     def __init__(self, solver: WSolver, d: np.ndarray):
         self.transfers = solver.transfers
         A = solver.A
         mid = A.offsets.size // 2  # offset 0: the middle of the symmetric offsets
-        fine = _single(A.data, A)
+        fine = sp.dia_array((A.data.astype(np.float32), A.offsets), shape=A.shape)
         fine.data[mid] = A.data[mid] + d  # the sum in double, rounded once
         self.A = [fine]
         n = math.isqrt(d.size)
@@ -535,19 +479,17 @@ class _VCycle:
             m = (S.shape[0] + 1) // 2
             E = (S @ (S @ D).T).T  # S D S^T: block (s, t) is W_s^T D W_t
             E00, E01, E10, E11 = E[:m, :m], E[:m, m:], E[m:, :m], E[m:, m:]
-            C, off = A_w.data.copy(), A_w.offsets  # the sum in double, rounded once
-            _diagonal(C, off, m, 0, 0)[:] += E00
-            _diagonal(C, off, m, 0, 1)[:, 1:] += E01
-            _diagonal(C, off, m, 0, -1)[:, :-1] += E01
-            _diagonal(C, off, m, 1, 0)[1:] += E10
-            _diagonal(C, off, m, -1, 0)[:-1] += E10
-            _diagonal(C, off, m, 1, 1)[1:, 1:] += E11
-            _diagonal(C, off, m, -1, -1)[:-1, :-1] += E11
-            _diagonal(C, off, m, 1, -1)[1:, :-1] += E11
-            _diagonal(C, off, m, -1, 1)[:-1, 1:] += E11
-            self.A.append(_single(C, A_w))
+            C, off = A_w.data.astype(np.float32), A_w.offsets
+            for a, b, cut, part in ((0, 0, np.s_[:], E00),
+                                    (0, 1, np.s_[:, 1:], E01), (0, -1, np.s_[:, :-1], E01),
+                                    (1, 0, np.s_[1:], E10), (-1, 0, np.s_[:-1], E10),
+                                    (1, 1, np.s_[1:, 1:], E11), (-1, -1, np.s_[:-1, :-1], E11),
+                                    (1, -1, np.s_[1:, :-1], E11), (-1, 1, np.s_[:-1, 1:], E11)):
+                # the sum in double, rounded once
+                _diagonal(C, off, m, a, b)[cut] = _diagonal(A_w.data, off, m, a, b)[cut] + part
+            self.A.append(sp.dia_array((C, off), shape=A_w.shape))
         self.smooth = [_JACOBI_DAMPING / A_l.diagonal() for A_l in self.A[:-1]]
-        self.coarsest = _band_cholesky(self.A[-1])
+        self.coarsest = factorized(upper_bands(self.A[-1]))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         rhs, pre = [r.astype(np.float32)], []
@@ -557,7 +499,7 @@ class _VCycle:
             res = A_l @ x
             np.subtract(rhs[-1], res, out=res)
             rhs.append(_tensor_apply(P1T, res))
-        x = spbtrs(self.coarsest, rhs[-1])[0]
+        x = self.coarsest(rhs[-1])
         for l in reversed(range(len(self.transfers))):
             x = _tensor_apply(self.transfers[l][0], x)
             x += pre[l]
@@ -573,9 +515,9 @@ class WSolver:
 
     ``A_w`` is ``w_matrix(grid, beta, tau)``, DIA and fixed over a run; the
     nonnegative diagonal d (the inactive-set term) changes per sweep.  In 1D
-    the system is tridiagonal: the two bands of A_w are stored once, and each
-    system adds d to the diagonal band and factors the sum once
-    (``factorized``).  In 2D it is solved by CG to a given relative residual,
+    the system is tridiagonal: each system adds d to the diagonal band of
+    A_w's bands (``upper_bands``) and factors the sum once (``factorized``).
+    In 2D it is solved by CG to a given relative residual,
     preconditioned by one V-cycle over levels coarsened per axis
     (n -> (n + 1) // 2) until at most ``_COARSEST_NODES`` nodes remain.
     What depends only on the grid and A_w is built here once; what depends on
@@ -596,8 +538,6 @@ class WSolver:
         self.dim = grid.dim
         n = grid.n_axis_interior
         self.A = A_w
-        if grid.dim == 1:
-            self.bands = upper_bands(A_w)
         transfers, weights, coarse = [], [], []
         Q, C = sp.identity(n, format="csr"), A_w
         while grid.dim == 2 and n * n > _COARSEST_NODES:
@@ -625,7 +565,9 @@ class WSolver:
         freed with it.
         """
         if self.dim == 1:
-            solve = factorized(self.bands + [np.zeros_like(d), d])
+            bands = upper_bands(self.A)
+            bands[-1] += d
+            solve = factorized(bands)
             return lambda b, x0, rtol: (solve(b), 0)
         A, M = _PlusDiagonal(self.A, d), _VCycle(self, d)
         return lambda b, x0, rtol: _cg(
@@ -744,7 +686,8 @@ def pdas_step_local_obstacle(
 
     The chemical potential is eliminated, and each sweep is one reduced SPD
     solve on the inactive set with ``A = local_obstacle_matrix(grid, params,
-    tau, eps)``: banded Cholesky in 1D; in 2D CG started from the
+    tau, eps)``: banded Cholesky in 1D; in 2D unpreconditioned CG (A is well
+    conditioned, ~13 after Jacobi scaling on the ex3 grid) started from the
     previous sweep's iterate (from u_prev in the first sweep), loose until
     the sets repeat and then refined to ``_LIN_TOL`` (see the module
     docstring).  A CG failure raises ``RuntimeError``.

@@ -147,6 +147,25 @@ def test_no_module_imports_another_modules_private_name():
     assert not private, sorted(private)
 
 
+def test_only_grid_imports_scipy_linalg():
+    # grid is the one home of the dense and banded factorizations (LAPACK
+    # ?pbtrf/?pbtrs, cho_factor): every other module solves through it
+    package = Path(__file__).resolve().parents[1] / "src" / "nlpf"
+    paths, importers = sorted(package.glob("*.py")), set()
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+                importers.add(path.stem)
+    assert importers == {"grid"}, sorted(importers)
+
+
 def _documented_keys(lines):
     """{(section, key): required} of a config-format block.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nlpf.grid import build_grid, mass_plus_stiffness
+from nlpf.grid import build_grid, factorized, mass_plus_stiffness, upper_bands
 from oracles import assert_same_entries, kron_stiffness
 
 
@@ -133,3 +133,32 @@ def test_h_snapping_reported():
     g = build_grid(1, 0.3, 0.0)
     assert g.h == pytest.approx(1.0 / 3.0)
     assert g.h_requested == 0.3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kd", [1, 15])
+def test_upper_bands_and_factorized_keep_the_matrix_precision(kd, dtype):
+    # a symmetric banded DIA matrix with the offsets of a 9-point stencil on
+    # a 14-node axis (a tridiagonal one for kd = 1): its upper band storage
+    # is read off the dense matrix, row kd - k holding the offset-k diagonal
+    # by column, and its banded Cholesky solve stays in the matrix's dtype
+    n = 60
+    rng = np.random.default_rng(kd)
+    dense = np.zeros((n, n))
+    for k in {k for k in (1, kd - 2, kd - 1, kd) if k > 0}:
+        v = rng.uniform(-1.0, 1.0, n - k)
+        dense += np.diag(v, k) + np.diag(v, -k)
+    dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
+    A = sp.dia_array(dense).astype(dtype)
+    rounded = A.toarray()
+    ref = np.zeros((kd + 1, n), dtype=dtype)
+    for j in range(n):
+        for i in range(max(0, j - kd), j + 1):
+            ref[kd + i - j, j] = rounded[i, j]
+    bands = upper_bands(A)
+    assert bands.dtype == dtype and np.array_equal(bands, ref)
+    b = rng.standard_normal(n).astype(dtype)
+    x = factorized(bands)(b)
+    assert x.dtype == dtype
+    residual = np.linalg.norm(rounded.astype(np.float64) @ x - b) / np.linalg.norm(b)
+    assert residual <= (1e-5 if dtype == np.float32 else 1e-12)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import LinearOperator, cg as scipy_cg, factorized, spso
 
 import nlpf.pdas as pdas
 
-from nlpf.grid import build_grid, exact_solver, mass_plus_stiffness
+from nlpf.grid import build_grid, exact_solver, mass_plus_stiffness, upper_bands
 from nlpf.kernel import KernelSpec
 from nlpf.nonlocal_ops import build_stencil, convolve, exterior_closure
 from nlpf.pdas import (
@@ -652,16 +652,18 @@ def test_local_obstacle_1d_sweep_matches_dense_principal_solve(pattern, monkeypa
     assert np.abs(sweep.g - (b - A @ sweep.u_I) / mI).max() <= 1e-13 * np.abs(b / mI).max()
 
 
-def test_factorized_rejects_a_band_that_is_not_positive_definite():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_factorized_rejects_a_band_that_is_not_positive_definite(dtype):
     # [[1, 2], [2, 1]] has the eigenvalue -1: an error, with no fallback
     with pytest.raises(np.linalg.LinAlgError):
-        pdas.factorized(np.array([[0.0, 2.0], [1.0, 1.0]]))
+        pdas.factorized(np.array([[0.0, 2.0], [1.0, 1.0]], dtype=dtype))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_factorized_rejects_a_nonfinite_band(bad):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_factorized_rejects_a_nonfinite_band(dtype, bad):
     # LAPACK factors a NaN band without a complaint; factorized must not
-    bands = np.array([[0.0, -1.0, -1.0], [3.0, 3.0, 3.0]])
+    bands = np.array([[0.0, -1.0, -1.0], [3.0, 3.0, 3.0]], dtype=dtype)
     bands[1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         pdas.factorized(bands)
@@ -889,9 +891,9 @@ def test_w_solver_2d_hierarchy_is_single_and_its_solve_double(n_axis, monkeypatc
     g, solver, d, b, _ = _w_system(n_axis, _INACTIVE_SETS["band"])
     solve, vcycle = _system_and_vcycle(monkeypatch, solver, d)
     assert len(vcycle.transfers) == {10: 0, 33: 2}[n_axis]
-    single = [*vcycle.A, *vcycle.smooth, *(F for pair in vcycle.transfers for F in pair),
-              vcycle.coarsest]
+    single = [*vcycle.A, *vcycle.smooth, *(F for pair in vcycle.transfers for F in pair)]
     assert all(x.dtype == np.float32 for x in single)
+    assert vcycle.coarsest(np.ones(vcycle.A[-1].shape[0], np.float32)).dtype == np.float32
     double = [solver.A, *solver.set_weights, *solver.coarse_A_w]
     assert all(x.dtype == np.float64 for x in double)
     r = np.random.default_rng(n_axis).standard_normal(g.n_interior)
@@ -905,7 +907,9 @@ def test_w_solver_2d_hierarchy_is_single_and_its_solve_double(n_axis, monkeypatc
 def test_w_solver_2d_system_keeps_no_copy_of_the_w_matrix(monkeypatch):
     # at the ex3 grid (209 nodes per axis) a held system keeps its float32
     # hierarchy and at most a few length-n double vectors: CG applies A_w +
-    # diag(d) through A_w and d, without a double copy of A_w's diagonals
+    # diag(d) through A_w and d, without a double copy of A_w's diagonals;
+    # building it sums each coarse level straight into its float32 array, so
+    # its transient stays below one double coarse level
     g, solver, d, b, _ = _w_system(209, _INACTIVE_SETS["band"])
     built = []
 
@@ -918,14 +922,15 @@ def test_w_solver_2d_system_keeps_no_copy_of_the_w_matrix(monkeypatch):
     tracemalloc.start()
     try:
         solve = solver.system(d)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     (vcycle,) = built
     hierarchy = (sum(A_l.data.nbytes + A_l.offsets.nbytes for A_l in vcycle.A)
-                 + sum(S.nbytes for S in vcycle.smooth) + vcycle.coarsest.nbytes)
+                 + sum(S.nbytes for S in vcycle.smooth) + upper_bands(vcycle.A[-1]).nbytes)
     assert callable(solve)
     assert kept <= hierarchy + 2 * d.nbytes < hierarchy + solver.A.data.nbytes
+    assert peak - kept < solver.coarse_A_w[0].data.nbytes
 
 
 def test_w_solver_2d_single_vcycle_keeps_cg_iterations_at_ex3_size(monkeypatch):
@@ -950,6 +955,15 @@ def test_w_solver_2d_indefinite_coarsest_level_raises():
     g, solver, d, b, _ = _w_system(17, _INACTIVE_SETS["all-inactive"])
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         solver.system(-d)
+
+
+def test_w_solver_2d_nonfinite_diagonal_raises_when_the_system_is_built():
+    # a NaN in d reaches the coarsest level, whose band factor refuses it,
+    # before any CG iteration is spent on the system
+    g, solver, d, b, _ = _w_system(17, _INACTIVE_SETS["band"])
+    d[np.flatnonzero(d)[0]] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.system(d)
 
 
 @pytest.mark.parametrize("n_axis", [17, 28, 33, 209])
