@@ -8,8 +8,8 @@ active-set method.  Sub-modules:
     kernel        radial kernels and their closed-form constants
     grid          uniform grids, node classification, lumped quadrature, and
                   the fixed matrices a M + b K with their exact solves
-    nonlocal_ops  convolution stencil, discrete operator, flux closure
-    physics       coupling, per-step objective
+    nonlocal_ops  convolution stencil, FFT convolution, flux closure
+    physics       coupling, per-step objective from a step's w and convolution
     pdas          active-set solvers for the complementarity systems
     stepper       per-variant phase steps, IMEX time loop and diagnostics
     metrics       interface widths and field distances

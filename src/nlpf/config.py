@@ -132,6 +132,9 @@ class RunConfig:
                 raise ConfigError("nonlocal_CH requires [model] beta > 0")
         elif m.beta != 0:
             raise ConfigError(f"{self.variant} requires [model] beta = 0")
+        if self.pdas.convolution_mode == "implicit" and self.variant != "nonlocal_CH":
+            raise ConfigError(f"[solver] convolution_mode = implicit applies to nonlocal_CH "
+                              f"only, not {self.variant}")
         if self.is_nonlocal:
             if not self.delta > 0:
                 raise ConfigError(

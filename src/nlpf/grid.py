@@ -14,8 +14,8 @@ standard lumped mass of the unit domain.
 
 Node ordering is lexicographic with x fastest: flat index = iy * nx + ix.
 
-The scheme's fixed matrices (heat, w-equation, local-obstacle, local_regular
-and Green's) are a M + b K on the interior nodes, with M the lumped interior
+The scheme's fixed matrices (heat, w-equation, local-obstacle and
+local_regular) are a M + b K on the interior nodes, with M the lumped interior
 mass and K the stiffness of the unit domain.  This module builds them
 (``mass_plus_stiffness``) and solves them exactly (``exact_solver``).  It is
 also the one home of banded Cholesky, in double or float32 (``upper_bands``,

@@ -38,7 +38,6 @@ __all__ = [
     "ConvolutionStencil",
     "build_stencil",
     "convolve",
-    "apply_Bh",
     "conv_rows",
     "exterior_closure",
 ]
@@ -141,11 +140,6 @@ def convolve(stencil: ConvolutionStencil, u: np.ndarray) -> np.ndarray:
     c = u[0]
     return c * stencil.c_gamma_h + _fft_correlate(
         grid, stencil.fft_shape, stencil.spectrum, (u - c) * stencil.mass_ratio)
-
-
-def apply_Bh(stencil: ConvolutionStencil, u: np.ndarray) -> np.ndarray:
-    """B_h u = c_gamma_h * u - gamma (*) u on all nodes (annihilates constants)."""
-    return stencil.c_gamma_h * np.asarray(u, dtype=float) - convolve(stencil, u)
 
 
 def conv_rows(stencil: ConvolutionStencil, rows: np.ndarray) -> sp.csr_matrix:

@@ -1,4 +1,4 @@
-"""Model parameters, temperature coupling and energy diagnostics."""
+"""Model parameters, temperature coupling and the per-step objective."""
 
 from __future__ import annotations
 
@@ -8,15 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid
-from .nonlocal_ops import ConvolutionStencil, apply_Bh
+from .nonlocal_ops import ConvolutionStencil
 
-__all__ = [
-    "ModelParams",
-    "coupling_m",
-    "regular_potential_dF",
-    "greens_dual_norm",
-    "objective_Jk",
-]
+__all__ = ["ModelParams", "coupling_m", "regular_potential_dF", "objective_Jk"]
 
 
 @dataclass(frozen=True)
@@ -73,30 +67,8 @@ def regular_potential_dF(u, m_val):
     return float(out) if out.ndim == 0 else out
 
 
-def greens_dual_norm(grid: Grid, v: np.ndarray, green_solve) -> float:
-    """Squared dual norm of an interior field under the (I - beta Lap) Green map.
-
-    ``green_solve`` is the solve of M + beta K, as returned by
-    ``grid.exact_solver(grid, 1.0, beta)``: return the lumped inner
-    product of v and z with (M + beta K) z = M v.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n_interior,):
-        raise ValueError(f"expected interior field of length {grid.n_interior}")
-    mv = grid.mass_interior * v
-    return float(np.dot(mv, green_solve(mv)))
-
-
-def objective_Jk(
-    grid: Grid,
-    stencil: ConvolutionStencil,
-    params: ModelParams,
-    tau: float,
-    u: np.ndarray,
-    u_prev: np.ndarray,
-    m_prev: np.ndarray,
-    green_solve,
-) -> float:
+def objective_Jk(grid: Grid, stencil: ConvolutionStencil, params: ModelParams, u: np.ndarray,
+                 u_prev: np.ndarray, m_prev: np.ndarray, w: np.ndarray, conv: np.ndarray) -> float:
     """Per-step objective whose constrained minimizer is the phase update.
 
     Evaluates, with the grid's lumped quadrature,
@@ -105,24 +77,19 @@ def objective_Jk(
         + (c_F/2 - c_F m_prev, u)
 
     where the first term runs over the extended domain (it vanishes on the
-    exterior for flux-closed fields) and the rest over the interior; the
-    dual norm uses ``green_solve`` (see ``greens_dual_norm``).  The solver's
-    converged iterate never increases this value relative to the previous
-    level; the time loop records that as a descent diagnostic.
+    exterior for flux-closed fields) and the rest over the interior, with
+    B_h u = c_gamma_h u - conv and ``conv = convolve(stencil, u)``.  The step's
+    w solves mu M delta + tau (M + beta K) w = 0, delta = u_I - u_prev_I, so
+    the dual-norm term is -1/2 (M delta, w): no solve of its own.  The
+    solver's converged iterate never increases this value relative to the
+    previous level; the time loop records that as a descent diagnostic.
     """
-    u = np.asarray(u, dtype=float)
-    u_prev = np.asarray(u_prev, dtype=float)
-    m_prev = np.asarray(m_prev, dtype=float)
     ids = grid.interior_ids
     mI = grid.mass_interior
     c_F = params.c_F
 
-    e_nonlocal = 0.5 * float(np.dot(grid.lumped_mass * u, apply_Bh(stencil, u)))
+    e_nonlocal = 0.5 * float(np.dot(grid.lumped_mass * u, stencil.c_gamma_h * u - conv))
     uI = u[ids]
     e_pot = float(np.dot(mI, -0.5 * c_F * uI**2 + (0.5 * c_F - c_F * m_prev) * uI))
-    e_time = (
-        params.mu
-        / (2.0 * tau)
-        * greens_dual_norm(grid, uI - u_prev[ids], green_solve)
-    )
+    e_time = -0.5 * float(np.dot(mI * (uI - u_prev[ids]), w))
     return e_nonlocal + e_pot + e_time

@@ -22,9 +22,9 @@ loop does not branch on the variant.
   LocalRegularStep   local_regular: one semi-implicit solve with a fixed
                      matrix, nonlinearity explicit, no constraints
 
-The fixed matrices a M + b K (the heat matrix, the local_regular matrix, and
-M + beta K of the energy diagnostics) are built and solved by ``grid``
-(``exact_solver``); this module holds only the steps and the time loop.
+The fixed matrices a M + b K (the heat matrix and the local_regular matrix)
+are built and solved by ``grid`` (``exact_solver``); this module holds only
+the steps and the time loop.
 """
 
 from __future__ import annotations
@@ -313,7 +313,8 @@ def run(config: RunConfig) -> RunResult:
     step returns a multiplier (the obstacle variants) the complementarity
     residual and the bound range of u over all nodes; the enthalpy drift;
     and, when ``config.records_energy``, the per-step objective at the new
-    and previous iterates and the projection-formula residual.  Raises
+    and previous iterates and the projection-formula residual, from the
+    step's w and one convolution of the new level per step.  Raises
     ``RuntimeError`` naming the step, t and the cause at the first phase
     step that does not converge.
     """
@@ -358,8 +359,8 @@ def run(config: RunConfig) -> RunResult:
     phase = phase_step(config, grid, stencil)
     heat = exact_solver(grid, 1.0, tau * params.D)
     if config.records_energy:
-        green = exact_solver(grid, 1.0, params.beta)
         xi = stencil.c_gamma_h_interior - params.c_F
+        conv = convolve(stencil, state.u)  # of the level that J_prev reads
 
     # a step-0 snapshot keeps the initial fields; else step 1 frees them
     u, theta = state.u, state.theta
@@ -381,18 +382,15 @@ def run(config: RunConfig) -> RunResult:
             diag["bound_min"][k - 1] = float(out.u.min())
             diag["bound_max"][k - 1] = float(out.u.max())
         if config.records_energy:
-            m_prev = coupling_m(params, theta)
+            # one convolution per step, of the new level: the next J_prev reuses it
+            m_prev, conv_prev = coupling_m(params, theta), conv
+            conv = convolve(stencil, out.u)
             diag["energy_J_new"][k - 1] = objective_Jk(
-                grid, stencil, params, tau, out.u, u, m_prev, green
-            )
+                grid, stencil, params, out.u, u, m_prev, out.w, conv)
             diag["energy_J_prev"][k - 1] = objective_Jk(
-                grid, stencil, params, tau, u, u, m_prev, green
-            )
-            g = (out.w + convolve(stencil, out.u)[ids] + params.c_F * m_prev
-                 - 0.5 * params.c_F)
-            diag["proj_residual"][k - 1] = float(
-                np.abs(u_I - np.clip(g / xi, 0.0, 1.0)).max()
-            )
+                grid, stencil, params, u, u, m_prev, out.w, conv_prev)
+            g = out.w + conv[ids] + params.c_F * m_prev - 0.5 * params.c_F
+            diag["proj_residual"][k - 1] = float(np.abs(u_I - np.clip(g / xi, 0.0, 1.0)).max())
 
         theta_new = step_temperature(heat, grid, params, theta, out.u, u)
         enthalpy = float(np.dot(mI, theta_new - params.L * u_I))

@@ -666,6 +666,20 @@ def test_local_obstacle_is_beta_zero_only(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["ex1_local_obstacle", "ex3_nonlocal_AC"])
+def test_implicit_convolution_is_nonlocal_CH_only(name, tmp_path, capsys):
+    # the other variants have no coupled solve: the mode would be ignored
+    # while the report's resolved_config said implicit
+    path = CONFIGS / f"{name}.cfg"
+    with pytest.raises(ConfigError, match=r"\[solver\] convolution_mode"):
+        parse_config_file(str(path), overrides=["solver.convolution_mode=implicit"])
+    out = tmp_path / "o"
+    assert cli_main(["run", str(path), "--output-dir", str(out),
+                     "--override", "solver.convolution_mode=implicit"]) == 1
+    assert "[solver] convolution_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 

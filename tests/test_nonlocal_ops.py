@@ -4,7 +4,6 @@ import pytest
 from nlpf.grid import build_grid
 from nlpf.kernel import KernelSpec, c_gamma_closed_form
 from nlpf.nonlocal_ops import (
-    apply_Bh,
     build_stencil,
     conv_rows,
     convolve,
@@ -13,6 +12,11 @@ from nlpf.nonlocal_ops import (
 from nlpf.pdas import PdasConfig, WSolver, coupled_matrix, pdas_step_CH, w_matrix
 from nlpf.physics import ModelParams
 from oracles import dense_conv_matrix, trapezoid_masses
+
+
+def apply_Bh(stencil, u):
+    """The discrete operator B_h u = c_gamma_h u - gamma (*) u on all nodes."""
+    return stencil.c_gamma_h * u - convolve(stencil, u)
 
 
 def _dense_W(grid, spec):

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from nlpf.grid import build_grid
 from nlpf.kernel import KernelSpec
-from nlpf.nonlocal_ops import build_stencil
+from nlpf.nonlocal_ops import build_stencil, convolve
 from nlpf.physics import (
     ModelParams,
     coupling_m,
-    greens_dual_norm,
     objective_Jk,
     regular_potential_dF,
 )
-from nlpf.grid import exact_solver
 from oracles import dense_conv_matrix
 
 PARAMS = ModelParams(mu=0.0012, L=0.5, D=1.0, beta=0.0, alpha=0.9, rho=20.0,
@@ -80,26 +78,6 @@ def test_regular_potential_matches_finite_differences():
         assert regular_potential_dF(u, m) == pytest.approx(fd, abs=1e-9)
 
 
-def test_greens_dual_norm_basics():
-    g = build_grid(1, 1 / 32, 0.0)
-    solve = exact_solver(g, 1.0, 0.37)
-    assert greens_dual_norm(g, np.zeros(g.n_interior), solve) == 0.0
-    ones = np.ones(g.n_interior)
-    lumped = np.dot(g.mass_interior * ones, ones)
-    assert lumped == pytest.approx(1.0)
-    # constants are in the stiffness null space: beta > 0 gives the lumped L2 value
-    assert greens_dual_norm(g, ones, solve) == pytest.approx(lumped, rel=1e-12)
-
-
-def test_greens_dual_norm_contraction():
-    g = build_grid(1, 1 / 24, 0.0)
-    solve = exact_solver(g, 1.0, 0.5)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        v = rng.standard_normal(g.n_interior)
-        assert greens_dual_norm(g, v, solve) <= np.dot(g.mass_interior * v, v) + 1e-12
-
-
 def _dense_objective(grid, W, params, tau, u, u_prev, m_prev):
     """Hand computation of the per-step objective on a small grid."""
     ids = grid.interior_ids
@@ -121,8 +99,8 @@ def test_objective_vanishes_at_rest():
     spec = KernelSpec(0.8, 0.45, 1)
     stn = build_stencil(g, spec)
     zero = np.zeros(g.n_nodes)
-    green = exact_solver(g, 1.0, PARAMS.beta)
-    val = objective_Jk(g, stn, PARAMS, 1e-3, zero, zero, np.zeros(g.n_interior), green)
+    zero_I = np.zeros(g.n_interior)  # m_prev, and w = -(mu/tau) delta at beta = 0
+    val = objective_Jk(g, stn, PARAMS, zero, zero, zero_I, zero_I, convolve(stn, zero))
     assert val == 0.0
 
 
@@ -137,10 +115,13 @@ def test_objective_difference_matches_dense_hand_computation():
     u2 = rng.random(g.n_nodes)
     m_prev = rng.uniform(-0.4, 0.4, g.n_interior)
     tau = 2e-3
-    green = exact_solver(g, 1.0, PARAMS.beta)  # beta = 0: M^-1
-    got = objective_Jk(g, stn, PARAMS, tau, u1, u_prev, m_prev, green) - objective_Jk(
-        g, stn, PARAMS, tau, u2, u_prev, m_prev, green
-    )
+
+    def objective(u):
+        # beta = 0: the w-equation gives w = -(mu/tau) delta
+        w = -(PARAMS.mu / tau) * (u - u_prev)[g.interior_ids]
+        return objective_Jk(g, stn, PARAMS, u, u_prev, m_prev, w, convolve(stn, u))
+
+    got = objective(u1) - objective(u2)
     ref = _dense_objective(g, W, PARAMS, tau, u1, u_prev, m_prev) - _dense_objective(
         g, W, PARAMS, tau, u2, u_prev, m_prev
     )

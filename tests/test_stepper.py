@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import factorized
 
-from nlpf import grid as grid_module, pdas, stepper
+from nlpf import grid as grid_module, nonlocal_ops, pdas, stepper
 from nlpf.config import InitSpec, RunConfig
 from nlpf.fields_io import build_report, read_field, write_field
 from nlpf.grid import build_grid, exact_solver, mass_plus_stiffness
@@ -33,7 +33,8 @@ from nlpf.stepper import (
     step_temperature,
     timestep_admissibility,
 )
-from oracles import dense_stiffness_1d, initial_field_from_coords, pdas_step_AC_nonlocal
+from oracles import (dense_conv_matrix, dense_stiffness_1d, initial_field_from_coords,
+                     pdas_step_AC_nonlocal)
 
 
 def _heat(g, p, tau):
@@ -404,6 +405,38 @@ def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
         run(dataclasses.replace(cfg, init=InitSpec(theta0=str(tmp_path / "theta0.csv"))))
 
 
+def test_energy_record_matches_dense_objective():
+    # the recorded J_k against the objective rebuilt from dense matrices: the
+    # convolution as a full matrix and the dual norm of delta = u_I - u_prev_I
+    # by a dense solve of M + beta K, so the check of -1/2 (M delta, w) does
+    # not come from the step's own solve
+    cfg = _mini_config(pdas=PdasConfig(convolution_mode="implicit"),
+                       snapshots=tuple(k * 3e-4 for k in range(11)))
+    res = run(cfg)
+    p, g = cfg.model, res.grid
+    assert p.beta > 0 and [st.k for st in res.states] == list(range(11))
+    ids, mI = g.interior_ids, g.mass_interior
+    W = dense_conv_matrix(g.coords(), g.lumped_mass, cfg.epsilon, cfg.delta, 1)
+    c_h = W @ np.ones(g.n_nodes)
+    green = np.diag(mI) + p.beta * dense_stiffness_1d(g.n_interior, g.h)
+
+    def objective(u, m_prev):
+        uI = u[ids]
+        return (0.5 * g.lumped_mass @ (u * (c_h * u - W @ u))
+                + mI @ (-0.5 * p.c_F * uI**2 + (0.5 * p.c_F - p.c_F * m_prev) * uI))
+
+    duals = []
+    for k in range(1, res.n_steps + 1):
+        prev, new = res.states[k - 1], res.states[k]
+        m_prev = coupling_m(p, prev.theta)
+        md = mI * (new.u - prev.u)[ids]
+        duals.append(p.mu / (2 * cfg.tau) * md @ np.linalg.solve(green, md))
+        J_new = objective(new.u, m_prev) + duals[-1]
+        assert abs(res.diagnostics["energy_J_new"][k - 1] - J_new) <= 1e-12
+        assert abs(res.diagnostics["energy_J_prev"][k - 1] - objective(prev.u, m_prev)) <= 1e-12
+    assert min(duals) > 1e-5  # the front moves every step: the dual term is checked
+
+
 @pytest.mark.parametrize("variant, dim, mode", [
     ("nonlocal_CH", 1, "explicit"), ("nonlocal_CH", 2, "explicit"),
     ("nonlocal_CH", 1, "implicit"), ("local_obstacle", 1, "explicit"),
@@ -411,7 +444,7 @@ def test_run_rejects_nonfinite_or_infeasible_init_file(variant, tmp_path):
     ids=["nonlocal_CH", "nonlocal_CH-2d", "nonlocal_CH-implicit", "local_obstacle",
          "local_regular"])
 def test_run_caches_nothing_on_its_inputs(variant, dim, mode, monkeypatch):
-    built, solvers, factorized, lo_matrices, coupled, bmats = [], [], [], [], [], []
+    built, solvers, factorized, lo_matrices, coupled, bmats, convs = [], [], [], [], [], [], []
 
     def record(fn):
         def wrapped(*args):
@@ -427,6 +460,10 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, mode, monkeypatch):
     exact = stepper.exact_solver
     monkeypatch.setattr(stepper, "exact_solver",
                         lambda *args: solvers.append(args) or exact(*args))
+    convolve = stepper.convolve
+    for module in (stepper, pdas, nonlocal_ops):
+        monkeypatch.setattr(module, "convolve",
+                            lambda *args: convs.append(args) or convolve(*args))
     lo_matrix = stepper.local_obstacle_matrix
     monkeypatch.setattr(stepper, "local_obstacle_matrix",
                         lambda *args: lo_matrices.append(args) or lo_matrix(*args))
@@ -445,15 +482,19 @@ def test_run_caches_nothing_on_its_inputs(variant, dim, mode, monkeypatch):
     for obj, keys in built:
         grid_own = {"mass_interior"} if obj is built[0][0] else set()
         assert set(vars(obj)) - grid_own == keys, type(obj).__name__
-    # heat matrix (and the local_regular phase matrix, or the Green's matrix
-    # of the energy diagnostics): one solver each per run, factorized once in
-    # 1D (in 2D the DCT-I solve needs no factors)
-    assert len(solvers) == (2 if variant == "local_regular" or cfg.records_energy else 1)
+    # heat matrix (and the local_regular phase matrix): one solver each per
+    # run, factorized once in 1D (in 2D the DCT-I solve needs no factors);
+    # the energy record of the implicit run solves nothing of its own
+    assert len(solvers) == (2 if variant == "local_regular" else 1)
     assert len(factorized) == (len(solvers) if dim == 1 else 0)
     # the local obstacle matrix: once per run
     assert len(lo_matrices) == (1 if variant == "local_obstacle" else 0)
     # the implicit coupled matrix: once per run, and no step assembles its own
     assert len(coupled) == len(bmats) == (1 if mode == "implicit" else 0)
+    # the implicit run convolves u0 for its initial layer and for J_prev of
+    # step 1, and then the new level of each step, once
+    if mode == "implicit":
+        assert len(convs) == 10 + 2
 
 
 def test_run_starts_from_a_saved_all_nodes_snapshot(tmp_path):
